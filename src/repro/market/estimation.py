@@ -20,9 +20,19 @@ on arrival, and normalisation moments are taken straight off the
 stored array — so each round costs one appended row plus the
 (vectorised) gradient passes, not a from-scratch rebuild and
 re-validation of the entire Python-object buffer, whose cost grew
-quadratically with the number of rounds.  Training trajectories equal
-the rebuild-everything reference bit for bit
-(``tests/market/test_estimation.py``).
+quadratically with the number of rounds.
+
+The bundle buffer is kept directly in the packed form
+:class:`~repro.ml.nn.layers.EmbeddingBag` pools over
+(:class:`~repro.ml.nn.layers.PackedSets`): the concatenated feature
+ids, a zero-padded ``(n, K)`` id matrix with its mask, and the bundle
+sizes, all append-only with amortised growth (``K`` widens when a
+bundle wider than any before it arrives).  A gradient pass therefore
+costs one numpy call per column of the id matrix rather than one per
+replayed bundle; the pooled sums keep ``mean``'s sequential order
+instead of using ``np.add.reduceat``, which rounds differently.
+Training trajectories equal the rebuild-everything reference bit for
+bit (``tests/market/test_estimation.py``).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import numpy as np
 
 from repro.market.bundle import FeatureBundle
 from repro.market.pricing import QuotedPrice
+from repro.ml.nn.layers import PackedSets
 from repro.ml.nn.regressor import MLPRegressor, SetEmbeddingRegressor
 from repro.utils.rng import spawn
 from repro.utils.validation import require
@@ -65,10 +76,6 @@ class TaskGainEstimator:
         # The turning point is *the* decision quantity; giving it to the
         # network explicitly accelerates convergence markedly.
         return (*quote.as_tuple(), quote.turning_point)
-
-    def _design(self, quotes: list[QuotedPrice]) -> np.ndarray:
-        X = np.asarray([self._raw_features(q) for q in quotes], dtype=np.float64)
-        return (X - self._mean) / self._std
 
     @property
     def n_observations(self) -> int:
@@ -107,9 +114,20 @@ class TaskGainEstimator:
     def predict(self, quotes: list[QuotedPrice]) -> np.ndarray:
         """Predicted ΔG for candidate quotes (zeros before any data)."""
         require(bool(quotes), "need at least one quote")
+        return self.predict_features(
+            np.asarray([self._raw_features(q) for q in quotes], dtype=np.float64)
+        )
+
+    def predict_features(self, raw: np.ndarray) -> np.ndarray:
+        """Predicted ΔG for raw ``(p, P0, Ph, turning point)`` rows.
+
+        The array form of :meth:`predict`, for callers that hold their
+        candidate quotes as columns rather than :class:`QuotedPrice`
+        objects.
+        """
         if not self._n:
-            return np.zeros(len(quotes))
-        return self.model.predict(self._design(quotes))
+            return np.zeros(raw.shape[0])
+        return self.model.predict((raw - self._mean) / self._std)
 
 
 class DataGainEstimator:
@@ -133,33 +151,57 @@ class DataGainEstimator:
             rng=spawn(rng, "data_estimator"),
         )
         self.train_passes = int(train_passes)
-        # Bundles are validated and converted to index arrays exactly
-        # once, on arrival; later rounds reuse the converted batch.
-        self._sets: list[np.ndarray] = []
+        # Bundles are validated and packed exactly once, on arrival;
+        # every later round trains on views of the packed buffers.
+        self._flat = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._idx = np.zeros((_INITIAL_CAPACITY, 1), dtype=np.int64)
+        self._mask = np.zeros((_INITIAL_CAPACITY, 1), dtype=bool)
+        self._counts = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._y = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._n = 0
+        self._n_flat = 0
         self.mse_history: list[float] = []
 
     @property
     def n_observations(self) -> int:
         """Replay-buffer size."""
-        return len(self._sets)
+        return self._n
+
+    def _append(self, ids: np.ndarray, target: float) -> None:
+        n, size = self._n, ids.size
+        if n == self._counts.shape[0]:
+            self._idx = np.concatenate([self._idx, np.zeros_like(self._idx)])
+            self._mask = np.concatenate([self._mask, np.zeros_like(self._mask)])
+            self._counts = np.concatenate([self._counts, np.empty_like(self._counts)])
+            self._y = np.concatenate([self._y, np.empty_like(self._y)])
+        if size > self._idx.shape[1]:
+            pad = size - self._idx.shape[1]
+            self._idx = np.pad(self._idx, ((0, 0), (0, pad)))
+            self._mask = np.pad(self._mask, ((0, 0), (0, pad)))
+        while self._n_flat + size > self._flat.shape[0]:
+            self._flat = np.concatenate([self._flat, np.empty_like(self._flat)])
+        self._flat[self._n_flat : self._n_flat + size] = ids
+        self._idx[n, :size] = ids
+        self._mask[n, :size] = True
+        self._counts[n] = size
+        self._y[n] = target
+        self._n += 1
+        self._n_flat += size
 
     def observe(self, bundle: FeatureBundle, delta_g: float) -> None:
         """Append one (bundle, realised ΔG) sample and update the network."""
-        self._sets.append(self.model.validate_set(list(bundle)))
-        n = len(self._sets)
-        if n > self._y.shape[0]:
-            self._y = np.concatenate([self._y, np.empty_like(self._y)])
-        self._y[n - 1] = float(delta_g)
-        y = self._y[:n]
-        self.model.partial_fit(
-            self._sets, y, steps=self.train_passes, validate=False
+        self._append(self.model.validate_set(list(bundle)), float(delta_g))
+        n = self._n
+        packed = PackedSets(
+            self._flat[: self._n_flat], self._idx[:n], self._mask[:n], self._counts[:n]
         )
-        self.mse_history.append(self.model.mse(self._sets, y, validate=False))
+        y = self._y[:n]
+        self.model.partial_fit(packed, y, steps=self.train_passes)
+        self.mse_history.append(self.model.mse(packed, y))
 
     def predict(self, bundles: list[FeatureBundle]) -> np.ndarray:
         """Predicted ΔG for candidate bundles (zeros before any data)."""
         require(bool(bundles), "need at least one bundle")
-        if not self._sets:
+        if not self._n:
             return np.zeros(len(bundles))
         return self.model.predict([list(b) for b in bundles])

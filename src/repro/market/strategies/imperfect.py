@@ -22,6 +22,8 @@ DESIGN.md).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.market.bundle import FeatureBundle
@@ -41,7 +43,7 @@ from repro.market.termination import (
     task_accepts,
     task_fails_regression,
 )
-from repro.utils.rng import as_generator, spawn
+from repro.utils.rng import as_generator, can_replay_block, replay_block, spawn
 from repro.utils.validation import require
 
 __all__ = ["ImperfectDataParty", "ImperfectTaskParty"]
@@ -97,7 +99,7 @@ class ImperfectTaskParty(TaskStrategy):
                 best = max(best, gain)
         return best
 
-    def _sample_box(self, n: int) -> list[QuotedPrice]:
+    def _sample_box(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eq.5-consistent quotes across the admissible price box.
 
         Individual rationality bounds the box from above: a cap beyond
@@ -105,31 +107,82 @@ class ImperfectTaskParty(TaskStrategy):
         is delivered, so such quotes are never sampled (this matters on
         thin-margin markets like Adult, where the budget alone would
         admit loss-making quotes).
+
+        Returns the candidates' ``(rate, base, cap)`` columns in draw
+        order.  Each candidate is a ``uniform`` cap draw followed, when
+        the cap leaves room above the opening rate, by a ``uniform``
+        rate draw; the ``2n`` doubles are taken as one block through
+        :func:`~repro.utils.rng.replay_block`, so the candidates and
+        the generator state afterwards are bit-identical to the scalar
+        loop's.  Every candidate is checked against
+        :class:`QuotedPrice`'s invariants.
         """
         cfg = self.config
         cap_low = cfg.initial_base + cfg.initial_rate * self.target
         cap_high = min(cfg.budget, 0.95 * cfg.utility_rate * self.target)
         if cap_high <= cap_low:
             cap_high = min(cfg.budget, cap_low * 1.25)
-        quotes: list[QuotedPrice] = []
-        for _ in range(n):
-            cap = float(self.rng.uniform(cap_low, cap_high))
-            rate_high = min(cfg.utility_rate, (cap - cfg.initial_base) / self.target)
-            if rate_high <= cfg.initial_rate:
-                continue
-            rate = float(self.rng.uniform(cfg.initial_rate, rate_high))
-            base = cap - rate * self.target
-            quotes.append(QuotedPrice(rate=rate, base=base, cap=cap))
-        return quotes
+        if can_replay_block(self.rng):
+            rates, caps = replay_block(
+                self.rng, 2 * n, lambda tape: self._candidates(tape, n, cap_low, cap_high)
+            )
+        else:  # e.g. MT19937: the same draws, one scalar call at a time
+            (rates, caps), _ = self._scan(self.rng.random, n, cap_low, cap_high)
+        bases = caps - rates * self.target
+        invalid = ~((rates > 0) & (bases >= 0) & (caps >= bases - 1e-12))
+        if invalid.any():
+            i = int(invalid.argmax())
+            QuotedPrice(rate=float(rates[i]), base=float(bases[i]), cap=float(caps[i]))
+        return rates, bases, caps
 
-    def _predicted_profit(self, quote: QuotedPrice, predicted_gain: float) -> float:
-        gain = max(predicted_gain, 0.0)
-        return self.config.utility_rate * gain - quote.payment(gain)
+    def _candidates(
+        self, tape: np.ndarray, n: int, cap_low: float, cap_high: float
+    ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+        """``((rates, caps), doubles used)`` for ``n`` candidates read
+        off ``tape``: as arrays when no candidate is skipped (cap and
+        rate draws then simply alternate), else sequentially, since a
+        skipped candidate shifts every later draw."""
+        cfg = self.config
+        caps = cap_low + (cap_high - cap_low) * tape[0::2]
+        rate_high = np.minimum(cfg.utility_rate, (caps - cfg.initial_base) / self.target)
+        if (rate_high > cfg.initial_rate).all():
+            rates = cfg.initial_rate + (rate_high - cfg.initial_rate) * tape[1::2]
+            return (rates, caps), 2 * n
+        return self._scan(iter(tape.tolist()).__next__, n, cap_low, cap_high)
+
+    def _scan(
+        self, draw: Callable[[], float], n: int, cap_low: float, cap_high: float
+    ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+        """The scalar sampling loop over ``draw()`` uniforms in [0, 1):
+        ``uniform(a, b)`` is ``a + (b - a) * random()`` draw for draw."""
+        cfg = self.config
+        span = cap_high - cap_low
+        rate_low = cfg.initial_rate
+        used = 0
+        rates: list[float] = []
+        caps: list[float] = []
+        for _ in range(n):
+            cap = cap_low + span * draw()
+            used += 1
+            rate_high = min(cfg.utility_rate, (cap - cfg.initial_base) / self.target)
+            if rate_high <= rate_low:
+                continue
+            rates.append(rate_low + (rate_high - rate_low) * draw())
+            caps.append(cap)
+            used += 1
+        return (np.asarray(rates, dtype=np.float64), np.asarray(caps, dtype=np.float64)), used
 
     def decide(
         self, quote: QuotedPrice, delta_g: float, round_number: int
     ) -> TaskDecision:
-        """Cases IV-VI with estimation-guided re-quoting."""
+        """Cases IV-VI with estimation-guided re-quoting.
+
+        Candidates are scored as arrays: ``f`` predicts every
+        candidate's gain in one call, the qualify test, predicted net
+        profit and first-maximum selection are vectorised (the same
+        tie-break as ``max``), and only the chosen candidate becomes a
+        :class:`QuotedPrice`.
+        """
         cfg = self.config
         if not self.exploring(round_number):
             # Case IV under the regression reading (see termination module).
@@ -142,24 +195,36 @@ class ImperfectTaskParty(TaskStrategy):
                 return TaskDecision(Decision.FAIL)
             if task_accepts(quote, delta_g, cfg.eps_t):
                 return TaskDecision(Decision.ACCEPT)
-        candidates = self._sample_box(cfg.n_price_samples)
-        if not candidates:
+        rates, bases, caps = self._sample_box(cfg.n_price_samples)
+        if not rates.size:
             return TaskDecision(Decision.ACCEPT)
         if self.exploring(round_number + 1):
             # Pure exploration: a random Eq.5-consistent quote.  (The
             # quote emitted in the final exploration round is already
             # estimation-guided, since it becomes the first real offer.)
-            pick = candidates[int(self.rng.integers(0, len(candidates)))]
-            return TaskDecision(Decision.CONTINUE, pick)
-        predictions = self.estimator.predict(candidates)
-        qualified = [
-            (q, g)
-            for q, g in zip(candidates, predictions)
-            if g >= q.turning_point - cfg.eps_t
-        ]
-        pool = qualified if qualified else list(zip(candidates, predictions))
-        best, _ = max(pool, key=lambda pair: self._predicted_profit(*pair))
-        return TaskDecision(Decision.CONTINUE, best)
+            i = int(self.rng.integers(0, rates.size))
+        else:
+            turning = (caps - bases) / rates
+            predicted = self.estimator.predict_features(
+                np.column_stack([rates, bases, caps, turning])
+            )
+            pool = np.flatnonzero(predicted >= turning - cfg.eps_t)
+            if not pool.size:
+                pool = np.arange(rates.size)
+            # Predicted net profit u*g - payment(g) at g = max(prediction, 0).
+            gain = np.maximum(predicted[pool], 0.0)
+            payment = np.minimum(
+                np.maximum(bases[pool], bases[pool] + rates[pool] * gain), caps[pool]
+            )
+            profit = cfg.utility_rate * gain - payment
+            if np.isnan(profit).any():
+                # ``max`` never prefers a NaN key; argmax always would.
+                best = max(range(profit.size), key=profit.__getitem__)
+            else:
+                best = int(profit.argmax())
+            i = int(pool[best])
+        pick = QuotedPrice(rate=float(rates[i]), base=float(bases[i]), cap=float(caps[i]))
+        return TaskDecision(Decision.CONTINUE, pick)
 
 
 class ImperfectDataParty(DataStrategy):

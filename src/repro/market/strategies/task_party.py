@@ -27,10 +27,47 @@ from repro.market.termination import (
     task_accepts_with_cost,
     task_fails_regression,
 )
-from repro.utils.rng import as_generator
+from repro.utils.rng import as_generator, can_replay_block, replay_block
 from repro.utils.validation import require
 
 __all__ = ["StrategicTaskParty"]
+
+
+def _min_cap_scan(
+    draws: list[float],
+    n: int,
+    cap_low: float,
+    span: float,
+    rate_low: float,
+    base0: float,
+    rate_cap: float,
+    target: float,
+) -> tuple[tuple[float, float], int]:
+    """``((cap, rate) of the min-cap candidate, doubles used)`` for ``n``
+    candidates replayed from ``draws``.
+
+    A candidate's rate draw follows its cap draw in stream order, and
+    only when the cap is usable, so each draw's tape position is
+    replayed.  ``draws`` are Python floats: the same IEEE double
+    arithmetic as numpy scalars, at a fraction of the per-operation cost.
+    """
+    idx = 0
+    best_cap = float("inf")
+    best_rate = 0.0
+    for _ in range(n):
+        cap = cap_low + span * draws[idx]
+        idx += 1
+        if cap <= cap_low + 1e-12:
+            continue
+        rate_high = min(rate_cap, (cap - base0) / target)
+        if rate_high <= rate_low:
+            continue
+        rate = rate_low + (rate_high - rate_low) * draws[idx]
+        idx += 1
+        if cap < best_cap:
+            best_cap = cap
+            best_rate = rate
+    return (best_cap, best_rate), idx
 
 
 class StrategicTaskParty(TaskStrategy):
@@ -103,57 +140,33 @@ class StrategicTaskParty(TaskStrategy):
 
         The sampling loop is the engine's per-round hot path (two RNG
         draws per candidate, ``n_price_samples`` candidates per round),
-        so the draws are taken as one block.  The block is drawn from a
-        saved bit-generator state which is then rewound and advanced by
-        the *exact* number of doubles the equivalent scalar loop would
-        have consumed — ``uniform(a, b)`` is ``a + (b - a) * random()``
-        draw-for-draw, so the selected quote, and every draw any later
-        round sees, are bit-identical to the scalar loop's.
+        so the draws are taken as one block through
+        :func:`~repro.utils.rng.replay_block`, which rewinds the
+        generator and advances it by the *exact* number of doubles the
+        equivalent scalar loop would have consumed, then restores any
+        half-word an earlier ``integers()`` call left buffered — so the
+        selected quote, and every draw any later round sees, are
+        bit-identical to the scalar loop's.
         """
         cfg = self.config
         cap_low = current.cap
         if cap_low >= cfg.budget - 1e-12:
             return None
-        n = cfg.n_price_samples
-        bitgen = self.rng.bit_generator
-        if not hasattr(bitgen, "advance"):  # e.g. MT19937
+        if not can_replay_block(self.rng):  # e.g. MT19937
             return self._best_escalation_scalar(current)
-        state = bitgen.state
-        # One block instead of up to 2n scalar uniform() calls.  The
-        # rate draw for candidate i happens (in stream order) right
-        # after its cap draw and only when the cap is usable, so the
-        # tape position of each draw is replayed below.
-        tape = self.rng.random(2 * n)
+        n = cfg.n_price_samples
         span = cfg.budget - cap_low
-        rate_low = cfg.initial_rate
-        base0 = cfg.initial_base
-        rate_cap = cfg.utility_rate
         target = self.target
-        idx = 0
-        best_cap = float("inf")
-        best_rate = 0.0
-        for _ in range(n):
-            cap = cap_low + span * tape[idx]
-            idx += 1
-            if cap <= cap_low + 1e-12:
-                continue
-            rate_high = min(rate_cap, (cap - base0) / target)
-            if rate_high <= rate_low:
-                continue
-            rate = rate_low + (rate_high - rate_low) * tape[idx]
-            idx += 1
-            if cap < best_cap:
-                best_cap = cap
-                best_rate = rate
-        # Leave the generator exactly where the scalar loop would have:
-        # rewound to the pre-block state, advanced by the doubles
-        # actually consumed.
-        bitgen.state = state
-        bitgen.advance(idx)
+        best_cap, best_rate = replay_block(
+            self.rng,
+            2 * n,
+            lambda tape: _min_cap_scan(
+                tape.tolist(), n, cap_low, span, cfg.initial_rate,
+                cfg.initial_base, cfg.utility_rate, target,
+            ),
+        )
         if best_cap == float("inf"):
             return None
-        best_cap = float(best_cap)
-        best_rate = float(best_rate)
         return QuotedPrice(
             rate=best_rate, base=best_cap - best_rate * target, cap=best_cap
         )
@@ -162,7 +175,7 @@ class StrategicTaskParty(TaskStrategy):
         self, current: QuotedPrice
     ) -> QuotedPrice | None:
         """Draw-for-draw scalar fallback for bit generators that cannot
-        ``advance`` (identical stream consumption to the block path)."""
+        replay a block (identical stream consumption to the block path)."""
         cfg = self.config
         cap_low = current.cap
         best: QuotedPrice | None = None

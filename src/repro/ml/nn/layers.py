@@ -11,22 +11,30 @@ exchanged messages.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.utils.rng import as_generator
 from repro.utils.validation import require
 
-__all__ = ["Dense", "EmbeddingBag", "Parameter", "ReLU", "Sequential"]
+__all__ = ["Dense", "EmbeddingBag", "PackedSets", "Parameter", "ReLU", "Sequential"]
 
 
 class Parameter:
-    """A trainable array with an accumulated gradient."""
+    """A trainable array with an accumulated gradient.
 
-    __slots__ = ("value", "grad")
+    An :class:`~repro.ml.nn.optim.Adam` optimizer rebinds ``value`` and
+    ``grad`` to views into its own flat buffers and sets ``pooled``, so
+    a parameter can belong to at most one such optimizer.
+    """
+
+    __slots__ = ("value", "grad", "pooled")
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
+        self.pooled = False
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to zero."""
@@ -88,36 +96,92 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
+class PackedSets(NamedTuple):
+    """Variable-length index sets packed for vectorised pooling.
+
+    ``flat`` concatenates the sets in order; row ``i`` of ``idx`` holds
+    set ``i``'s ids left-aligned and zero-padded to the widest set's
+    size ``K``, ``mask`` marks the real entries and ``counts`` holds the
+    set sizes (all >= 1).
+    """
+
+    flat: np.ndarray
+    idx: np.ndarray
+    mask: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def pack(cls, index_sets: list[object]) -> "PackedSets":
+        """Pack index sets (each converted to ``int64``; none may be empty)."""
+        index_sets = [np.asarray(ix, dtype=np.int64) for ix in index_sets]
+        for ix in index_sets:
+            require(ix.size > 0, "EmbeddingBag received an empty index set")
+        counts = np.fromiter(
+            (ix.size for ix in index_sets), dtype=np.int64, count=len(index_sets)
+        )
+        mask = np.arange(int(counts.max())) < counts[:, None]
+        flat = np.concatenate(index_sets)
+        idx = np.zeros(mask.shape, dtype=np.int64)
+        idx[mask] = flat
+        return cls(flat, idx, mask, counts)
+
+
 class EmbeddingBag(Layer):
     """Mean-pooled embedding lookup over variable-length index sets.
 
     The paper's data-party estimator ``g`` embeds each singular feature
     with ``nn.Embedding`` and averages the embeddings of the features in
     a bundle (§4.4).  ``forward`` takes a list of integer index arrays
-    (one set per sample) and returns the per-sample mean embedding.
+    (one set per sample), or the same sets already packed as
+    :class:`PackedSets`, and returns the per-sample mean embedding.
+
+    Both passes cost a fixed number of numpy calls per batch (one per
+    column of the packed ``idx``), not one per set, and equal the
+    per-set ``table[ix].mean(axis=0)`` / row-by-row ``np.add.at``
+    formulation bit for bit.  Forward sums each set's rows in the same
+    sequential order ``mean(axis=0)`` does (column ``j`` is added to the
+    running sum only where ``mask[:, j]``), then divides by the count.
+    ``np.add.reduceat`` is deliberately not used: its inner reduction
+    groups the additions differently and differs from ``mean`` in the
+    last bit for sets of three or more ids.  With a one-wide table
+    ``mean(axis=0)`` itself switches to pairwise summation, so that
+    case keeps the per-set loop.
     """
 
     def __init__(self, num_embeddings: int, dim: int, *, rng: object = None):
         require(num_embeddings >= 1 and dim >= 1, "EmbeddingBag dims must be >= 1")
         gen = as_generator(rng)
         self.weight = Parameter(gen.normal(0.0, 0.1, size=(num_embeddings, dim)))
-        self._batch: list[np.ndarray] | None = None
+        self._packed: PackedSets | None = None
 
-    def forward(self, index_sets: list[np.ndarray]) -> np.ndarray:  # type: ignore[override]
-        batch = [np.asarray(ix, dtype=np.int64) for ix in index_sets]
-        for ix in batch:
-            require(ix.size > 0, "EmbeddingBag received an empty index set")
-        self._batch = batch
+    def forward(self, index_sets: list[object] | PackedSets) -> np.ndarray:  # type: ignore[override]
+        if isinstance(index_sets, PackedSets):
+            packed = index_sets
+        else:
+            packed = PackedSets.pack(index_sets)
+        self._packed = packed
         table = self.weight.value
-        return np.stack([table[ix].mean(axis=0) for ix in batch])
+        if table.shape[1] == 1:
+            return np.stack([
+                table[packed.idx[i, :c]].mean(axis=0)
+                for i, c in enumerate(packed.counts)
+            ])
+        acc = table[packed.idx[:, 0]]
+        for j in range(1, packed.idx.shape[1]):
+            np.add(acc, table[packed.idx[:, j]], out=acc, where=packed.mask[:, j, None])
+        acc /= packed.counts[:, None]
+        return acc
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        require(self._batch is not None, "backward called before forward")
-        assert self._batch is not None
-        for row_grad, ix in zip(grad_out, self._batch):
-            np.add.at(self.weight.grad, ix, row_grad / ix.size)
+        require(self._packed is not None, "backward called before forward")
+        assert self._packed is not None
+        counts = self._packed.counts
+        # One sequential scatter over the concatenated ids: the same
+        # additions, in the same order, as one ``add.at`` per set.
+        rows = np.repeat(grad_out / counts[:, None], counts, axis=0)
+        np.add.at(self.weight.grad, self._packed.flat, rows)
         # Index inputs have no gradient; return zeros of matching length.
-        return np.zeros((len(self._batch), 0))
+        return np.zeros((counts.shape[0], 0))
 
     def parameters(self) -> list[Parameter]:
         return [self.weight]

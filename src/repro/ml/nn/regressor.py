@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.nn.layers import Dense, EmbeddingBag, ReLU, Sequential
+from repro.ml.nn.layers import Dense, EmbeddingBag, PackedSets, ReLU, Sequential
 from repro.ml.nn.losses import mse_loss
 from repro.ml.nn.optim import Adam
 from repro.utils.rng import as_generator, spawn
@@ -130,25 +130,31 @@ class SetEmbeddingRegressor:
         )
         return arr
 
-    def _validate_sets(
-        self, index_sets: list[object], validate: bool
-    ) -> list[np.ndarray]:
-        if not validate:
-            return index_sets  # already validated int64 arrays
-        return [self.validate_set(ix) for ix in index_sets]
+    def _pack(
+        self, index_sets: list[object] | PackedSets, validate: bool
+    ) -> PackedSets:
+        if isinstance(index_sets, PackedSets):
+            return index_sets  # packed from already-validated sets
+        if validate:
+            index_sets = [self.validate_set(ix) for ix in index_sets]
+        return PackedSets.pack(index_sets)
 
     def partial_fit(
         self,
-        index_sets: list[object],
+        index_sets: list[object] | PackedSets,
         y: object,
         *,
         steps: int = 1,
         validate: bool = True,
     ) -> float:
-        """Run ``steps`` gradient updates on (bundle, ΔG) pairs; returns final loss."""
-        batch = self._validate_sets(index_sets, validate)
+        """Run ``steps`` gradient updates on (bundle, ΔG) pairs; returns final loss.
+
+        The sets are packed once per call and the packed form is reused
+        by every pass; pass :class:`PackedSets` to skip even that.
+        """
+        batch = self._pack(index_sets, validate)
         y = check_vector(y)
-        require(len(batch) == y.shape[0], "index_sets and y length mismatch")
+        require(len(batch.counts) == y.shape[0], "index_sets and y length mismatch")
         loss = float("nan")
         for _ in range(max(1, int(steps))):
             pooled = self.embedding.forward(batch)
@@ -162,15 +168,15 @@ class SetEmbeddingRegressor:
         return loss
 
     def predict(
-        self, index_sets: list[object], *, validate: bool = True
+        self, index_sets: list[object] | PackedSets, *, validate: bool = True
     ) -> np.ndarray:
         """Predicted ΔG for each bundle."""
-        batch = self._validate_sets(index_sets, validate)
+        batch = self._pack(index_sets, validate)
         pooled = self.embedding.forward(batch)
         return self.trunk.forward(pooled).reshape(-1)
 
     def mse(
-        self, index_sets: list[object], y: object, *, validate: bool = True
+        self, index_sets: list[object] | PackedSets, y: object, *, validate: bool = True
     ) -> float:
         """Mean squared error on held-out pairs."""
         y = check_vector(y)

@@ -18,12 +18,21 @@ distinct paths yield statistically independent streams.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Callable
+from typing import Any, TypeVar
 
 import numpy as np
+from numpy.typing import NDArray
 
-__all__ = ["as_generator", "spawn"]
+__all__ = ["as_generator", "can_replay_block", "replay_block", "spawn"]
 
 _SeedLike = int | np.random.Generator | np.random.SeedSequence | None
+_T = TypeVar("_T")
+
+#: Bit generators whose ``advance(k)`` skips exactly ``k`` doubles.
+#: Philox also has ``advance``, but it counts 4-word counter blocks and
+#: drops the buffered words, so it cannot replay a partial block.
+_REPLAYABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 def _key_to_int(key: object) -> int:
@@ -80,3 +89,45 @@ def as_generator(seed: _SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
+
+
+def can_replay_block(rng: np.random.Generator) -> bool:
+    """Whether :func:`replay_block` can serve ``rng``; callers keep a
+    draw-for-draw scalar loop for the other bit generators."""
+    return isinstance(rng.bit_generator, _REPLAYABLE)
+
+
+def replay_block(
+    rng: np.random.Generator,
+    size: int,
+    consume: Callable[[NDArray[np.float64]], tuple[_T, int]],
+) -> _T:
+    """Vectorise a loop of scalar ``random()``-based draws.
+
+    ``consume(tape)`` receives ``size`` doubles drawn as one block and
+    returns ``(result, used)``, where ``used`` is how many doubles the
+    equivalent scalar loop would have drawn.  ``rng`` is then left
+    exactly where that loop would have left it: rewound to the saved
+    state and advanced by ``used``.  ``uniform(a, b)`` is
+    ``a + (b - a) * random()`` draw for draw, so a loop of ``uniform``
+    calls can be replayed on the tape bit-identically.
+
+    ``advance`` also discards the half of a 64-bit word that a previous
+    ``integers()`` call buffered (``has_uint32``/``uinteger``); the
+    scalar ``random()`` calls never touch that half, so it is restored
+    afterwards, or a later ``integers()`` would diverge from the scalar
+    stream.  The state is read once per call (twice when a half-word is
+    buffered).  Requires :func:`can_replay_block`.
+    """
+    bitgen: Any = rng.bit_generator  # PCG64 or PCG64DXSM
+    state = bitgen.state
+    result, used = consume(rng.random(size))
+    bitgen.state = state
+    bitgen.advance(used)
+    if state["has_uint32"]:
+        bitgen.state = {
+            **bitgen.state,
+            "has_uint32": state["has_uint32"],
+            "uinteger": state["uinteger"],
+        }
+    return result

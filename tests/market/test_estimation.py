@@ -216,6 +216,25 @@ class TestIncrementalBufferEquivalence:
             ref.observe(bundle, g)
         assert fast.mse_history == ref.mse_history
 
+    def test_data_packed_buffer_widens_and_grows(self):
+        # Bundles arrive narrow first and widen past numpy's 8-element
+        # pairwise block, and the buffer outgrows its initial capacity:
+        # the packed id matrix is widened and regrown in place.
+        rng = spawn(6, "equiv")
+        fast = DataGainEstimator(14, rng=8, train_passes=2)
+        ref = _RebuildDataEstimator(14, rng=8, train_passes=2)
+        for i in range(90):
+            size = min(1 + i // 6, 14)
+            bundle = FeatureBundle.of(rng.choice(14, size=size, replace=False))
+            g = 0.01 * len(bundle) + float(rng.normal(0, 0.002))
+            fast.observe(bundle, g)
+            ref.observe(bundle, g)
+        assert fast.mse_history == ref.mse_history
+        assert fast._idx.shape[1] == 14
+        probe = [FeatureBundle.of(range(k)) for k in (1, 5, 9, 14)]
+        np.testing.assert_array_equal(fast.predict(probe), ref.model.predict(
+            [list(b) for b in probe]))
+
     def test_task_buffer_growth_beyond_initial_capacity(self):
         rng = spawn(3, "equiv")
         est = TaskGainEstimator(rng=1, train_passes=1)

@@ -20,6 +20,13 @@ from repro.market.termination import Decision
 from repro.utils import spawn
 
 
+def _live_state(rng):
+    """Bit-generator state minus the stale ``uinteger`` slot, which is
+    only read while ``has_uint32`` is set."""
+    state = rng.bit_generator.state
+    return {**state, "uinteger": state["uinteger"] if state["has_uint32"] else 0}
+
+
 def toy_market():
     """Three bundles: cheap/weak, mid, expensive/strong."""
     b1, b2, b3 = (
@@ -155,6 +162,26 @@ class TestStrategicTaskParty:
             StrategicTaskParty(
                 config.with_overrides(budget=1.0), list(gains.values())
             )
+
+    @pytest.mark.parametrize("lead_integers", [False, True])
+    def test_block_escalation_matches_scalar_stream(self, lead_integers):
+        # The block path must leave the generator where the scalar
+        # loop does, including a half-word buffered by ``integers``.
+        gains, _, config = toy_market()
+        fast, ref = (
+            StrategicTaskParty(config, list(gains.values()), rng=spawn(4, "t"))
+            for _ in range(2)
+        )
+        quote = fast.initial_quote()
+        for _ in range(12):
+            if lead_integers:
+                assert int(fast.rng.integers(0, 7)) == int(ref.rng.integers(0, 7))
+            got = fast._best_escalation(quote)
+            assert got == ref._best_escalation_scalar(quote)
+            if got is None:
+                break
+            quote = got
+        assert _live_state(fast.rng) == _live_state(ref.rng)
 
     def test_target_quantile_used_when_no_target(self):
         gains, _, config = toy_market()

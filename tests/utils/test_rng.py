@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils import as_generator, spawn
+from repro.utils.rng import can_replay_block, replay_block
 
 
 class TestSpawn:
@@ -67,3 +68,55 @@ class TestAsGenerator:
 
     def test_none_gives_generator(self):
         assert isinstance(as_generator(None), np.random.Generator)
+
+
+def _after_integers(seed):
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10)
+    return rng
+
+
+class TestReplayBlock:
+    @pytest.mark.parametrize("used", [0, 1, 7, 16])
+    def test_stream_continues_as_if_only_used_doubles_were_drawn(self, used):
+        fast = np.random.default_rng(3)
+        ref = np.random.default_rng(3)
+        result = replay_block(fast, 16, lambda tape: (tape[:used].copy(), used))
+        expected = np.array([ref.random() for _ in range(used)])
+        np.testing.assert_array_equal(result, expected)
+        assert fast.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(fast.random(5), ref.random(5))
+
+    @pytest.mark.parametrize("used", [0, 5, 12])
+    def test_buffered_half_word_survives_the_replay(self, used):
+        # ``integers`` with a 32-bit range leaves half of a 64-bit word
+        # buffered; the scalar ``random()`` calls never touch it, so the
+        # next ``integers`` must still return it.  A bare ``advance``
+        # discards it and this test fails.
+        fast = _after_integers(11)
+        ref = _after_integers(11)
+        assert fast.bit_generator.state["has_uint32"] == 1
+        replay_block(fast, 12, lambda tape: (None, used))
+        for _ in range(used):
+            ref.random()
+        assert fast.bit_generator.state == ref.bit_generator.state
+        assert [int(fast.integers(0, 10)) for _ in range(6)] == [
+            int(ref.integers(0, 10)) for _ in range(6)
+        ]
+
+    def test_interleaved_blocks_and_integers_match_scalar_stream(self):
+        fast = np.random.default_rng(5)
+        ref = np.random.default_rng(5)
+        for round_ in range(20):
+            used = (round_ * 7) % 9
+            block = replay_block(fast, 8, lambda tape: (tape[:used].copy(), used))
+            scalar = [ref.uniform(0.0, 1.0) for _ in range(used)]
+            np.testing.assert_array_equal(block, scalar)
+            assert int(fast.integers(0, 1000)) == int(ref.integers(0, 1000))
+
+    def test_only_exact_skip_generators_replay(self):
+        assert can_replay_block(np.random.default_rng(0))
+        assert can_replay_block(np.random.Generator(np.random.PCG64DXSM(0)))
+        # Philox's ``advance`` counts 4-word blocks; MT19937 has none.
+        assert not can_replay_block(np.random.Generator(np.random.Philox(0)))
+        assert not can_replay_block(np.random.Generator(np.random.MT19937(0)))
