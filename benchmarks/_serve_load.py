@@ -9,9 +9,8 @@ benchmark boxes the generator shares the CPU with the server under
 test, so every cycle the client does not spend is a cycle of measured
 server throughput.
 
-Connection failures (resets under the threaded server's thread-per-
-connection storm, listen-queue overflow) are counted, backed off, and
-retried — lost work stays visible in the numbers instead of crashing
+Connection failures (resets, listen-queue overflow) are counted,
+backed off, and retried — lost work stays visible in the numbers instead of crashing
 the run.  Output: ``<completed> <elapsed-seconds> <conn-errors>``.
 
 Usage: ``python _serve_load.py PORT MARKET_DIGEST CLIENTS SESSIONS BASE_RUN``

@@ -17,7 +17,6 @@ CI artifact.
 
 import json
 import os
-import threading
 import time
 
 from repro.client import MarketplaceClient
@@ -29,8 +28,8 @@ from repro.service import (
     MarketSpec,
     SessionManager,
     SessionSpec,
-    create_server,
 )
+from repro.service.async_server import AsyncMarketplaceServer
 
 N_SESSIONS = 80
 SEED = 0
@@ -84,15 +83,13 @@ def test_client_transport_overhead(results_dir, tmp_path):
     local_client = MarketplaceClient.local(manager=local_manager)
     local_client.build_market(SPEC)
 
-    server = create_server(
+    server = AsyncMarketplaceServer(
         port=0,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(JobStore(str(tmp_path / "jobs.sqlite3"))),
     )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    http_client = MarketplaceClient.connect(
-        "http://%s:%s" % server.server_address[:2]
-    )
+    server.start_background()
+    http_client = MarketplaceClient.connect(server.url)
     http_client.build_market(SPEC)
 
     try:
@@ -108,7 +105,6 @@ def test_client_transport_overhead(results_dir, tmp_path):
     finally:
         http_client.close()
         server.shutdown()
-        server.server_close()
 
     calls_per_session = 3  # open + run + close
     http_call_overhead = (

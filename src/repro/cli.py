@@ -841,12 +841,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.port,
         idle_ttl=args.idle_ttl,
         max_sessions=args.max_sessions,
-        coalesce_window=args.coalesce_window,
         job_store=args.job_store,
         shards=args.shards,
         drain_timeout=args.drain_timeout,
         eviction_interval=args.eviction_interval,
-        use_async=args.use_async,
         http_workers=args.http_workers,
         verbose=args.verbose,
         join=args.join,

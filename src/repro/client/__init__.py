@@ -40,7 +40,6 @@ from repro.client.errors import (
     CapacityError,
     ClientError,
     ConflictError,
-    GoneError,
     NotFoundError,
     RequestError,
     ServerError,
@@ -55,7 +54,6 @@ __all__ = [
     "CapacityError",
     "ClientError",
     "ConflictError",
-    "GoneError",
     "HttpTransport",
     "LocalTransport",
     "MarketplaceClient",

@@ -15,7 +15,6 @@ __all__ = [
     "CapacityError",
     "ClientError",
     "ConflictError",
-    "GoneError",
     "NotFoundError",
     "RequestError",
     "ServerError",
@@ -60,10 +59,6 @@ class ConflictError(ClientError):
     """409: state conflict (e.g. restoring over a resident session)."""
 
 
-class GoneError(ClientError):
-    """410: a legacy route was used; ``detail`` names the /v1 home."""
-
-
 class CapacityError(ClientError):
     """429: the server's resident-session limit is reached."""
 
@@ -77,7 +72,6 @@ _BY_STATUS = {
     404: NotFoundError,
     405: RequestError,
     409: ConflictError,
-    410: GoneError,
     411: RequestError,
     413: RequestError,
     429: CapacityError,

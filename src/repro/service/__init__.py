@@ -17,9 +17,13 @@ This package is that platform's programmatic surface, layered as:
   the stepwise :class:`~repro.market.engine.BargainingEngine` core.
 * :mod:`~repro.service.simulation` — population-simulation jobs as
   specs (:func:`run_simulation`).
-* :mod:`~repro.service.server` — ``python -m repro serve``: a stdlib
-  JSON-over-HTTP view of the manager, so many clients can bargain
-  against one warm oracle concurrently.
+* :mod:`~repro.service.api` — the transport-independent ``/v1`` route
+  table every front door dispatches through.
+* :mod:`~repro.service.async_server` / :mod:`~repro.service.server` —
+  ``python -m repro serve``: the route table over HTTP on one asyncio
+  event loop, so many clients can bargain against one warm oracle
+  concurrently.  Import them directly; the package does not, so
+  embedded and CLI use never pays for loading the HTTP stack.
 
 Typical embedded use::
 
@@ -51,7 +55,6 @@ from repro.service.registry import (
     register_dataset,
     register_task_strategy,
 )
-from repro.service.server import create_server, run_server
 from repro.service.simulation import run_simulation
 from repro.service.specs import BatchSpec, MarketSpec, SessionSpec, SimulationSpec
 
@@ -67,14 +70,12 @@ __all__ = [
     "SessionSpec",
     "SimulationSpec",
     "StrategyContext",
-    "create_server",
     "register_base_model",
     "register_cost",
     "register_data_strategy",
     "register_dataset",
     "register_task_strategy",
     "registry",
-    "run_server",
     "run_simulation",
     "shared_pool",
 ]

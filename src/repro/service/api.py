@@ -1,7 +1,7 @@
 """The versioned ``/v1`` wire protocol, independent of any transport.
 
-Every front door of the marketplace — the stdlib HTTP server
-(:mod:`repro.service.server`), the in-process
+Every front door of the marketplace — the asyncio HTTP server
+(:mod:`repro.service.async_server`), the in-process
 :class:`~repro.client.local.LocalTransport`, and the generated wire
 reference (``docs/API.md``) — dispatches through the one route table
 defined here.  A route is data: method, path template, handler, success
@@ -19,9 +19,8 @@ Protocol invariants (the contract the client SDK builds on):
   capacity, 5xx for handler bugs;
 * streaming routes (``GET /v1/jobs/{job_id}/events``) yield JSON-lines
   (one object per line) instead of a single document;
-* legacy unversioned paths are deprecated, not silently aliased:
-  :func:`legacy_location` maps them to their ``/v1`` home so transports
-  can answer 301 (GET) / 410 (anything else) with a pointer.
+* every route lives under ``/v1``; an unversioned path is just another
+  unknown route (404 ``not_found``).
 
 :class:`JobService` also lives here: background execution of durable
 simulation jobs is part of the service core, not of the HTTP glue.
@@ -54,7 +53,6 @@ __all__ = [
     "Route",
     "ServiceContext",
     "dispatch",
-    "legacy_location",
     "service_capacity",
     "service_load",
 ]
@@ -65,8 +63,8 @@ API_VERSION = "v1"
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Per-route request accounting, recorded at the dispatch chokepoint so
-#: every transport (threaded HTTP, asyncio HTTP, LocalTransport) feeds
-#: the same families.  The route label is the matched *template*
+#: every transport (asyncio HTTP, LocalTransport) feeds the same
+#: families.  The route label is the matched *template*
 #: (`/v1/sessions/{session_id}`), never the raw path, so cardinality
 #: stays bounded.
 _REQUESTS = obs.REGISTRY.counter(
@@ -102,8 +100,6 @@ ERROR_CODES = {
     "method_not_allowed": (405, "the path exists but not for this method"),
     "conflict": (409, "state conflict, e.g. restoring a checkpoint under a "
                       "session id that is already resident"),
-    "gone": (410, "a legacy unversioned route was called with a "
-                  "non-GET method; the detail names the /v1 home"),
     "length_required": (411, "the request carries a body without a valid "
                              "Content-Length (chunked uploads are not "
                              "accepted)"),
@@ -113,8 +109,8 @@ ERROR_CODES = {
                       "evict sessions first"),
     "internal": (500, "unexpected server-side failure (a bug; the message "
                       "carries the exception)"),
-    "moved": (301, "a legacy unversioned route was fetched with GET; the "
-                   "detail and Location header name the /v1 home"),
+    "draining": (503, "the server is shutting down; the reply carries "
+                      "`Retry-After` and closes the connection"),
 }
 
 
@@ -276,6 +272,10 @@ class JobService:
                 return False
             if store.get(job_id).finished or self.stop_event.is_set():
                 return False
+            # Flip the status before the thread exists: a caller that
+            # follows the job right after this reply must not take a
+            # resumed job's old `interrupted` status for its end.
+            store.set_status(job_id, "running")
             thread = threading.Thread(
                 target=work, name=f"job-{job_id}", daemon=True
             )
@@ -889,8 +889,8 @@ ROUTES: tuple[Route, ...] = (
     Route("GET", "/v1/metrics", _get_metrics, 200,
           "Process metrics in Prometheus text exposition format — the "
           "one non-JSON route.",
-          response="`text/plain; version=0.0.4`: request, coalesce, "
-                   "cache, job-chunk, session and settlement families "
+          response="`text/plain; version=0.0.4`: request, cache, "
+                   "job-chunk, session and settlement families "
                    "from the process-global registry."),
     Route("GET", "/v1/traces", _get_traces, 200,
           "Finished trace spans as JSON lines (NDJSON), paginated by "
@@ -905,21 +905,6 @@ ROUTES: tuple[Route, ...] = (
 )
 
 _COMPILED = tuple((route, _compile(route.path)) for route in ROUTES)
-
-#: Unversioned route heads served before the /v1 mount; requests to them
-#: are answered with a deprecation envelope (301 for GET, 410 otherwise).
-_LEGACY_HEADS = frozenset(
-    {"health", "healthz", "report", "markets", "sessions", "simulations",
-     "jobs"}
-)
-
-
-def legacy_location(path: str) -> str | None:
-    """The ``/v1`` home of a legacy unversioned path (else ``None``)."""
-    head = path.lstrip("/").split("/", 1)[0]
-    if head in _LEGACY_HEADS and not path.startswith("/v1/"):
-        return "/v1" + path
-    return None
 
 
 def _match(method: str, path: str) -> tuple[Route, dict]:

@@ -1,32 +1,31 @@
-"""``python -m repro serve --async`` — the ``/v1`` protocol on asyncio.
+"""The ``/v1`` protocol over HTTP: the one transport behind ``repro serve``.
 
-The thread-per-connection stdlib server (:mod:`repro.service.server`)
-tops out where its threads do: a thousand keep-alive clients is a
-thousand OS threads contending for the GIL before any bargaining work
-runs.  This transport serves the *same* route table
-(:func:`repro.service.api.dispatch` — payloads are byte-identical by
-construction) from one event loop:
+:class:`AsyncMarketplaceServer` is pure transport glue on one asyncio
+event loop: every request is parsed (path, query, JSON body with
+411/413 enforcement) and handed to :func:`repro.service.api.dispatch`,
+the same route table the in-process
+:class:`~repro.client.local.LocalTransport` drives — so HTTP and
+embedded clients see byte-identical payloads by construction.
 
 * connections are coroutines — 10k idle keep-alive clients cost one
   loop, not 10k stacks;
-* request handlers run on a small bounded thread pool (``workers``),
-  so the few threads that do exist spend their GIL slices on engine
-  stepping instead of scheduler churn — and a
-  :class:`~repro.service.manager.SessionManager` coalesce leader can
-  sleep out its micro-batch window without stalling the loop;
+* short, non-blocking requests (probes, reads, steps of up to 8
+  rounds) dispatch on the loop itself; everything that may block
+  (market builds, long steps, job routes, checkpoint restore) runs on
+  a small bounded thread pool (``workers``);
 * streaming routes (``GET /v1/jobs/{id}/events``) bridge their
   blocking generators through the pool, one chunk at a time;
 * the serve loop owns operational duty cycles: a periodic idle-session
-  eviction sweep (a quiet server no longer leaks stale sessions until
-  the next ``open_session``), and graceful drain — on SIGTERM the
-  listener closes, new requests on live connections get ``503`` with
-  ``Retry-After`` (the SDK transport retries them transparently),
-  in-flight requests finish within ``drain_timeout``, background jobs
-  flush to the durable store, and the process exits 0.
+  eviction sweep (a quiet server does not leak stale sessions until
+  the next ``open_session``), and graceful drain — on shutdown the
+  listener closes, new requests on live connections get ``503``
+  ``draining`` with ``Retry-After`` (the SDK transport retries them
+  transparently), in-flight requests finish within ``drain_timeout``,
+  background jobs flush to the durable store.
 
-``AsyncMarketplaceServer`` is embeddable: ``serve_forever()`` blocks
-(signal-handled), ``start_background()`` runs the loop on a daemon
-thread and returns the bound address (tests, benchmarks).
+``start_background()`` runs the loop on a daemon thread and returns the
+bound address; ``shutdown()`` drains it.  The server is also a context
+manager doing both, which is how tests and benchmarks embed it.
 """
 
 from __future__ import annotations
@@ -41,28 +40,29 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro import obs
 from repro.service.api import (
+    ApiError,
     JobService,
     ServiceContext,
     dispatch,
     error_envelope,
-    legacy_location,
 )
 from repro.service.manager import SessionManager
 from repro.utils.validation import require
 
-__all__ = ["AsyncMarketplaceServer", "run_async_server"]
+__all__ = ["AsyncMarketplaceServer"]
 
-#: Same request-body cap as the threaded transport (8 MB): an oversized
-#: (or lying) Content-Length must not park a reader on a huge body.
+#: Request bodies above this (8 MB) are refused with 413 before any
+#: read: an oversized (or lying) Content-Length must not park a reader
+#: on a huge body.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Cap on the request line + headers block.
 MAX_HEADER_BYTES = 64 * 1024
 
 _REASONS = {
-    200: "OK", 201: "Created", 202: "Accepted", 301: "Moved Permanently",
+    200: "OK", 201: "Created", 202: "Accepted",
     400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 410: "Gone", 411: "Length Required",
+    409: "Conflict", 411: "Length Required",
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
@@ -84,16 +84,6 @@ _INLINE_DELETE = re.compile(r"^/v1/sessions/[^/]+$")
 _INLINE_MAX_ROUNDS = 8
 
 
-class _ProtocolError(Exception):
-    """A transport-level request error (411/413/malformed body)."""
-
-    def __init__(self, status: int, code: str, message: str,
-                 detail: object = None):
-        super().__init__(message)
-        self.status = status
-        self.envelope = error_envelope(code, message, detail)
-
-
 class AsyncMarketplaceServer:
     """The ``/v1`` marketplace protocol on one asyncio event loop.
 
@@ -103,15 +93,18 @@ class AsyncMarketplaceServer:
         Bind address; ``port=0`` binds an ephemeral port (tests) —
         the bound address is :attr:`address` once started.
     manager / jobs:
-        The service core (defaults mirror the threaded server).
+        The service core (default: a :class:`SessionManager` on the
+        shared market pool and a :class:`JobService` over the default
+        durable store).
     workers:
         Bounded handler thread pool.  Dispatch runs here, not on the
-        loop, because handlers may block (oracle builds, micro-batch
-        coalesce windows, event-stream polls).
+        loop, whenever a handler may block (oracle builds, long steps,
+        event-stream polls).
     eviction_interval:
         Seconds between periodic ``manager.evict_idle()`` sweeps
-        (``None`` picks a sensible default from the manager's
-        ``idle_ttl``; ``0`` disables the sweeper).
+        (``None`` derives ``min(60, idle_ttl / 2)`` from the manager,
+        or ``0`` when it has no ``idle_ttl``; ``0`` disables the
+        sweeper).
     drain_timeout:
         Grace for in-flight requests and background jobs on shutdown.
     """
@@ -140,7 +133,10 @@ class AsyncMarketplaceServer:
         self.manager = self.ctx.manager
         self.jobs = self.ctx.jobs
         self.workers = int(workers)
-        self.eviction_interval = eviction_interval
+        if eviction_interval is None:
+            ttl = self.manager.idle_ttl
+            eviction_interval = min(60.0, ttl / 2.0) if ttl else 0.0
+        self.eviction_interval = float(eviction_interval)
         self.drain_timeout = float(drain_timeout)
         self.verbose = verbose
         self.address: tuple[str, int] | None = None
@@ -159,17 +155,13 @@ class AsyncMarketplaceServer:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def serve_forever(self, *, install_signals: bool = True) -> None:
-        """Run the loop on the calling thread until stopped/signalled."""
-        asyncio.run(self._main(install_signals=install_signals))
-
     def start_background(self) -> tuple[str, int]:
         """Run the loop on a daemon thread; returns the bound address."""
         require(self._thread is None, "server already started")
 
         def run() -> None:
             try:
-                asyncio.run(self._main(install_signals=False))
+                asyncio.run(self._main())
             finally:
                 self._started.set()  # unblock a waiter even on bind failure
                 self._stopped.set()
@@ -195,18 +187,23 @@ class AsyncMarketplaceServer:
         if self._thread is not None:
             self._thread.join(timeout)
 
+    @property
+    def url(self) -> str:
+        """``http://host:port`` of the bound listener (once started)."""
+        assert self.address is not None, "server not started"
+        return "http://%s:%s" % self.address
+
+    def __enter__(self) -> "AsyncMarketplaceServer":
+        self.start_background()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
     # ------------------------------------------------------------------
-    async def _main(self, *, install_signals: bool) -> None:
+    async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        if install_signals:
-            import signal
-
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    self._loop.add_signal_handler(signum, self._stop.set)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
         server = await asyncio.start_server(
             self._serve_connection, self.host, self.port,
             limit=MAX_HEADER_BYTES, backlog=1024,
@@ -226,9 +223,6 @@ class AsyncMarketplaceServer:
 
     def _start_evictor(self) -> asyncio.Task | None:
         interval = self.eviction_interval
-        if interval is None:
-            ttl = self.manager.idle_ttl
-            interval = min(60.0, ttl / 2.0) if ttl else 0.0
         if not interval:
             return None
 
@@ -337,41 +331,12 @@ class AsyncMarketplaceServer:
         path = unquote(parsed.path)
         query = dict(parse_qsl(parsed.query))
 
-        home = legacy_location(path)
-        if home is not None:
-            # Deprecation envelope, exactly as the threaded transport:
-            # 301 for GET (clients follow transparently), 410 otherwise.
-            if method == "GET":
-                self._write(
-                    writer, 301,
-                    error_envelope(
-                        "moved",
-                        f"unversioned routes moved under /v1; "
-                        f"GET {home} instead",
-                        {"location": home},
-                    ),
-                    headers={"Location": home}, close=True,
-                )
-            else:
-                self._write(
-                    writer, 410,
-                    error_envelope(
-                        "gone",
-                        f"unversioned routes were removed; "
-                        f"{method} {home} instead",
-                        {"location": home},
-                    ),
-                    close=True,
-                )
-            await writer.drain()
-            return False
-
         try:
             body = await self._read_body(reader, headers)
-        except _ProtocolError as exc:
+        except ApiError as exc:
             # The body was not (fully) consumed; the connection cannot
             # carry another request.
-            self._write(writer, exc.status, exc.envelope, close=True)
+            self._write(writer, exc.status, exc.envelope(), close=True)
             await writer.drain()
             return False
 
@@ -419,8 +384,7 @@ class AsyncMarketplaceServer:
 
         Only handlers that cannot block meaningfully qualify: session
         opens against pooled markets, short steps, reads and deletes.
-        A ``/step`` stays off the loop whenever it might sleep (a
-        coalesce leader parks for the window) or run long
+        A ``/step`` stays off the loop whenever it might run long
         (``until_done`` / large round counts); market builds, job
         routes, streaming and checkpoint restore always take the pool.
         """
@@ -434,8 +398,6 @@ class AsyncMarketplaceServer:
                 # dict may trigger a full market build — pool that.
                 return isinstance(body.get("market"), str)
             if _INLINE_STEP.match(path) is not None:
-                if self.manager.coalesce_window is not None:
-                    return False
                 if body.get("until_done"):
                     return False
                 rounds = body.get("rounds", 1)
@@ -447,13 +409,13 @@ class AsyncMarketplaceServer:
         return False
 
     # ------------------------------------------------------------------
-    # Body parsing (mirrors the threaded transport's 411/413/400 rules)
+    # Body parsing: 411/413/400 are transport-level protocol errors
     # ------------------------------------------------------------------
     async def _read_body(
         self, reader: asyncio.StreamReader, headers: dict[str, str]
     ) -> dict:
         if "chunked" in headers.get("transfer-encoding", "").lower():
-            raise _ProtocolError(
+            raise ApiError(
                 411, "length_required",
                 "chunked request bodies are not accepted; send "
                 "Content-Length",
@@ -464,19 +426,19 @@ class AsyncMarketplaceServer:
         try:
             length = int(raw_length)
         except ValueError:
-            raise _ProtocolError(
+            raise ApiError(
                 411, "length_required",
                 f"Content-Length {raw_length!r} is not an integer",
             ) from None
         if length < 0:
-            raise _ProtocolError(
+            raise ApiError(
                 411, "length_required",
                 f"Content-Length must be >= 0, got {length}",
             )
         if length == 0:
             return {}
         if length > MAX_BODY_BYTES:
-            raise _ProtocolError(
+            raise ApiError(
                 413, "payload_too_large",
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte cap",
@@ -485,7 +447,7 @@ class AsyncMarketplaceServer:
         try:
             raw = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
-            raise _ProtocolError(
+            raise ApiError(
                 400, "invalid_request",
                 f"request body ended after {len(exc.partial)} of the "
                 f"declared {length} bytes",
@@ -493,12 +455,12 @@ class AsyncMarketplaceServer:
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _ProtocolError(
+            raise ApiError(
                 400, "invalid_request",
                 f"request body is not valid JSON: {exc}",
             ) from None
         if not isinstance(payload, dict):
-            raise _ProtocolError(
+            raise ApiError(
                 400, "invalid_request", "request body must be a JSON object"
             )
         return payload
@@ -592,78 +554,3 @@ def _keep_alive(version: str, headers: dict[str, str]) -> bool:
     if version == "HTTP/1.0":
         return connection == "keep-alive"
     return connection != "close"
-
-
-def run_async_server(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    *,
-    idle_ttl: float | None = 900.0,
-    max_sessions: int = 4096,
-    coalesce_window: float | None = None,
-    job_store: str | None = None,
-    shards: int = 2,
-    drain_timeout: float = 30.0,
-    workers: int = 8,
-    eviction_interval: float | None = None,
-    verbose: bool = False,
-    join: str | None = None,
-    capacity: int = 1,
-    worker_url: str | None = None,
-    lease_ttl: float = 60.0,
-    heartbeat_ttl: float = 15.0,
-) -> int:
-    """Blocking entry point behind ``python -m repro serve --async``."""
-    from repro.jobs import JobStore, default_store_path
-
-    manager = SessionManager(
-        max_sessions=max_sessions,
-        idle_ttl=idle_ttl or None,
-        coalesce_window=coalesce_window,
-    )
-    jobs = JobService(JobStore(job_store or default_store_path()),
-                      shards=shards, lease_ttl=lease_ttl,
-                      heartbeat_ttl=heartbeat_ttl)
-    server = AsyncMarketplaceServer(
-        host, port,
-        manager=manager,
-        jobs=jobs,
-        workers=workers,
-        eviction_interval=eviction_interval,
-        drain_timeout=drain_timeout,
-        verbose=verbose,
-    )
-
-    agents: list = []
-
-    class _Announce(threading.Thread):
-        # The bound address only exists once the loop is up; announce
-        # (and join the fleet, which needs the bound port) from the
-        # side so serve_forever() can own the main thread.
-        def run(self) -> None:
-            server._started.wait()
-            if server.address is not None:
-                bound_host, bound_port = server.address
-                print(
-                    f"repro marketplace service (asyncio) on "
-                    f"http://{bound_host}:{bound_port} "
-                    f"(SIGTERM or Ctrl-C to stop)"
-                )
-                if join:
-                    from repro.service.server import start_fleet_agent
-
-                    agents.append(start_fleet_agent(
-                        join, server.ctx, bound_host, bound_port,
-                        capacity=capacity, worker_url=worker_url,
-                    ))
-
-    _Announce(daemon=True).start()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    finally:
-        for agent in agents:
-            agent.stop()
-    print("repro marketplace service drained and stopped")
-    return 0

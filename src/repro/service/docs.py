@@ -32,18 +32,15 @@ Errors — on every route — use one typed envelope:
 {"error": {"code": "<slug>", "message": "<human readable>", "detail": null}}
 ```
 
-Legacy unversioned paths (`/sessions`, `/jobs`, ...) answer with a
-deprecation envelope: `301` plus a `Location` header for `GET`
-(stdlib clients follow it transparently), `410` for everything else.
+Only `/v1` paths are routed; anything else, unversioned paths
+included, gets the `404` `not_found` envelope.
 
-Two interchangeable transports serve this table: the threaded stdlib
-server (`python -m repro serve`) and the asyncio server (`--async`,
-with `--coalesce-window` micro-batching and `--http-workers` for the
-handler pool) — payloads are byte-identical by construction, so
-clients never need to know which one answered.  During a graceful
-drain both reply `503` with a `Retry-After` hint; the SDK's HTTP
-transport retries `429`/`503` automatically (honouring `Retry-After`,
-jittered exponential backoff).
+One transport serves this table: the asyncio server behind
+`python -m repro serve` (`--http-workers` sizes its handler pool).
+Every session is stepped on its own, exactly as a serial client would
+step it.  During a graceful drain the server replies `503` `draining`
+with a `Retry-After` hint; the SDK's HTTP transport retries `429`/`503`
+automatically (honouring `Retry-After`, jittered exponential backoff).
 
 Clients should prefer the SDK (`repro.client.MarketplaceClient`) over
 raw HTTP: it maps this protocol onto typed methods and errors, and its

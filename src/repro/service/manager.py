@@ -17,20 +17,12 @@ Two pieces:
   locks, so many clients can bargain concurrently against one shared
   market; idle sessions are evicted after ``idle_ttl`` seconds.
 
-**Cross-session micro-batching.** With ``coalesce_window`` set, the
-manager coalesces concurrent in-flight ``step``/``run`` calls for the
-same market digest into one batch: the first caller into a quiet market
-queue becomes the *leader*, waits the (bounded) window for more calls
-to pile in, then drains and executes the whole group in one sweep while
-the followers wait on per-request futures for their replies to fan back
-out.  A singleton batch takes the plain stepwise path untouched.
-Because every session advances through its own engine and its own
-seeded RNG streams, outcomes are **bit-identical** to serial stepwise
-execution for any window — pinned by
-``tests/service/test_batch_stepping.py``.  (Population workloads that
-want the vectorised kernel proper assemble
-:class:`~repro.simulate.kernel.StrategicBatch` groups and run them
-through :func:`~repro.simulate.kernel.simulate_assembled_batch`;
+Sessions never batch across each other: every ``step``/``run`` call
+advances one session through its own engine under its own lock, which
+is the paper's §3.4 protocol — one task party and one data party per
+session.  (Population workloads that want the vectorised kernel
+assemble :class:`~repro.simulate.kernel.StrategicBatch` groups and run
+them through :func:`~repro.simulate.kernel.simulate_assembled_batch`;
 wire sessions stay on the stepwise path so their digests never drift.)
 
 The module-level :func:`shared_pool` is the process-wide pool;
@@ -45,7 +37,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro import obs
 from repro.market.engine import BargainingEngine, BargainOutcome, EngineState
 from repro.market.market import Market
 from repro.service.specs import MarketSpec, SessionSpec
@@ -58,25 +49,6 @@ __all__ = [
     "SessionManager",
     "shared_pool",
 ]
-
-
-#: Micro-batching telemetry: sweep cadence, how many requests each
-#: sweep drained (1 = the window closed empty-handed), and how long
-#: each leader was parked before its first drain.  Purely operational —
-#: coalescing cannot change outcomes, so none of this is digested.
-_SWEEPS = obs.REGISTRY.counter(
-    "repro_coalesce_sweeps_total",
-    "Coalesced step/run sweeps executed by batch leaders.",
-)
-_GROUP_SIZE = obs.REGISTRY.histogram(
-    "repro_coalesce_group_size",
-    "Requests drained per coalesced sweep (1 = singleton).",
-    buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
-)
-_LEADER_WAIT = obs.REGISTRY.histogram(
-    "repro_coalesce_leader_wait_seconds",
-    "Window a batch leader waited before sweeping (monotonic).",
-)
 
 
 class SessionLimitError(RuntimeError):
@@ -211,38 +183,6 @@ class _Session:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-class _StepRequest:
-    """One in-flight ``step``/``run`` call parked in a market queue."""
-
-    __slots__ = ("session", "rounds", "until_done", "event", "result", "error")
-
-    def __init__(self, session: _Session, rounds: int, until_done: bool):
-        self.session = session
-        self.rounds = rounds
-        self.until_done = until_done
-        self.event = threading.Event()
-        self.result: dict | None = None
-        self.error: BaseException | None = None
-
-    def resolve(self) -> dict:
-        self.event.wait()
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
-
-
-class _MarketQueue:
-    """Per-market coalescing queue: pending requests + leader flag."""
-
-    __slots__ = ("lock", "pending", "draining")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.pending: list[_StepRequest] = []
-        self.draining = False
-
-
 def _quote_dict(quote) -> dict | None:
     return quote.to_dict() if quote is not None else None
 
@@ -278,16 +218,6 @@ class SessionManager:
     idle_ttl:
         Seconds of inactivity after which a session is evicted
         (``None`` disables eviction).
-    coalesce_window:
-        Seconds the first concurrent ``step``/``run`` caller for a
-        market waits for more calls to coalesce before executing the
-        whole group in one sweep (``None``/``0`` disables
-        micro-batching; every call executes immediately).  Outcomes are
-        bit-identical for any window — coalescing is purely an
-        execution concern.
-    batch_limit:
-        Largest coalesced group one sweep executes; overflow requests
-        are swept next, in arrival order.
     clock:
         Injectable monotonic clock (tests drive eviction with it).
     """
@@ -298,20 +228,13 @@ class SessionManager:
         pool: MarketPool | None = None,
         max_sessions: int = 4096,
         idle_ttl: float | None = None,
-        coalesce_window: float | None = None,
-        batch_limit: int = 128,
         clock=time.monotonic,
     ):
         require(max_sessions >= 1, "max_sessions must be >= 1")
         require(idle_ttl is None or idle_ttl > 0, "idle_ttl must be > 0")
-        require(coalesce_window is None or coalesce_window >= 0,
-                "coalesce_window must be >= 0")
-        require(batch_limit >= 1, "batch_limit must be >= 1")
         self.pool = pool if pool is not None else shared_pool()
         self.max_sessions = int(max_sessions)
         self.idle_ttl = idle_ttl
-        self.coalesce_window = coalesce_window or None
-        self.batch_limit = int(batch_limit)
         self._clock = clock
         self._lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
@@ -320,11 +243,6 @@ class SessionManager:
         self._closed = 0
         self._evicted = 0
         self._outcomes = {"accepted": 0, "failed": 0, "max_rounds": 0}
-        self._queues: dict[str, _MarketQueue] = {}
-        self._queues_lock = threading.Lock()
-        self._sweeps = 0
-        self._coalesced = 0
-        self._largest_sweep = 0
 
     # ------------------------------------------------------------------
     # Markets
@@ -420,21 +338,14 @@ class SessionManager:
 
         Stepping a terminal session is a no-op (the standing status is
         returned), so clients may poll ``step`` without tracking
-        ``done`` themselves.  With ``coalesce_window`` set, concurrent
-        calls against the same market coalesce into one sweep.
+        ``done`` themselves.
         """
         require(rounds >= 1, "rounds must be >= 1")
-        session = self._get(session_id)
-        if self.coalesce_window is not None:
-            return self._coalesce(session, rounds, False)
-        return self._execute(session, rounds, False)
+        return self._execute(self._get(session_id), rounds, False)
 
     def run(self, session_id: str) -> dict:
         """Step a session to termination; returns the terminal status."""
-        session = self._get(session_id)
-        if self.coalesce_window is not None:
-            return self._coalesce(session, 1, True)
-        return self._execute(session, 1, True)
+        return self._execute(self._get(session_id), 1, True)
 
     def _execute(self, session: _Session, rounds: int, until_done: bool) -> dict:
         """The stepwise path: advance one session under its own lock."""
@@ -449,85 +360,6 @@ class SessionManager:
             self._touch(session)
             self._tally(session)
             return self._summary(session)
-
-    # ------------------------------------------------------------------
-    # Cross-session micro-batching
-    # ------------------------------------------------------------------
-    def _queue_for(self, digest: str) -> _MarketQueue:
-        with self._queues_lock:
-            queue = self._queues.get(digest)
-            if queue is None:
-                queue = self._queues[digest] = _MarketQueue()
-            return queue
-
-    def _coalesce(self, session: _Session, rounds: int, until_done: bool) -> dict:
-        """Park the call in its market's queue; lead or follow.
-
-        The first request into a quiet queue becomes the leader: it
-        waits ``coalesce_window`` seconds for concurrent calls to pile
-        in, then drains the queue in ``batch_limit``-sized sweeps
-        (executing its own request along the way) until the queue is
-        empty again.  Followers block on their request's future.
-        Every session still advances through its own engine under its
-        own lock, so grouping cannot change any outcome.
-        """
-        queue = self._queue_for(session.market_digest)
-        request = _StepRequest(session, rounds, until_done)
-        with queue.lock:
-            queue.pending.append(request)
-            leading = not queue.draining
-            if leading:
-                queue.draining = True
-        if leading:
-            self._lead(queue)
-        return request.resolve()
-
-    def _lead(self, queue: _MarketQueue) -> None:
-        """Leader duty: wait the window, then sweep the queue dry."""
-        try:
-            t0 = time.perf_counter()
-            time.sleep(self.coalesce_window)
-            _LEADER_WAIT.observe(time.perf_counter() - t0)
-            while True:
-                with queue.lock:
-                    group = queue.pending[: self.batch_limit]
-                    del queue.pending[: self.batch_limit]
-                    if not group:
-                        queue.draining = False
-                        return
-                self._sweep(group)
-        except BaseException:
-            # Leadership must not die with requests parked: fail
-            # whatever is still queued and reopen the queue.
-            with queue.lock:
-                orphans, queue.pending = queue.pending, []
-                queue.draining = False
-            for request in orphans:
-                request.error = RuntimeError(
-                    "batch leader failed before this request ran"
-                )
-                request.event.set()
-            raise
-
-    def _sweep(self, group: list[_StepRequest]) -> None:
-        """Execute one coalesced group; each request resolves its future."""
-        with self._lock:
-            self._sweeps += 1
-            if len(group) > 1:
-                self._coalesced += len(group)
-            self._largest_sweep = max(self._largest_sweep, len(group))
-        _SWEEPS.inc()
-        _GROUP_SIZE.observe(float(len(group)))
-        with obs.span("manager:sweep", group=len(group)):
-            for request in group:
-                try:
-                    request.result = self._execute(
-                        request.session, request.rounds, request.until_done
-                    )
-                except BaseException as exc:
-                    request.error = exc
-                finally:
-                    request.event.set()
 
     def status(self, session_id: str) -> dict:
         """The session's current (possibly terminal) status.
@@ -751,10 +583,4 @@ class SessionManager:
                     "evicted": self._evicted,
                 },
                 "outcomes": dict(self._outcomes),
-                "batching": {
-                    "window": self.coalesce_window,
-                    "sweeps": self._sweeps,
-                    "coalesced": self._coalesced,
-                    "largest_sweep": self._largest_sweep,
-                },
             }

@@ -1,11 +1,12 @@
 """``python -m repro serve`` — the ``/v1`` wire protocol over HTTP.
 
-A deliberately dependency-free server (stdlib ``http.server`` with
-``ThreadingHTTPServer``) that is pure transport glue: every request is
-parsed (path, query, JSON body with 411/413 enforcement) and handed to
-:func:`repro.service.api.dispatch`, the same route table the in-process
-:class:`~repro.client.local.LocalTransport` drives — so HTTP and
-embedded clients see byte-identical payloads by construction.
+The server is :class:`~repro.service.async_server.AsyncMarketplaceServer`:
+dependency-free transport glue on one asyncio event loop that hands
+every request to :func:`repro.service.api.dispatch`, the same route
+table the in-process :class:`~repro.client.local.LocalTransport`
+drives — so HTTP and embedded clients see byte-identical payloads by
+construction.  This module is its command-line front: flags,
+:func:`run_server`, and the ``--join`` fleet agent.
 
 The full wire reference (routes, request/response shapes, error codes)
 is generated from that route table into ``docs/API.md``; the highlights:
@@ -28,9 +29,7 @@ GET      ``/v1/jobs/<id>/events``              JSON-lines progress stream
 POST     ``/v1/chunks``                        multi-host worker protocol
 =======  ====================================  =========================
 
-Legacy unversioned paths (``/sessions``, ``/jobs``, ...) answer with a
-deprecation envelope: 301 + ``Location`` for GET (stdlib clients follow
-it transparently), 410 for anything else.
+Paths outside ``/v1`` get the uniform ``404`` ``not_found`` envelope.
 
 Example walkthrough (against ``python -m repro serve --port 8765``)::
 
@@ -44,7 +43,7 @@ Example walkthrough (against ``python -m repro serve --port 8765``)::
          -d '{"sessions": 500, "seed": 0, "shards": 2}'
     curl -sN localhost:8765/v1/jobs/<id>/events
 
-``run_server`` installs a SIGTERM handler for graceful shutdown: the
+``run_server`` handles SIGTERM (and Ctrl-C) as a graceful drain: the
 listener stops, running jobs drain to the durable store (they resume
 with ``repro jobs resume``), and the process exits 0 — so supervisors
 and CI can ``kill -TERM`` instead of sleeping and hoping.
@@ -53,312 +52,13 @@ and CI can ``kill -TERM`` instead of sleeping and hoping.
 from __future__ import annotations
 
 import argparse
-import json
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qsl, urlsplit
 
-from repro import obs
-from repro.service.api import (
-    ApiError,
-    JobService,
-    ServiceContext,
-    dispatch,
-    error_envelope,
-    legacy_location,
-)
+from repro.service.api import JobService, ServiceContext
+from repro.service.async_server import AsyncMarketplaceServer
 from repro.service.manager import SessionManager
 
-__all__ = [
-    "JobService",
-    "create_server",
-    "run_server",
-    "start_eviction_sweeper",
-    "start_fleet_agent",
-]
-
-#: Request bodies above this are refused with 413 before any read — an
-#: oversized (or lying) Content-Length must not park a handler thread
-#: on a multi-gigabyte ``rfile.read``.
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-class _MarketplaceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that treats client hang-ups as routine."""
-
-    daemon_threads = True
-    # socketserver's default listen backlog is 5; a connection burst
-    # from a few hundred clients would overflow it into RSTs.
-    request_queue_size = 512
-
-    def handle_error(self, request, client_address) -> None:
-        import sys
-
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
-            return  # a client dropping its keep-alive is not an error
-        super().handle_error(request, client_address)
-
-
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Transport glue: parse the request, hand it to ``api.dispatch``."""
-
-    server_version = "repro-serve/2.0"
-    protocol_version = "HTTP/1.1"
-    # Nagle + delayed ACK costs ~40ms per small keep-alive exchange;
-    # an RPC-shaped protocol must write segments immediately.
-    disable_nagle_algorithm = True
-
-    # ------------------------------------------------------------------
-    @property
-    def ctx(self) -> ServiceContext:
-        return self.server.ctx  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: object) -> None:
-        # Silenced: every request (including legacy and body-level
-        # errors) emits one structured access line from _handle via
-        # repro.obs.log_access; the stdlib line would duplicate it.
-        return
-
-    # ------------------------------------------------------------------
-    # Body parsing: 411/413 are transport-level protocol errors
-    # ------------------------------------------------------------------
-    def _body(self) -> dict:
-        if "chunked" in (self.headers.get("Transfer-Encoding") or "").lower():
-            raise ApiError(
-                411, "length_required",
-                "chunked request bodies are not accepted; send "
-                "Content-Length",
-            )
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            return {}
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise ApiError(
-                411, "length_required",
-                f"Content-Length {raw_length!r} is not an integer",
-            ) from None
-        if length < 0:
-            raise ApiError(
-                411, "length_required",
-                f"Content-Length must be >= 0, got {length}",
-            )
-        if length == 0:
-            return {}
-        if length > MAX_BODY_BYTES:
-            raise ApiError(
-                413, "payload_too_large",
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte cap",
-                {"max_bytes": MAX_BODY_BYTES},
-            )
-        raw = self.rfile.read(length)
-        if len(raw) < length:
-            raise ApiError(
-                400, "invalid_request",
-                f"request body ended after {len(raw)} of the declared "
-                f"{length} bytes",
-            )
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ApiError(
-                400, "invalid_request",
-                f"request body is not valid JSON: {exc}",
-            ) from None
-        if not isinstance(payload, dict):
-            raise ApiError(
-                400, "invalid_request", "request body must be a JSON object"
-            )
-        return payload
-
-    # ------------------------------------------------------------------
-    # Replies
-    # ------------------------------------------------------------------
-    def _reply(self, payload: object, status: int = 200,
-               headers: dict | None = None) -> None:
-        extra = dict(headers or {})
-        if isinstance(payload, str):
-            # Raw-text reply (the /v1/metrics Prometheus exposition):
-            # the handler owns the bytes and the content type.
-            blob = payload.encode("utf-8")
-            content_type = extra.pop("Content-Type",
-                                     "text/plain; charset=utf-8")
-        else:
-            blob = json.dumps(payload).encode("utf-8")
-            content_type = extra.pop("Content-Type", "application/json")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(blob)))
-        if self.close_connection:
-            # Announce it: a silent close would strand keep-alive
-            # clients on a dead connection.
-            self.send_header("Connection", "close")
-        for name, value in extra.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(blob)
-
-    def _reply_stream(self, lines, status: int = 200) -> None:
-        """Chunked-encoded JSON lines, flushed as they are produced."""
-        self.send_response(status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        try:
-            for item in lines:
-                blob = json.dumps(item).encode("utf-8") + b"\n"
-                self.wfile.write(b"%X\r\n%s\r\n" % (len(blob), blob))
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-stream; nothing left to tell it.
-            self.close_connection = True
-            return
-        self.wfile.write(b"0\r\n\r\n")
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _handle(self, method: str) -> None:
-        t0 = time.perf_counter()
-        parsed = urlsplit(self.path)
-        path, query = parsed.path, dict(parse_qsl(parsed.query))
-        remote = obs.from_traceparent(self.headers.get("traceparent"))
-        status = self._process(method, path, query, remote)
-        obs.log_access(
-            method, path, status, time.perf_counter() - t0,
-            remote.trace_id if remote is not None else None,
-            verbose=getattr(self.server, "verbose", False),
-        )
-
-    def _process(self, method: str, path: str, query: dict,
-                 remote: "obs.SpanContext | None") -> int:
-        home = legacy_location(path)
-        if home is not None:
-            # Deprecation envelope: GETs are redirected (stdlib clients
-            # follow 301 transparently), mutating methods are refused —
-            # silently replaying a POST at a new location is how
-            # clients double-submit.
-            self.close_connection = True
-            if method == "GET":
-                self._reply(
-                    error_envelope(
-                        "moved",
-                        f"unversioned routes moved under /v1; "
-                        f"GET {home} instead",
-                        {"location": home},
-                    ),
-                    301,
-                    headers={"Location": home},
-                )
-                return 301
-            self._reply(
-                error_envelope(
-                    "gone",
-                    f"unversioned routes were removed; "
-                    f"{method} {home} instead",
-                    {"location": home},
-                ),
-                410,
-            )
-            return 410
-
-        try:
-            body = self._body()
-        except ApiError as exc:
-            # The request body was not (fully) consumed; this
-            # connection cannot carry another request.
-            self.close_connection = True
-            self._reply(exc.envelope(), exc.status)
-            return exc.status
-
-        # Attach the client's span context (if it sent one) so the
-        # dispatch span parents across the process boundary.
-        token = obs.attach(remote) if remote is not None else None
-        try:
-            reply = dispatch(self.ctx, method, path, body=body, query=query)
-        finally:
-            if token is not None:
-                obs.detach(token)
-        if reply.streaming:
-            self._reply_stream(reply.payload, reply.status)
-        else:
-            self._reply(reply.payload, reply.status, headers=reply.headers)
-        return reply.status
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._handle("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        self._handle("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._handle("DELETE")
-
-
-def create_server(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    *,
-    manager: SessionManager | None = None,
-    jobs: JobService | None = None,
-    verbose: bool = False,
-) -> ThreadingHTTPServer:
-    """A ready-to-serve HTTP server bound to ``host:port``.
-
-    ``port=0`` binds an ephemeral port (tests); the bound address is
-    ``server.server_address``.  The caller owns the serve loop:
-    ``server.serve_forever()`` / ``server.shutdown()``.  ``jobs``
-    defaults to a :class:`JobService` over the default durable store
-    (created lazily on the first submission).
-    """
-    server = _MarketplaceServer((host, port), _ServiceHandler)
-    ctx = ServiceContext(
-        manager=manager if manager is not None else SessionManager(),
-        jobs=jobs if jobs is not None else JobService(),
-    )
-    server.ctx = ctx  # type: ignore[attr-defined]
-    # Convenience aliases (tests and embedders reach for these).
-    server.manager = ctx.manager  # type: ignore[attr-defined]
-    server.jobs = ctx.jobs  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    return server
-
-
-def start_eviction_sweeper(
-    manager: SessionManager,
-    interval: float | None,
-    *,
-    stop_event: threading.Event | None = None,
-) -> threading.Event:
-    """Periodic ``manager.evict_idle()`` on a daemon timer thread.
-
-    Without this, eviction only piggybacks on ``open_session`` — a quiet
-    server leaks stale sessions (and their engine state) indefinitely.
-    ``interval=None`` derives one from the manager's ``idle_ttl``;
-    ``interval=0`` (or no ``idle_ttl``) disables the sweep.  Returns the
-    stop event; set it to end the sweeper.
-    """
-    stop = stop_event if stop_event is not None else threading.Event()
-    if interval is None:
-        ttl = manager.idle_ttl
-        interval = min(60.0, ttl / 2.0) if ttl else 0.0
-    if not interval:
-        stop.set()
-        return stop
-
-    def sweep() -> None:
-        while not stop.wait(interval):
-            manager.evict_idle()
-
-    threading.Thread(target=sweep, name="evict-sweeper", daemon=True).start()
-    return stop
+__all__ = ["run_server", "start_fleet_agent"]
 
 
 def start_fleet_agent(
@@ -405,12 +105,10 @@ def run_server(
     *,
     idle_ttl: float | None = 900.0,
     max_sessions: int = 4096,
-    coalesce_window: float | None = None,
     job_store: str | None = None,
     shards: int = 2,
     drain_timeout: float = 30.0,
     eviction_interval: float | None = None,
-    use_async: bool = False,
     http_workers: int = 8,
     verbose: bool = False,
     join: str | None = None,
@@ -425,77 +123,44 @@ def run_server(
     running jobs drain to the durable store — in-flight chunks flush,
     so ``repro jobs resume`` picks up exactly where the server stopped
     — and the process returns 0.
-
-    ``use_async=True`` serves the identical route table from the
-    asyncio transport (:mod:`repro.service.async_server`) instead of a
-    thread per connection.
     """
     import signal
 
     from repro.jobs import JobStore, default_store_path
 
-    if use_async:
-        from repro.service.async_server import run_async_server
-
-        return run_async_server(
-            host, port,
-            idle_ttl=idle_ttl,
-            max_sessions=max_sessions,
-            coalesce_window=coalesce_window,
-            job_store=job_store,
-            shards=shards,
-            drain_timeout=drain_timeout,
-            workers=http_workers,
-            eviction_interval=eviction_interval,
-            verbose=verbose,
-            join=join,
-            capacity=capacity,
-            worker_url=worker_url,
-            lease_ttl=lease_ttl,
-            heartbeat_ttl=heartbeat_ttl,
-        )
-
-    manager = SessionManager(
-        max_sessions=max_sessions,
-        idle_ttl=idle_ttl or None,
-        coalesce_window=coalesce_window,
-    )
     jobs = JobService(JobStore(job_store or default_store_path()),
                       shards=shards, lease_ttl=lease_ttl,
                       heartbeat_ttl=heartbeat_ttl)
-    server = create_server(host, port, manager=manager, jobs=jobs,
-                           verbose=verbose)
-    sweeper_stop = start_eviction_sweeper(manager, eviction_interval)
-    bound_host, bound_port = server.server_address[:2]
+    server = AsyncMarketplaceServer(
+        host, port,
+        manager=SessionManager(max_sessions=max_sessions,
+                               idle_ttl=idle_ttl or None),
+        jobs=jobs,
+        workers=http_workers,
+        eviction_interval=eviction_interval,
+        drain_timeout=drain_timeout,
+        verbose=verbose,
+    )
+    stop = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stop.set())
+    bound_host, bound_port = server.start_background()
+    print(f"repro marketplace service on http://{bound_host}:{bound_port} "
+          f"(SIGTERM or Ctrl-C to stop)")
     agent = None
     if join:
         agent = start_fleet_agent(
-            join, server.ctx, bound_host, bound_port,  # type: ignore[attr-defined]
+            join, server.ctx, bound_host, bound_port,
             capacity=capacity, worker_url=worker_url,
         )
-
-    def _terminate(signum: int, frame: object) -> None:  # pragma: no cover
-        # serve_forever() blocks this (main) thread; shutdown() must be
-        # called from another one.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    try:
-        signal.signal(signal.SIGTERM, _terminate)
-    except ValueError:  # pragma: no cover - non-main-thread embedding
+    while not stop.wait(0.5):
         pass
-    print(f"repro marketplace service on http://{bound_host}:{bound_port} "
-          f"(SIGTERM or Ctrl-C to stop)")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    finally:
-        sweeper_stop.set()
-        if agent is not None:
-            agent.stop()
-        jobs.drain(timeout=drain_timeout)
-        server.server_close()
-        print("repro marketplace service drained and stopped")
+    # The drain itself is bounded by drain_timeout; the margin covers
+    # closing connections and the loop teardown.
+    server.shutdown(timeout=drain_timeout + 10.0)
+    if agent is not None:
+        agent.stop()
+    print("repro marketplace service drained and stopped")
     return 0
 
 
@@ -519,21 +184,14 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--drain-timeout", type=float, default=30.0,
                         metavar="SECS",
                         help="grace for in-flight job chunks on shutdown")
-    parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="serve from an asyncio event loop instead of "
-                             "a thread per connection")
-    parser.add_argument("--coalesce-window", type=float, default=None,
-                        metavar="SECS",
-                        help="micro-batch concurrent /step calls per market "
-                             "for this long before sweeping them together "
-                             "(default: off; try 0.002)")
     parser.add_argument("--eviction-interval", type=float, default=None,
                         metavar="SECS",
                         help="periodic idle-session sweep interval "
                              "(default: min(60, idle_ttl/2); 0 disables)")
     parser.add_argument("--http-workers", type=int, default=8, metavar="N",
-                        help="handler threads for the asyncio server "
-                             "(default 8; ignored without --async)")
+                        help="handler threads for requests that may "
+                             "block, e.g. market builds and job routes "
+                             "(default 8)")
     parser.add_argument("--verbose", action="store_true",
                         help="log every request")
     parser.add_argument("--join", default=None, metavar="URL",

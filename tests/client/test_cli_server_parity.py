@@ -6,13 +6,13 @@ makes a remote deployment a drop-in for the embedded path.
 """
 
 import re
-import threading
 
 import pytest
 
 from repro.cli import main
 from repro.jobs import JobStore
-from repro.service import JobService, MarketPool, SessionManager, create_server
+from repro.service import JobService, MarketPool, SessionManager
+from repro.service.async_server import AsyncMarketplaceServer
 
 _WALL_CLOCK_PREFIXES = ("throughput:", "oracle build:")
 
@@ -22,15 +22,12 @@ def server_url(tmp_path_factory):
     store = JobStore(
         str(tmp_path_factory.mktemp("cli-parity") / "jobs.sqlite3")
     )
-    server = create_server(
+    with AsyncMarketplaceServer(
         port=0,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(store, shards=2),
-    )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield "http://%s:%s" % server.server_address[:2]
-    server.shutdown()
-    server.server_close()
+    ) as server:
+        yield server.url
 
 
 def _deterministic(text: str) -> str:

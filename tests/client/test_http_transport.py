@@ -13,7 +13,6 @@ from http.server import (
 import pytest
 
 from repro.client import (
-    GoneError,
     HttpTransport,
     MarketplaceClient,
     NotFoundError,
@@ -21,7 +20,8 @@ from repro.client import (
     TransportError,
     error_from_reply,
 )
-from repro.service import MarketPool, SessionManager, create_server
+from repro.service import MarketPool, SessionManager
+from repro.service.async_server import AsyncMarketplaceServer
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +32,12 @@ def service(tmp_path_factory):
     store = JobStore(
         str(tmp_path_factory.mktemp("http-transport") / "jobs.sqlite3")
     )
-    server = create_server(
+    with AsyncMarketplaceServer(
         port=0,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(store, shards=2),
-    )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = "http://%s:%s" % server.server_address[:2]
-    yield {"url": url, "server": server}
-    server.shutdown()
-    server.server_close()
+    ) as server:
+        yield {"url": server.url, "server": server}
 
 
 def _dead_port() -> int:
@@ -122,16 +118,14 @@ class TestErrorMapping:
         assert excinfo.value.status == 404
         assert excinfo.value.code == "not_found"
 
-    def test_legacy_post_maps_to_gone(self, service):
+    def test_unversioned_post_maps_to_not_found(self, service):
         transport = HttpTransport(service["url"])
         status, payload = transport.request(
             "POST", "/sessions", body={"market": {"dataset": "synthetic"}}
         )
-        assert status == 410
-        assert payload["error"]["code"] == "gone"
-        assert payload["error"]["detail"]["location"] == "/v1/sessions"
-        error = error_from_reply(status, payload)
-        assert isinstance(error, GoneError)
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+        assert isinstance(error_from_reply(status, payload), NotFoundError)
 
     def test_405_maps_to_request_error(self, service):
         transport = HttpTransport(service["url"])

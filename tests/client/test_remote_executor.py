@@ -1,7 +1,7 @@
 """Multi-host jobs: RemoteShardExecutor vs the single-process digest.
 
-Workers here are real ``create_server`` instances on ephemeral ports —
-the same processes ``python -m repro serve`` would run — and the
+Workers here are real ``AsyncMarketplaceServer`` instances on ephemeral
+ports — the same server ``python -m repro serve`` runs — and the
 coordinator ships chunks to them over ``POST /v1/chunks``.  The merged
 report must digest-match the single-process
 :class:`~repro.simulate.pool.SessionPool` path through interruption,
@@ -18,17 +18,19 @@ from repro.service import (
     MarketPool,
     SessionManager,
     SimulationSpec,
-    create_server,
     run_simulation,
 )
+from repro.service.async_server import AsyncMarketplaceServer
 
 SPEC = SimulationSpec(sessions=120, seed=11, batch_size=32)
 
 
 def _worker():
-    server = create_server(port=0, manager=SessionManager(pool=MarketPool()))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, "http://%s:%s" % server.server_address[:2]
+    server = AsyncMarketplaceServer(
+        port=0, manager=SessionManager(pool=MarketPool())
+    )
+    server.start_background()
+    return server, server.url
 
 
 @pytest.fixture
@@ -37,7 +39,6 @@ def workers():
     yield [url for _, url in started]
     for server, _ in started:
         server.shutdown()
-        server.server_close()
 
 
 @pytest.fixture
@@ -81,7 +82,6 @@ class TestKillResume:
             # executor must discover the corpse and finish on the
             # survivor — with only the pending chunks re-run.
             w1.shutdown()
-            w1.server_close()
             resumed = RemoteShardExecutor(
                 store, [u1, u2],
                 client_options={"retries": 0, "timeout": 10},
@@ -90,9 +90,7 @@ class TestKillResume:
             assert record.status == "done"
             assert record.digest == reference_digest
         finally:
-            for server in (w2,):
-                server.shutdown()
-                server.server_close()
+            w2.shutdown()
 
     def test_dead_worker_is_dropped_and_chunks_requeued(self, store,
                                                         reference_digest):
@@ -101,7 +99,6 @@ class TestKillResume:
         )
         try:
             dead_server.shutdown()
-            dead_server.server_close()
             executor = RemoteShardExecutor(
                 store, [dead_url, alive_url],
                 client_options={"retries": 0, "timeout": 10},
@@ -111,13 +108,11 @@ class TestKillResume:
             assert record.digest == reference_digest
         finally:
             alive_server.shutdown()
-            alive_server.server_close()
 
     def test_all_workers_dead_leaves_job_resumable(self, store,
                                                    reference_digest):
         server, url = _worker()
         server.shutdown()
-        server.server_close()
         executor = RemoteShardExecutor(
             store, [url], client_options={"retries": 0, "timeout": 5}
         )
@@ -133,7 +128,6 @@ class TestKillResume:
             assert record.digest == reference_digest
         finally:
             live_server.shutdown()
-            live_server.server_close()
 
 
 class TestFailureSemantics:
@@ -229,4 +223,3 @@ class TestHungWorker:
         finally:
             close_hung()
             good_server.shutdown()
-            good_server.server_close()

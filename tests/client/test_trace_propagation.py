@@ -1,6 +1,6 @@
 """Cross-host tracing: one RemoteShardExecutor sweep, one stitched trace.
 
-Workers are real ``create_server`` instances on ephemeral ports.  The
+Workers are real ``AsyncMarketplaceServer`` instances on ephemeral ports.  The
 coordinator's sweep opens a root span; every chunk POST carries the
 trace id in its ``traceparent`` header; the worker-side dispatch and
 chunk-runner spans join the same trace.  Because the workers live in
@@ -8,31 +8,25 @@ this process, every span lands in the shared ``obs.TRACER`` and the
 whole tree can be asserted in one place.
 """
 
-import threading
-
 import pytest
 
 from repro import obs
 from repro.jobs import JobStore, RemoteShardExecutor
-from repro.service import MarketPool, SessionManager, SimulationSpec, create_server
+from repro.service import MarketPool, SessionManager, SimulationSpec
+from repro.service.async_server import AsyncMarketplaceServer
 
 SPEC = SimulationSpec(sessions=60, seed=3, batch_size=32)
 N_CHUNKS = 4
 
 
-def _worker():
-    server = create_server(port=0, manager=SessionManager(pool=MarketPool()))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, "http://%s:%s" % server.server_address[:2]
-
-
 @pytest.fixture
 def workers():
-    started = [_worker() for _ in range(2)]
-    yield [url for _, url in started]
-    for server, _ in started:
-        server.shutdown()
-        server.server_close()
+    with AsyncMarketplaceServer(
+        port=0, manager=SessionManager(pool=MarketPool())
+    ) as first, AsyncMarketplaceServer(
+        port=0, manager=SessionManager(pool=MarketPool())
+    ) as second:
+        yield [first.url, second.url]
 
 
 class TestRemoteSweepTracing:

@@ -10,13 +10,13 @@ without changing a byte of what it sees.
 """
 
 import math
-import threading
 
 import pytest
 
 from repro.client import ClientError, MarketplaceClient
 from repro.jobs import JobStore
-from repro.service import JobService, MarketPool, SessionManager, create_server
+from repro.service import JobService, MarketPool, SessionManager
+from repro.service.async_server import AsyncMarketplaceServer
 
 SPEC = {"dataset": "synthetic", "seed": 0}
 SIM = {"sessions": 48, "seed": 7, "batch_size": 16}
@@ -100,20 +100,12 @@ def results(tmp_path_factory):
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(JobStore(str(tmp / "local.sqlite3")), shards=2),
     )
-    server = create_server(
+    with AsyncMarketplaceServer(
         port=0,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(JobStore(str(tmp / "http.sqlite3")), shards=2),
-    )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = "http://%s:%s" % server.server_address[:2]
-    http = MarketplaceClient.connect(url)
-    try:
+    ) as server, MarketplaceClient.connect(server.url) as http:
         yield {"local": _scenario(local), "http": _scenario(http)}
-    finally:
-        http.close()
-        server.shutdown()
-        server.server_close()
 
 
 SCENARIOS = (

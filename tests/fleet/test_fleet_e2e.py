@@ -1,7 +1,8 @@
 """Elastic fleet end to end: join, pull, steal, adopt — digest-pinned.
 
-Coordinators here are real ``create_server`` instances; workers are
-real :class:`~repro.fleet.agent.FleetAgent` threads leasing over HTTP.
+Coordinators here are real ``AsyncMarketplaceServer`` instances;
+workers are real :class:`~repro.fleet.agent.FleetAgent` threads leasing
+over HTTP.
 Every sweep must merge to the same digest as the single-process
 :class:`~repro.simulate.pool.SessionPool` path, whatever the
 join/leave/kill interleaving — that is the tentpole contract.
@@ -17,31 +18,30 @@ from repro.fleet.agent import FleetAgent
 from repro.fleet.executor import FleetExecutor
 from repro.jobs import JobStore
 from repro.service import (
+    JobService,
     MarketPool,
     SessionManager,
     SimulationSpec,
-    create_server,
     run_simulation,
 )
-from repro.service.server import JobService
+from repro.service.async_server import AsyncMarketplaceServer
 
 SPEC = SimulationSpec(sessions=120, seed=11, batch_size=32)
 
 
-def _coordinator(store, *, lease_ttl=30.0, heartbeat_ttl=30.0):
-    server = create_server(
-        port=0,
+def _coordinator(store, *, lease_ttl=30.0, heartbeat_ttl=30.0, port=0):
+    server = AsyncMarketplaceServer(
+        port=port,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(store, lease_ttl=lease_ttl,
                         heartbeat_ttl=heartbeat_ttl),
     )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, "http://%s:%s" % server.server_address[:2]
+    server.start_background()
+    return server, server.url
 
 
 def _stop(server):
     server.shutdown()
-    server.server_close()
 
 
 @pytest.fixture
@@ -146,13 +146,14 @@ class TestCrashAdoption:
                 while client.job(job_id)["chunks_done"] == 0:
                     assert time.monotonic() < deadline
                     time.sleep(0.05)
-            # Hard stop — no drain, mid-sweep.  The agent keeps running
-            # and rides out the outage on its retry loops.
+            # Stop mid-sweep: the drain closes every connection and
+            # leaves the job interrupted.  The agent keeps running and
+            # rides out the outage on its retry loops.
             _stop(server)
 
-            # Restart "the coordinator" on the same port-agnostic store.
-            server2, url2 = _coordinator(store)
-            agent.coordinator = url2.rstrip("/")  # same worker, new door
+            # Restart "the coordinator" on the same port and store.
+            server2, url2 = _coordinator(store, port=server.address[1])
+            assert url2 == url
             agent._registered.clear()
             with MarketplaceClient.connect(url2) as client:
                 partial = client.job(job_id)

@@ -16,13 +16,13 @@ import pytest
 
 from repro.jobs import JobStore
 from repro.service import (
+    JobService,
     MarketPool,
     SessionManager,
     SimulationSpec,
-    create_server,
     run_simulation,
 )
-from repro.service.server import JobService
+from repro.service.async_server import AsyncMarketplaceServer
 
 SIM = {"sessions": 60, "seed": 9, "batch_size": 16}
 
@@ -41,15 +41,10 @@ def _call(url, method="GET", body=None):
 def service(tmp_path):
     store = JobStore(str(tmp_path / "jobs.sqlite3"))
     manager = SessionManager(pool=MarketPool())
-    server = create_server(
+    with AsyncMarketplaceServer(
         port=0, manager=manager, jobs=JobService(store, shards=2)
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield {"url": f"http://{host}:{port}", "store": store, "server": server}
-    server.shutdown()
-    server.server_close()
+    ) as server:
+        yield {"url": server.url, "store": store, "server": server}
 
 
 class TestHealthz:
@@ -143,15 +138,12 @@ class TestCheckpointOverTheWire:
         assert checkpoint["state"]["round_number"] == 2
 
         # A second, cold server (fresh pool, fresh store).
-        other = create_server(
+        with AsyncMarketplaceServer(
             port=0,
             manager=SessionManager(pool=MarketPool()),
             jobs=JobService(JobStore(str(tmp_path / "other.sqlite3"))),
-        )
-        thread = threading.Thread(target=other.serve_forever, daemon=True)
-        thread.start()
-        try:
-            other_url = "http://%s:%s" % other.server_address[:2]
+        ) as other:
+            other_url = other.url
             status, restored = _call(
                 f"{other_url}/v1/sessions/{sid}/state", "PUT", checkpoint
             )
@@ -165,9 +157,6 @@ class TestCheckpointOverTheWire:
                                {"until_done": True})
             assert final_a["done"] and final_b["done"]
             assert final_a["outcome"] == final_b["outcome"]
-        finally:
-            other.shutdown()
-            other.server_close()
 
     def test_tampered_checkpoint_rejected_with_400(self, service):
         url = service["url"]
@@ -201,3 +190,38 @@ class TestDrain:
         record = service["store"].get(submitted["job"])
         assert not record.finished
         jobs.drain(timeout=5.0)
+
+    def test_resumed_job_reports_running_at_once(self, service,
+                                                  monkeypatch):
+        """The resume reply, and a stream followed right after it, must
+        not show the previous run's terminal `interrupted` status."""
+        from repro.jobs import ShardedExecutor
+
+        store = service["store"]
+        spec = SimulationSpec(**SIM)
+        first = ShardedExecutor(store, shards=1, max_chunks=1)
+        record = first.run(first.submit(spec, chunks=3).job_id)
+        assert record.status == "interrupted"
+        # Hold the resumed run until the reply is in, so the reply
+        # cannot depend on how fast the job thread gets going.
+        replied = threading.Event()
+        run = ShardedExecutor.run
+
+        def held_run(self, job_id):
+            replied.wait(30.0)
+            return run(self, job_id)
+
+        monkeypatch.setattr(ShardedExecutor, "run", held_run)
+        status, resumed = _call(
+            f"{service['url']}/v1/jobs/{record.job_id}/resume", "POST"
+        )
+        replied.set()
+        assert status == 202 and resumed["started"]
+        assert resumed["status"] == "running"
+        deadline = time.monotonic() + 120
+        while store.get(record.job_id).status == "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        final = store.get(record.job_id)
+        assert final.status == "done"
+        assert final.digest == run_simulation(spec)[2].digest()

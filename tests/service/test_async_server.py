@@ -1,28 +1,21 @@
 """Asyncio transport behaviour: protocol, drain, periodic eviction.
 
-Payload parity with the threaded server is covered by
+Concurrent wire stepping against the serial baseline is covered by
 ``test_batch_stepping.py``; this file pins the transport-level
-behaviours the event loop owns — body enforcement, legacy envelopes,
-streaming, the 503 drain refusal, and the idle-eviction sweep that must
-run without any ``open_session`` traffic.
+behaviours the event loop owns — body enforcement, streaming, the 503
+drain refusal, and the idle-eviction sweep that must run without any
+``open_session`` traffic.
 """
 
 import http.client
 import json
-import threading
 import time
 
 import pytest
 
-from repro.service import (
-    MarketPool,
-    MarketSpec,
-    SessionManager,
-    SessionSpec,
-    create_server,
-)
+from repro.service import MarketPool, MarketSpec, SessionManager
+from repro.service.api import ERROR_CODES
 from repro.service.async_server import AsyncMarketplaceServer
-from repro.service.server import start_eviction_sweeper
 
 SPEC = MarketSpec(dataset="synthetic", seed=0)
 SPEC_DICT = {"dataset": "synthetic", "seed": 0}
@@ -107,15 +100,6 @@ class TestProtocol:
         assert status == 404
         assert payload["error"]["code"] == "not_found"
 
-    def test_legacy_get_redirects_post_is_gone(self, service):
-        status, payload, headers = _call(service, "GET", "/health")
-        assert status == 301
-        assert headers["Location"] == "/v1/health"
-        assert payload["error"]["code"] == "moved"
-        status, payload, _ = _call(service, "POST", "/sessions", body={})
-        assert status == 410
-        assert payload["error"]["detail"]["location"] == "/v1/sessions"
-
     def test_malformed_json_body_is_400(self, service):
         conn = http.client.HTTPConnection(
             service["host"], service["port"], timeout=30
@@ -174,6 +158,51 @@ class TestProtocol:
         assert "digest" in events[-1]
 
 
+class TestConfig:
+    def test_workers_must_be_positive(self, pool):
+        with pytest.raises(ValueError, match="workers"):
+            AsyncMarketplaceServer(
+                port=0, manager=SessionManager(pool=pool), workers=0
+            )
+
+    def test_eviction_interval_must_be_non_negative(self, pool):
+        with pytest.raises(ValueError, match="eviction_interval"):
+            AsyncMarketplaceServer(
+                port=0, manager=SessionManager(pool=pool),
+                eviction_interval=-1.0,
+            )
+
+    def test_derived_interval_is_capped_at_a_minute(self, pool):
+        server = AsyncMarketplaceServer(
+            port=0, manager=SessionManager(pool=pool, idle_ttl=900.0)
+        )
+        assert server.eviction_interval == 60.0
+
+
+class TestParityWithInProcess:
+    def test_report_payloads_identical(self, pool):
+        """Same manager state over HTTP and through the in-process
+        transport produces the same payload: the server is pure glue."""
+        from repro.client.local import LocalTransport
+
+        manager = SessionManager(pool=pool)
+        local = LocalTransport(manager=manager)
+        status, opened = local.request(
+            "POST", "/v1/sessions", body={"market": SPEC_DICT, "seed": 0}
+        )
+        assert status == 201
+        local.request("POST", f"/v1/sessions/{opened['session']}/step")
+        with AsyncMarketplaceServer(
+            port=0, manager=manager, eviction_interval=0
+        ) as server:
+            service = dict(zip(("host", "port"), server.address))
+            for path in ("/v1/report",
+                         f"/v1/sessions/{opened['session']}",
+                         f"/v1/sessions/{opened['session']}/state"):
+                status, over_http, _ = _call(service, "GET", path)
+                assert (status, over_http) == local.request("GET", path)
+
+
 class TestDrain:
     def test_draining_refuses_with_retry_after(self, pool):
         server = AsyncMarketplaceServer(
@@ -187,6 +216,10 @@ class TestDrain:
             status, payload, headers = _call(service, "GET", "/v1/health")
             assert status == 503
             assert payload["error"]["code"] == "draining"
+            # The documented error table must carry the code, at the
+            # status the server actually answers with.
+            assert "draining" in ERROR_CODES
+            assert ERROR_CODES["draining"][0] == status
             assert headers["Retry-After"] == "1"
             assert "close" in headers.get("Connection", "").lower()
         finally:
@@ -230,57 +263,27 @@ class TestPeriodicEviction:
         finally:
             server.shutdown(timeout=10.0)
 
-    def test_threaded_sweeper_evicts_without_open_session(self, pool):
-        manager = SessionManager(pool=pool, idle_ttl=0.05)
-        stop = start_eviction_sweeper(manager, 0.05)
-        try:
-            sid = manager.open_session(SessionSpec(market=SPEC, seed=0))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if sid not in manager.session_ids():
-                    break
-                time.sleep(0.02)
-            assert sid not in manager.session_ids()
-        finally:
-            stop.set()
-
     def test_sweeper_disabled_interval_zero(self, pool):
         manager = SessionManager(pool=pool, idle_ttl=0.01)
-        stop = start_eviction_sweeper(manager, 0)
-        assert stop.is_set()  # never started
-        sid = manager.open_session(SessionSpec(market=SPEC, seed=0))
-        time.sleep(0.05)
-        assert sid in manager.session_ids()  # nothing sweeps
+        with AsyncMarketplaceServer(
+            port=0, manager=manager, eviction_interval=0
+        ) as server:
+            service = dict(zip(("host", "port"), server.address))
+            status, opened, _ = _call(
+                service, "POST", "/v1/sessions",
+                body={"market": SPEC_DICT, "seed": 0},
+            )
+            assert status == 201
+            time.sleep(0.2)
+            # Long past its ttl, yet nothing sweeps it.
+            assert opened["session"] in manager.session_ids()
+            assert manager.report()["sessions"]["evicted"] == 0
 
     def test_server_without_idle_ttl_has_no_sweeper(self, pool):
         manager = SessionManager(pool=pool)  # no ttl -> nothing to sweep
-        stop = start_eviction_sweeper(manager, None)
-        assert stop.is_set()
-
-
-class TestParityWithThreadedServer:
-    def test_report_payloads_identical(self, pool, tmp_path):
-        """Same manager state through both transports produces the
-        same wire payload: the transports are pure glue."""
-        manager = SessionManager(pool=pool)
-        threaded = create_server(port=0, manager=manager)
-        threading.Thread(
-            target=threaded.serve_forever, daemon=True
-        ).start()
-        asyncio_server = AsyncMarketplaceServer(
-            port=0, manager=manager, eviction_interval=0
+        server = AsyncMarketplaceServer(port=0, manager=manager)
+        assert server.eviction_interval == 0.0
+        with_ttl = AsyncMarketplaceServer(
+            port=0, manager=SessionManager(pool=pool, idle_ttl=10.0)
         )
-        try:
-            t_service = dict(
-                zip(("host", "port"), threaded.server_address[:2])
-            )
-            a_service = dict(
-                zip(("host", "port"), asyncio_server.start_background())
-            )
-            _, t_report, _ = _call(t_service, "GET", "/v1/report")
-            _, a_report, _ = _call(a_service, "GET", "/v1/report")
-            assert t_report == a_report
-        finally:
-            threaded.shutdown()
-            threaded.server_close()
-            asyncio_server.shutdown(timeout=10.0)
+        assert with_ttl.eviction_interval == 5.0

@@ -1,9 +1,10 @@
-"""Digest parity for micro-batched stepping, manager- and wire-level.
+"""Digest parity for concurrent stepping, manager- and wire-level.
 
-The contract: coalescing concurrent ``/step`` calls into per-market
-sweeps is *pure execution policy*.  For every coalesce window and both
-HTTP transports, each session's step-reply trace and final checkpoint
-digest must be byte-identical to plain serial stepwise execution.
+The contract: sessions stepping at the same time against shared
+markets cannot see each other.  Driven from many threads at once —
+directly on the manager, or over HTTP through the asyncio server —
+each session's step-reply trace and final checkpoint digest must be
+byte-identical to plain serial stepwise execution.
 """
 
 import json
@@ -11,16 +12,8 @@ import threading
 
 import pytest
 
-from repro.service import (
-    MarketPool,
-    MarketSpec,
-    SessionManager,
-    SessionSpec,
-    create_server,
-)
+from repro.service import MarketPool, MarketSpec, SessionManager, SessionSpec
 from repro.service.async_server import AsyncMarketplaceServer
-
-WINDOWS = [None, 0.001, 0.01]
 
 MARKET_A = MarketSpec(dataset="synthetic", seed=0)
 MARKET_B = MarketSpec(dataset="synthetic", seed=1)
@@ -62,7 +55,7 @@ def _drive_manager(manager, session_id):
 
 @pytest.fixture(scope="module")
 def baseline(pool):
-    """Serial stepwise execution, no coalescing: the reference traces."""
+    """Serial stepwise execution: the reference traces."""
     manager = SessionManager(pool=pool)
     out = []
     for spec in SESSION_SPECS:
@@ -94,38 +87,43 @@ def _parallel_drive(fn, count):
 
 
 class TestManagerParity:
-    @pytest.mark.parametrize("window", WINDOWS,
-                             ids=["off", "1ms", "10ms"])
-    def test_concurrent_mixed_markets_bit_identical(
-        self, pool, baseline, window
-    ):
-        manager = SessionManager(pool=pool, coalesce_window=window)
+    def test_concurrent_mixed_markets_bit_identical(self, pool, baseline):
+        manager = SessionManager(pool=pool)
         sids = [manager.open_session(spec) for spec in SESSION_SPECS]
         got = _parallel_drive(
             lambda i: _drive_manager(manager, sids[i]), len(sids)
         )
         assert got == baseline
-        batching = manager.report()["batching"]
-        if window is None:
-            assert batching["window"] is None
-            assert batching["sweeps"] == 0
-        else:
-            assert batching["window"] == window
-            assert batching["sweeps"] >= 1
 
-    def test_wide_window_actually_coalesces(self, pool, baseline):
-        """With a generous window, barrier-released steppers must land
-        in shared sweeps — this pins that the batching layer engages,
-        not just that it is harmless."""
-        manager = SessionManager(pool=pool, coalesce_window=0.05)
+    def test_threads_interleaving_several_sessions_bit_identical(
+        self, pool, baseline
+    ):
+        """Fewer threads than sessions: each thread round-robins one
+        step at a time over its share, so every session's steps
+        interleave with its neighbours' on the same thread too."""
+        manager = SessionManager(pool=pool)
         sids = [manager.open_session(spec) for spec in SESSION_SPECS]
-        got = _parallel_drive(
-            lambda i: _drive_manager(manager, sids[i]), len(sids)
-        )
-        assert got == baseline
-        batching = manager.report()["batching"]
-        assert batching["coalesced"] >= 2
-        assert batching["largest_sweep"] >= 2
+        threads = 2
+
+        def work(t):
+            mine = list(range(t, len(sids), threads))
+            traces = {i: [] for i in mine}
+            live = list(mine)
+            while live:
+                for i in list(live):
+                    reply = manager.step(sids[i])
+                    traces[i].append(_canon(reply))
+                    if reply["done"]:
+                        live.remove(i)
+            return {
+                i: (traces[i], manager.checkpoint(sids[i])["digest"])
+                for i in mine
+            }
+
+        got: dict = {}
+        for part in _parallel_drive(work, threads):
+            got.update(part)
+        assert [got[i] for i in range(len(sids))] == baseline
 
 
 def _drive_wire(transport, spec_dict):
@@ -159,37 +157,51 @@ def _wire_specs():
     ]
 
 
-@pytest.mark.parametrize("window", WINDOWS, ids=["off", "1ms", "10ms"])
-@pytest.mark.parametrize("kind", ["threaded", "async"])
 class TestWireParity:
-    def test_concurrent_steps_match_serial_baseline(
-        self, pool, baseline, window, kind
-    ):
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_concurrent_steps_match_serial_baseline(self, pool, baseline,
+                                                    workers):
+        """The handler pool's width is a throughput knob only."""
         from repro.client import HttpTransport
 
-        manager = SessionManager(pool=pool, coalesce_window=window)
-        if kind == "threaded":
-            server = create_server(port=0, manager=manager)
-            threading.Thread(
-                target=server.serve_forever, daemon=True
-            ).start()
-            address = server.server_address[:2]
-        else:
-            server = AsyncMarketplaceServer(
-                port=0, manager=manager, eviction_interval=0
-            )
-            address = server.start_background()
-        url = "http://%s:%s" % address
         specs = _wire_specs()
-        try:
+        with AsyncMarketplaceServer(
+            port=0, manager=SessionManager(pool=pool), workers=workers,
+            eviction_interval=0,
+        ) as server:
             got = _parallel_drive(
-                lambda i: _drive_wire(HttpTransport(url), specs[i]),
+                lambda i: _drive_wire(HttpTransport(server.url), specs[i]),
                 len(specs),
             )
-            assert got == baseline
-        finally:
-            if kind == "threaded":
-                server.shutdown()
-                server.server_close()
-            else:
-                server.shutdown(timeout=10.0)
+        assert got == baseline
+
+    def test_concurrent_until_done_reaches_serial_digests(self, pool,
+                                                          baseline):
+        """``until_done`` steps take the worker pool rather than the
+        loop; run concurrently they end in the serial final states."""
+        from repro.client import HttpTransport
+
+        def run(i):
+            transport = HttpTransport(server.url)
+            status, opened = transport.request(
+                "POST", "/v1/sessions", body=specs[i]
+            )
+            assert status == 201, opened
+            sid = opened["session"]
+            status, reply = transport.request(
+                "POST", f"/v1/sessions/{sid}/step",
+                body={"until_done": True},
+            )
+            assert status == 200 and reply["done"], reply
+            status, state = transport.request(
+                "GET", f"/v1/sessions/{sid}/state"
+            )
+            assert status == 200, state
+            return state["digest"]
+
+        specs = _wire_specs()
+        with AsyncMarketplaceServer(
+            port=0, manager=SessionManager(pool=pool), eviction_interval=0
+        ) as server:
+            got = _parallel_drive(run, len(specs))
+        assert got == [digest for _, digest in baseline]

@@ -218,33 +218,36 @@ class TestEviction:
         assert manager.evict_idle() == [restored]
 
 
-class TestCoalesceConfig:
-    def test_window_must_be_non_negative(self, pool):
-        with pytest.raises(ValueError, match="coalesce_window"):
-            SessionManager(pool=pool, coalesce_window=-0.001)
+class TestConfig:
+    def test_max_sessions_must_be_positive(self, pool):
+        with pytest.raises(ValueError, match="max_sessions"):
+            SessionManager(pool=pool, max_sessions=0)
 
-    def test_batch_limit_must_be_positive(self, pool):
-        with pytest.raises(ValueError, match="batch_limit"):
-            SessionManager(pool=pool, coalesce_window=0.001, batch_limit=0)
+    @pytest.mark.parametrize("ttl", [0.0, -1.0])
+    def test_idle_ttl_must_be_positive(self, pool, ttl):
+        with pytest.raises(ValueError, match="idle_ttl"):
+            SessionManager(pool=pool, idle_ttl=ttl)
 
-    def test_zero_window_means_off(self, pool):
-        manager = SessionManager(pool=pool, coalesce_window=0.0)
+    def test_no_idle_ttl_never_evicts(self, pool):
+        now = [0.0]
+        manager = SessionManager(pool=pool, clock=lambda: now[0])
         sid = manager.open_session(SessionSpec(market=SPEC, seed=0))
-        manager.step(sid)
-        batching = manager.report()["batching"]
-        assert batching["window"] is None
-        assert batching["sweeps"] == 0
+        now[0] = 1e9
+        assert manager.evict_idle() == []
+        assert sid in manager.session_ids()
 
-    def test_until_done_through_the_batcher(self, pool):
-        """`run` (until_done) must coalesce exactly like single steps
-        and finish with the same outcome as the stepwise path."""
+
+class TestConcurrentRun:
+    def test_concurrent_run_matches_serial(self, pool):
+        """`run` (until_done) from several threads at once must finish
+        every session with the same outcome as a serial run."""
         plain = SessionManager(pool=pool)
         want = plain.run(
             plain.open_session(SessionSpec(market=SPEC, seed=0, run=7))
         )
-        batched = SessionManager(pool=pool, coalesce_window=0.02)
+        manager = SessionManager(pool=pool)
         sids = [
-            batched.open_session(SessionSpec(market=SPEC, seed=0, run=7))
+            manager.open_session(SessionSpec(market=SPEC, seed=0, run=7))
             for _ in range(4)
         ]
         results = [None] * 4
@@ -252,7 +255,7 @@ class TestCoalesceConfig:
 
         def work(i):
             barrier.wait(timeout=10.0)
-            results[i] = batched.run(sids[i])
+            results[i] = manager.run(sids[i])
 
         threads = [
             threading.Thread(target=work, args=(i,)) for i in range(4)
@@ -266,4 +269,3 @@ class TestCoalesceConfig:
             assert {k: v for k, v in got.items() if k != "session"} == (
                 {k: v for k, v in want.items() if k != "session"}
             )
-        assert batched.report()["batching"]["coalesced"] >= 2

@@ -1,20 +1,18 @@
 """The telemetry surface: ``GET /v1/metrics`` and ``GET /v1/traces``.
 
-Covers all three fronts — LocalTransport, the threaded server, and the
-asyncio server — plus the exposition-format contract (parseable
+Covers both fronts — LocalTransport and the asyncio HTTP server — plus the exposition-format contract (parseable
 Prometheus text v0.0.4) and trace pagination semantics.
 """
 
 import http.client
-import threading
 
 import pytest
 
 from repro import obs
 from repro.client import MarketplaceClient
-from repro.service import MarketPool, SessionManager, create_server
-from repro.service.api import METRICS_CONTENT_TYPE
+from repro.service import MarketPool, SessionManager
 from repro.service.async_server import AsyncMarketplaceServer
+from repro.service.api import METRICS_CONTENT_TYPE
 
 SPEC_DICT = {"dataset": "synthetic", "seed": 0}
 
@@ -24,8 +22,6 @@ SPEC_DICT = {"dataset": "synthetic", "seed": 0}
 CORE_FAMILIES = (
     "repro_requests_total",
     "repro_request_duration_seconds",
-    "repro_coalesce_sweeps_total",
-    "repro_coalesce_group_size",
     "repro_oracle_cache_courses_total",
     "repro_job_chunk_events_total",
     "repro_sessions",
@@ -115,16 +111,6 @@ class TestLocalTransport:
 
 
 @pytest.fixture(scope="module")
-def threaded():
-    server = create_server(port=0, manager=SessionManager(pool=MarketPool()))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
-    yield {"host": host, "port": port}
-    server.shutdown()
-    server.server_close()
-
-
-@pytest.fixture(scope="module")
 def asyncio_server():
     server = AsyncMarketplaceServer(
         port=0, manager=SessionManager(pool=MarketPool())
@@ -151,14 +137,6 @@ def _scrape(service) -> tuple[int, str, str]:
 
 
 class TestHttpExposition:
-    def test_threaded_server_scrape(self, threaded):
-        status, content_type, text = _scrape(threaded)
-        assert status == 200
-        assert content_type == METRICS_CONTENT_TYPE
-        families = _parse_families(text)
-        for name in CORE_FAMILIES:
-            assert name in families
-
     def test_asyncio_server_scrape(self, asyncio_server):
         status, content_type, text = _scrape(asyncio_server)
         assert status == 200
@@ -166,10 +144,13 @@ class TestHttpExposition:
         families = _parse_families(text)
         for name in CORE_FAMILIES:
             assert name in families
+        # Sessions are never batched across each other, so no
+        # cross-session coalescing family exists to scrape.
+        assert not any(n.startswith("repro_coalesce_") for n in families)
 
-    def test_traces_stream_over_http(self, threaded):
+    def test_traces_stream_over_http(self, asyncio_server):
         with MarketplaceClient.connect(
-            f"http://{threaded['host']}:{threaded['port']}"
+            f"http://{asyncio_server['host']}:{asyncio_server['port']}"
         ) as client:
             before = obs.TRACER.last_seq()
             client.health()

@@ -1,13 +1,19 @@
 """HTTP smoke tests: a full bargain to acceptance over localhost."""
 
 import json
-import threading
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.service import MarketPool, SessionManager, create_server
+from repro.service import MarketPool, SessionManager
+from repro.service.async_server import AsyncMarketplaceServer
 from repro.service.specs import MarketSpec
 from repro.utils.rng import spawn
 
@@ -18,13 +24,8 @@ SPEC_DICT = {"dataset": "synthetic", "seed": 0}
 def service():
     pool = MarketPool()
     manager = SessionManager(pool=pool)
-    server = create_server(port=0, manager=manager)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield {"url": f"http://{host}:{port}", "pool": pool, "manager": manager}
-    server.shutdown()
-    server.server_close()
+    with AsyncMarketplaceServer(port=0, manager=manager) as server:
+        yield {"url": server.url, "pool": pool, "manager": manager}
 
 
 def _call(url, method="GET", body=None):
@@ -42,10 +43,10 @@ class TestRoutes:
         status, payload = _call(f"{service['url']}/v1/health")
         assert status == 200 and payload == {"ok": True, "version": "v1"}
 
-    def test_legacy_get_redirects_to_v1(self, service):
-        # urllib follows the 301 transparently, landing on /v1/health.
+    def test_unversioned_path_is_404(self, service):
         status, payload = _call(f"{service['url']}/health")
-        assert status == 200 and payload["version"] == "v1"
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
 
     def test_market_build_and_warm_flag(self, service):
         status, first = _call(
@@ -167,3 +168,36 @@ class TestHttpMatchesCli:
         assert state["outcome"]["n_rounds"] == expected.n_rounds
         assert state["outcome"]["payment"] == expected.payment
         assert state["outcome"]["status"] == expected.status
+
+
+class TestServeCommand:
+    def test_sigterm_drains_and_exits_zero(self, tmp_path):
+        """`repro serve` boots the one server, answers, and on SIGTERM
+        drains and exits 0."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--idle-ttl", "0", "--job-store",
+             str(tmp_path / "jobs.sqlite3")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+            assert ready, "server printed nothing within 60 s"
+            banner = proc.stdout.readline()
+            match = re.search(r"http://[\d.]+:\d+", banner)
+            assert match, banner
+            status, payload = _call(f"{match.group(0)}/v1/health")
+            assert status == 200 and payload["ok"] is True
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        assert "drained and stopped" in out

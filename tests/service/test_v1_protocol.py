@@ -1,41 +1,35 @@
 """Wire-protocol contract: versioning, envelopes, limits, pagination.
 
-Everything here talks raw HTTP (``http.client`` / raw sockets, no
-redirect-following) because the subject *is* the wire: what exactly a
-legacy GET receives, what an oversized Content-Length triggers, how a
-page cursor behaves.
+Everything here talks raw HTTP (``http.client`` / raw sockets) because
+the subject *is* the wire: what exactly an unversioned path receives,
+what an oversized Content-Length triggers, how a page cursor behaves.
 """
 
 import http.client
 import json
 import socket
-import threading
 
 import pytest
 
 from repro.jobs import JobStore
-from repro.service import JobService, MarketPool, SessionManager, create_server
-from repro.service.server import MAX_BODY_BYTES
+from repro.service import JobService, MarketPool, SessionManager
+from repro.service.async_server import MAX_BODY_BYTES, AsyncMarketplaceServer
 
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     store = JobStore(str(tmp_path_factory.mktemp("v1") / "jobs.sqlite3"))
-    server = create_server(
+    with AsyncMarketplaceServer(
         port=0,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(store, shards=2),
-    )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
-    yield {"host": host, "port": port, "store": store, "server": server}
-    server.shutdown()
-    server.server_close()
+    ) as server:
+        host, port = server.address
+        yield {"host": host, "port": port, "store": store, "server": server}
 
 
 def _request(service, method, path, body=None, headers=None):
-    """One exchange without redirect following; returns (status, headers,
-    payload)."""
+    """One raw exchange; returns (status, headers, payload)."""
     conn = http.client.HTTPConnection(service["host"], service["port"],
                                       timeout=30)
     try:
@@ -66,22 +60,22 @@ def _raw_exchange(service, blob: bytes, *, shutdown_write: bool = False) -> byte
     return b"".join(chunks)
 
 
-class TestLegacyDeprecation:
-    def test_legacy_get_is_301_with_location_and_envelope(self, service):
-        status, headers, payload = _request(service, "GET", "/healthz")
-        assert status == 301
-        assert headers["Location"] == "/v1/healthz"
-        assert payload["error"]["code"] == "moved"
-        assert payload["error"]["detail"]["location"] == "/v1/healthz"
-
-    def test_legacy_mutation_is_410_gone(self, service):
-        for method, path in (("POST", "/markets"), ("POST", "/simulations"),
-                             ("PUT", "/sessions/s0/state"),
-                             ("DELETE", "/sessions/s0")):
-            status, _, payload = _request(service, method, path)
-            assert status == 410, (method, path)
-            assert payload["error"]["code"] == "gone"
-            assert payload["error"]["detail"]["location"] == "/v1" + path
+class TestUnversionedPaths:
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/healthz"), ("GET", "/health"),
+        ("POST", "/markets"), ("POST", "/simulations"),
+        ("PUT", "/sessions/s0/state"), ("DELETE", "/sessions/s0"),
+    ])
+    def test_unversioned_paths_are_404_not_found(self, service, method,
+                                                 path):
+        """Only /v1 is routed: the old unversioned heads get the same
+        404 envelope as any unknown path, on every method, with no
+        redirect."""
+        status, headers, payload = _request(service, method, path)
+        assert status == 404
+        assert "Location" not in headers
+        assert payload["error"]["code"] == "not_found"
+        assert payload["error"]["message"] == f"no route {method} {path}"
 
     def test_v1_paths_are_not_redirected(self, service):
         status, _, payload = _request(service, "GET", "/v1/health")

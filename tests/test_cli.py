@@ -92,6 +92,33 @@ class TestParser:
                 main(argv)
 
 
+    def test_serve_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        assert (args.host, args.port) == ("127.0.0.1", 8765)
+        assert args.idle_ttl == 900.0
+        assert args.eviction_interval is None
+        assert args.http_workers == 8
+        assert args.join is None
+
+    def test_serve_help_lists_one_server(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--http-workers" in out
+        assert "--async" not in out
+        assert "--coalesce-window" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--async"], ["--coalesce-window", "0.01"],
+    ])
+    def test_serve_rejects_removed_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_figure1_runs_without_market(self, capsys):
         assert main(["figure", "1"]) == 0
