@@ -11,7 +11,10 @@ Quick mode (default) times the naive loop on a subsample and
 extrapolates per-session cost; ``REPRO_FULL=1`` runs the naive loop
 over the whole population.  The pool always runs every session.
 Writes ``benchmarks/results/population_sim.json`` (and ``.csv``) for
-the perf-trajectory artifact (``scripts/bench_trajectory.py``).
+the perf-trajectory artifact (``scripts/bench_trajectory.py``); next to
+the ratio it records the pool's absolute cost,
+``pool_us_per_session_round`` (pool elapsed over the session-rounds it
+played).
 """
 
 import json
@@ -51,12 +54,17 @@ def test_population_sim_speedup(benchmark, results_dir):
     naive_per_session = naive_elapsed / n_naive
     pool_per_session = result.elapsed / N_SESSIONS
     speedup = naive_per_session / pool_per_session
+    session_rounds = int(result.n_rounds.sum())
+    pool_us_per_session_round = result.elapsed / session_rounds * 1e6
 
     print()
     print(f"naive loop : {n_naive} sessions in {naive_elapsed:.2f}s "
           f"({1.0 / naive_per_session:.1f} sessions/s)")
     print(f"SessionPool: {N_SESSIONS} sessions in {result.elapsed:.2f}s "
           f"({report.sessions_per_sec:,.0f} sessions/s)")
+    print(f"pool rounds: {session_rounds} session-rounds, "
+          f"{pool_us_per_session_round:.2f} us per session-round "
+          f"({os.cpu_count()} cores)")
     print(f"speedup    : {speedup:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)")
     print()
     print(report.to_text())
@@ -66,6 +74,8 @@ def test_population_sim_speedup(benchmark, results_dir):
         "n_naive": n_naive,
         "naive_sessions_per_sec": 1.0 / naive_per_session,
         "pool_sessions_per_sec": report.sessions_per_sec,
+        "session_rounds": session_rounds,
+        "pool_us_per_session_round": pool_us_per_session_round,
         "speedup": speedup,
         "floor": SPEEDUP_FLOOR,
     }

@@ -25,10 +25,11 @@ shards    sharded_jobs.json           4-shard jobs vs        >=  2x
                                       single process         (cores)
 ========  ==========================  =====================  ======
 
-— plus every other ``benchmarks/results/*.json`` reduced to its scalar
-fields, under ``extras``.  The file is schema-stable: fixed field set,
-keys sorted, 2-space indent, trailing newline, so a re-fold with
-identical inputs is byte-identical.
+— plus every ``benchmarks/results/*.json`` reduced to its scalar
+fields (a floor result minus its speedup and floor), under
+``extras``.  The file is schema-stable: fixed field set, keys sorted,
+2-space indent, trailing newline, so a re-fold with identical inputs
+is byte-identical.
 
 The label is an argument, never a timestamp: this script is covered by
 the determinism lint (``repro lint``) and deliberately reads no clock.
@@ -83,23 +84,22 @@ def _scalars(payload: dict) -> dict:
 def build_entry(label: str, results_dir: pathlib.Path) -> dict:
     """One trajectory entry from whatever results are on disk."""
     floors: dict = {}
-    consumed = set()
+    extras = {
+        path.stem: _scalars(_load(path))
+        for path in sorted(results_dir.glob("*.json"))
+    }
     for name, (filename, speedup_key, floor_key) in sorted(FLOORS.items()):
         path = results_dir / filename
         if not path.exists():
             continue
-        payload = _load(path)
-        consumed.add(filename)
+        payload = extras.pop(path.stem)
         floors[name] = {
-            "floor": payload.get(floor_key),
+            "floor": payload.pop(floor_key, None),
             "source": filename,
-            "speedup": float(payload[speedup_key]),
+            "speedup": float(payload.pop(speedup_key)),
         }
-    extras = {
-        path.stem: _scalars(_load(path))
-        for path in sorted(results_dir.glob("*.json"))
-        if path.name not in consumed
-    }
+        if payload:  # absolute figures recorded beside the ratio
+            extras[path.stem] = payload
     return {"extras": extras, "floors": floors, "label": label}
 
 

@@ -20,10 +20,11 @@ Two pieces:
 Sessions never batch across each other: every ``step``/``run`` call
 advances one session through its own engine under its own lock, which
 is the paper's §3.4 protocol — one task party and one data party per
-session.  (Population workloads that want the vectorised kernel
-assemble :class:`~repro.simulate.kernel.StrategicBatch` groups and run
-them through :func:`~repro.simulate.kernel.simulate_assembled_batch`;
-wire sessions stay on the stepwise path so their digests never drift.)
+session.  (Population workloads reach the vectorised kernel only
+through :class:`~repro.simulate.pool.SessionPool`, which runs its
+strategic/strategic sessions through
+:func:`~repro.simulate.kernel.simulate_strategic_batch`; wire sessions
+stay on the stepwise path so their digests never drift.)
 
 The module-level :func:`shared_pool` is the process-wide pool;
 :func:`repro.experiments.runner.get_market` and ``repro serve`` both

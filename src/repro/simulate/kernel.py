@@ -4,9 +4,7 @@ This is the batch-scheduling fast path of the simulator: it advances a
 whole batch of perfect-information strategic sessions one round at a
 time with numpy array operations, instead of paying the per-round
 Python costs of :class:`~repro.market.engine.BargainingEngine` (which
-builds ~``n_price_samples`` :class:`QuotedPrice` objects and makes two
-scalar RNG calls per candidate, ~850 µs/round — see
-``benchmarks/bench_population_sim.py``).
+scores ~``n_price_samples`` candidate quotes per round in Python).
 
 The kernel implements exactly the same decision rules as the scalar
 strategies — Eq. 4 offer selection, Cases 1-6 termination, the Eq. 6/7
@@ -18,9 +16,32 @@ not bitwise, equivalent to ``BargainingEngine.run()``
 (``tests/simulate/test_pool.py`` pins the aggregate agreement).
 
 Determinism contract: every random draw comes from the session's own
-``spawn(seed, "session", i, "kernel")`` generator, consumed in round
+``spawn(seed, "session", i, "kernel")`` stream, consumed in round
 order — results are therefore independent of how sessions are grouped
-into batches (pinned by ``tests/simulate/test_determinism.py``).
+into batches (pinned by ``tests/simulate/test_determinism.py``).  A
+batch carries each stream as its four PCG64 seed words
+(:func:`~repro.utils.rng.stream_seed_words`, computed for the whole
+batch in one pass), and every kernel call builds fresh generators from
+them, so a batch can be run again, or concatenated with itself, and
+gives the same records each time.
+
+Case-6 candidate sampling costs a fixed number of numpy calls per
+round plus a few calls per session per run:
+
+* a session's generator is built the first time it reaches Case 6,
+  so a session that ends before sampling never builds one;
+* each session reads its ``(2, n_price_samples)`` candidate draws from
+  a per-session tape of up to ``_TAPE_ROUNDS`` rounds, refilled with
+  one ``random`` call per block of 1, 2, 4, ... rounds.  ``random``
+  fills in C order, so round ``r`` of the tape holds exactly the
+  doubles of the ``r``-th ``random((2, n_price_samples))`` call.
+  Drawing past a session's last round is unobservable: its generator
+  lives only for one kernel call;
+* the min-cap pick takes the unmasked ``argmin`` of the candidate caps
+  and checks validity for the picked candidate only.  When the first
+  index of the global minimum is valid it is also the first index of
+  the masked minimum, so only rows whose pick is invalid (or a padded
+  sample column) fall back to the masked ``where``/``argmin``.
 
 Batch assembly is decoupled from execution so callers other than
 :class:`~repro.simulate.pool.SessionPool` can drive the kernel:
@@ -42,11 +63,11 @@ population) remains the convenience wrapper the pool uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.utils.rng import spawn
+from repro.utils.rng import generator_from_seed_words, stream_seed_words
 
 __all__ = [
     "BY_DATA",
@@ -77,6 +98,10 @@ _COST_NONE, _COST_CONSTANT, _COST_LINEAR, _COST_EXPONENTIAL = 0, 1, 2, 3
 #: it) and its gain is +inf (never the |ΔG − tp| argmin target).
 _PAD = np.inf
 
+#: Longest candidate-tape block, in rounds, and the tape's size cap.
+_TAPE_ROUNDS = 8
+_TAPE_BYTES = 64 << 20
+
 
 @dataclass
 class StrategicBatch:
@@ -84,8 +109,8 @@ class StrategicBatch:
 
     Parallel arrays over ``n`` sessions; the catalogue axis ``F`` may
     mix real columns with ``+inf`` padding (heterogeneous batches).
-    ``generators`` holds each session's own RNG stream — the batch is
-    single-use, exactly like the engines it replaces.
+    ``seed_words`` holds each session's RNG stream as PCG64 seed words;
+    the kernel builds generators from them afresh on every run.
     """
 
     gains: np.ndarray          # (n, F) shared/padded catalogues
@@ -104,18 +129,20 @@ class StrategicBatch:
     cost_a: np.ndarray
     n_price_samples: np.ndarray  # (n,) int
     max_rounds: np.ndarray       # (n,) int
-    generators: list
+    seed_words: np.ndarray       # (n, 4) uint64
 
     def __post_init__(self) -> None:
-        n = len(self.generators)
-        if self.gains.shape[0] != n:
-            raise ValueError(
-                f"batch carries {self.gains.shape[0]} sessions but "
-                f"{n} generators"
-            )
+        n = self.gains.shape[0]
+        for field in fields(self):  # every field is per-session
+            got = len(getattr(self, field.name))
+            if got != n:
+                raise ValueError(
+                    f"batch fields disagree on the session count: gains "
+                    f"has {n} rows, {field.name} has {got}"
+                )
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return self.gains.shape[0]
 
 
 def assemble_strategic_batch(population, indices: np.ndarray) -> StrategicBatch:
@@ -149,10 +176,9 @@ def assemble_strategic_batch(population, indices: np.ndarray) -> StrategicBatch:
         cost_a=population.cost_a[indices],
         n_price_samples=np.full(n, int(spec.n_price_samples), dtype=int),
         max_rounds=np.full(n, int(spec.max_rounds), dtype=int),
-        generators=[
-            spawn(population.seed, "session", int(i), "kernel")
-            for i in indices
-        ],
+        seed_words=stream_seed_words(
+            population.seed, indices, prefix=("session",), suffix=("kernel",)
+        ),
     )
 
 
@@ -196,7 +222,7 @@ def concat_strategic_batches(batches) -> StrategicBatch:
         cost_a=np.concatenate([b.cost_a for b in batches]),
         n_price_samples=np.concatenate([b.n_price_samples for b in batches]),
         max_rounds=np.concatenate([b.max_rounds for b in batches]),
-        generators=[gen for b in batches for gen in b.generators],
+        seed_words=np.concatenate([b.seed_words for b in batches]),
     )
 
 
@@ -210,6 +236,27 @@ def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int) -> np.ndarray:
     mask = kind == _COST_EXPONENTIAL
     cost[mask] = a[mask] ** round_number
     return cost
+
+
+def _masked_min_cap(caps, cl, ns_rows, u, b0, p0, target):
+    """Masked min-cap pick over whole candidate rows.
+
+    Returns ``(pick, got, cap, rate_high)``: the first index of the
+    smallest admissible cap, whether any candidate was admissible, and
+    that candidate's cap and rate ceiling.  A candidate is admissible
+    when it raises the cap, lies within the session's
+    ``n_price_samples``, and leaves a rate above the opening rate.
+    """
+    valid = caps > cl[:, None] + 1e-12
+    # Padded sample columns (heterogeneous n_price_samples) draw 0.0,
+    # land exactly on cl, and fail the > check; the explicit mask keeps
+    # that invariant independent of fp.
+    valid &= np.arange(caps.shape[1])[None, :] < ns_rows[:, None]
+    rate_high = np.minimum(u[:, None], (caps - b0[:, None]) / target[:, None])
+    valid &= rate_high > p0[:, None]
+    pick = np.where(valid, caps, np.inf).argmin(axis=1)
+    at = np.arange(len(pick))
+    return pick, valid[at, pick], caps[at, pick], rate_high[at, pick]
 
 
 def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.ndarray]:
@@ -254,7 +301,15 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
     has_cost = cost_kind != _COST_NONE
     break_even = b0 / (u - p0)  # Case-4 bar, anchored to the opening quote
 
-    gens = batch.generators
+    # Case-6 candidate tape: tape[s, r] holds the (2, W) draws of one
+    # round for session s, filled in blocks and read at pos[s].
+    W = int(ns.max())
+    win = int(np.clip(_TAPE_BYTES // (n * 2 * W * 8), 1, _TAPE_ROUNDS))
+    tape = np.zeros((n, win, 2, W))  # zero pages stay untouched until drawn
+    gens: list = [None] * n
+    pos = np.zeros(n, dtype=np.int64)
+    filled = np.zeros(n, dtype=np.int64)
+    block = np.ones(n, dtype=np.int64)
 
     # Standing quote per session (opens Eq.5-consistent at the target).
     rate = p0.copy()
@@ -389,40 +444,51 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
         sample = running & ~exhausted
         rows = np.flatnonzero(sample)
         if rows.size:
-            ns_rows = ns[live[rows]]
-            width = int(ns_rows.max())
-            draws = np.zeros((rows.size, 2, width))
-            for ii, row in enumerate(rows):
-                k_row = int(ns_rows[ii])
-                draws[ii, :, :k_row] = gens[live[row]].random((2, k_row))
-            cl = cap_l[rows, None]
-            caps = cl + (budget[live[rows], None] - cl) * draws[:, 0, :]
-            valid = caps > cl + 1e-12
-            # Padded sample columns (heterogeneous n_price_samples)
-            # draw 0.0, land exactly on cl, and fail the > check; the
-            # explicit mask keeps that invariant independent of fp.
-            valid &= np.arange(width)[None, :] < ns_rows[:, None]
-            rate_high = np.minimum(
-                u[live[rows], None],
-                (caps - b0[live[rows], None]) / target[live[rows], None],
-            )
-            valid &= rate_high > p0[live[rows], None]
-            rates = (
-                p0[live[rows], None]
-                + (rate_high - p0[live[rows], None]) * draws[:, 1, :]
-            )
-            masked = np.where(valid, caps, np.inf)
-            pick = masked.argmin(axis=1)
-            got = valid[np.arange(rows.size), pick]
+            sess = live[rows]
+            ns_rows = ns[sess]
+            used_up = sess[pos[sess] == filled[sess]]
+            if used_up.size:  # refill: one random() call per session
+                k_up = block[used_up]
+                for s, k in zip(used_up.tolist(), k_up.tolist()):
+                    gen = gens[s]
+                    if gen is None:
+                        gen = gens[s] = generator_from_seed_words(batch.seed_words[s])
+                    k_s = int(ns[s])
+                    if k_s == W:
+                        gen.random(out=tape[s, :k])
+                    else:  # columns past n_price_samples stay 0.0
+                        tape[s, :k, :, :k_s] = gen.random((k, 2, k_s))
+                filled[used_up] = k_up
+                pos[used_up] = 0
+                block[used_up] = np.minimum(2 * k_up, win)
+            at_pos = pos[sess]
+            pos[sess] += 1
+            cl = cap_l[rows]
+            # cl + (budget - cl) * draw, in place on the gathered draws
+            caps = tape[sess, at_pos, 0]
+            caps *= (budget[sess] - cl)[:, None]
+            caps += cl[:, None]
+            u_s, b0_s, p0_s, tg_s = u[sess], b0[sess], p0[sess], target[sess]
+            at = np.arange(rows.size)
+            pick = caps.argmin(axis=1)
+            new_cap = caps[at, pick]
+            rate_high = np.minimum(u_s, (new_cap - b0_s) / tg_s)
+            got = (new_cap > cl + 1e-12) & (pick < ns_rows) & (rate_high > p0_s)
+            if not got.all():
+                bad = np.flatnonzero(~got)
+                pick[bad], got[bad], new_cap[bad], rate_high[bad] = _masked_min_cap(
+                    caps[bad], cl[bad], ns_rows[bad], u_s[bad], b0_s[bad],
+                    p0_s[bad], tg_s[bad],
+                )
+            new_rate = p0_s + (rate_high - p0_s) * tape[sess, at_pos, 1, pick]
             # No admissible candidate left: accept the standing outcome
             # rather than walk away from a profitable trade.
             exhausted[rows[~got]] = True
-            ok = rows[got]
-            new_cap = caps[np.arange(rows.size), pick][got]
-            new_rate = rates[np.arange(rows.size), pick][got]
-            cap[live[ok]] = new_cap
-            rate[live[ok]] = new_rate
-            base[live[ok]] = new_cap - new_rate * target[live[ok]]
+            ok = sess[got]
+            new_cap, new_rate = new_cap[got], new_rate[got]
+            cap[ok] = new_cap
+            rate[ok] = new_rate
+            base[ok] = new_cap - new_rate * target[ok]
 
         accept_t |= exhausted
         if fail_t.any() or accept_t.any():

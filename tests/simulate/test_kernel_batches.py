@@ -7,11 +7,12 @@ to running that session's home population alone — padding and batch
 composition are pure execution concerns.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.simulate.kernel import (
-    StrategicBatch,
     assemble_strategic_batch,
     concat_strategic_batches,
     simulate_assembled_batch,
@@ -56,21 +57,33 @@ class TestAssembledEntryPoint:
         assert (batch.max_rounds == 77).all()
         assert (batch.n_price_samples == 31).all()
 
-    def test_generator_count_mismatch_rejected(self):
+    def test_seed_word_count_mismatch_rejected(self):
         pop = _population(1)
         batch = assemble_strategic_batch(pop, np.arange(4))
-        with pytest.raises(ValueError, match="generators"):
-            StrategicBatch(
-                **{
-                    **{f: getattr(batch, f) for f in (
-                        "gains", "reserved_rate", "reserved_base",
-                        "utility_rate", "budget", "initial_rate",
-                        "initial_base", "target", "eps_d", "eps_t",
-                        "eps_dc", "eps_tc", "cost_kind", "cost_a",
-                        "n_price_samples", "max_rounds")},
-                    "generators": batch.generators[:-1],
-                }
-            )
+        with pytest.raises(ValueError, match="seed_words"):
+            replace(batch, seed_words=batch.seed_words[:-1])
+
+    @pytest.mark.parametrize("field", [
+        "gains", "utility_rate", "budget", "cost_kind", "n_price_samples",
+        "max_rounds",
+    ])
+    def test_every_per_session_field_length_checked(self, field):
+        batch = assemble_strategic_batch(_population(1), np.arange(4))
+        with pytest.raises(ValueError, match=field):
+            replace(batch, **{field: getattr(batch, field)[:3]})
+
+    def test_batch_can_be_run_again(self):
+        batch = assemble_strategic_batch(_population(4), np.arange(40))
+        first = simulate_assembled_batch(batch)
+        _assert_records_equal(simulate_assembled_batch(batch), first,
+                              slice(None), slice(None))
+
+    def test_self_concat_runs_each_half_like_the_batch_alone(self):
+        batch = assemble_strategic_batch(_population(5), np.arange(40))
+        alone = simulate_assembled_batch(batch)
+        out = simulate_assembled_batch(concat_strategic_batches([batch, batch]))
+        _assert_records_equal(out, alone, slice(0, 40), slice(None))
+        _assert_records_equal(out, alone, slice(40, 80), slice(None))
 
 
 class TestHeterogeneousConcat:

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import as_generator, spawn
-from repro.utils.rng import can_replay_block, replay_block
+from repro.utils.rng import (
+    can_replay_block,
+    generator_from_seed_words,
+    replay_block,
+    stream_seed_words,
+)
 
 
 class TestSpawn:
@@ -120,3 +127,82 @@ class TestReplayBlock:
         # Philox's ``advance`` counts 4-word blocks; MT19937 has none.
         assert not can_replay_block(np.random.Generator(np.random.Philox(0)))
         assert not can_replay_block(np.random.Generator(np.random.MT19937(0)))
+
+
+def _assert_streams_match_spawn(root, indices, prefix=(), suffix=()):
+    words = stream_seed_words(root, indices, prefix=prefix, suffix=suffix)
+    assert words.shape == (len(indices), 4)
+    assert words.dtype == np.uint64
+    for row, i in zip(words, indices):
+        fast = generator_from_seed_words(row)
+        ref = spawn(root, *prefix, int(i), *suffix)
+        assert fast.bit_generator.state == ref.bit_generator.state, (root, i)
+
+
+class TestStreamSeedWords:
+    @pytest.mark.parametrize("root", [0, 7, 123456, 2**32 - 1, 2**32 + 5,
+                                      2**64 + 9, 2**70 + 3])
+    def test_generator_state_equals_spawn(self, root):
+        # Roots past 2**32 and 2**64 enter SeedSequence as two and three
+        # entropy words, which pushes the entropy past the 4-word pool.
+        _assert_streams_match_spawn(root, np.arange(40),
+                                    ("session",), ("kernel",))
+
+    def test_string_and_numpy_roots(self):
+        _assert_streams_match_spawn("titanic", np.arange(10), ("session",))
+        _assert_streams_match_spawn(np.int64(11), np.arange(10), (), ("x",))
+
+    @pytest.mark.parametrize("prefix,suffix", [
+        ((), ()),                       # two words: the pool is zero-padded
+        (("a",), ()),
+        ((), ("b", 4)),
+        (("x", ("run", 2)), ("y", "z")),  # seven words: folded past the pool
+    ])
+    def test_any_key_path_shape(self, prefix, suffix):
+        _assert_streams_match_spawn(3, np.arange(6), prefix, suffix)
+
+    def test_many_indices_including_wrapped_ones(self):
+        # spawn keeps an integer key's low 32 bits, negative ones too.
+        indices = np.concatenate([np.arange(0, 50_000, 997),
+                                  [2**32, 2**32 + 3, -1, -(2**31)]])
+        _assert_streams_match_spawn(5, indices, ("session",), ("kernel",))
+
+    def test_draws_equal_spawn_draws(self):
+        words = stream_seed_words(9, [0, 1, 2], prefix=("session",))
+        for i, row in enumerate(words):
+            np.testing.assert_array_equal(
+                generator_from_seed_words(row).random((2, 7)),
+                spawn(9, "session", i).random((2, 7)),
+            )
+
+    def test_empty_indices(self):
+        assert stream_seed_words(1, np.arange(0)).shape == (0, 4)
+
+    @pytest.mark.parametrize("root", [None, np.random.default_rng(0),
+                                      np.random.SeedSequence(0)])
+    def test_non_key_roots_rejected(self, root):
+        with pytest.raises(TypeError):
+            stream_seed_words(root, [0])
+
+    def test_negative_root_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            stream_seed_words(-1, [0])
+
+    def test_generator_needs_four_words(self):
+        with pytest.raises(ValueError, match="4 seed words"):
+            generator_from_seed_words(np.zeros(3, dtype=np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    root=st.one_of(st.integers(min_value=0, max_value=2**96),
+                   st.text(max_size=8)),
+    indices=st.lists(st.integers(min_value=-(2**40), max_value=2**40),
+                     min_size=1, max_size=8),
+    n_prefix=st.integers(min_value=0, max_value=3),
+    n_suffix=st.integers(min_value=0, max_value=2),
+)
+def test_seed_words_property(root, indices, n_prefix, n_suffix):
+    prefix = tuple(f"p{j}" for j in range(n_prefix))
+    suffix = tuple(range(n_suffix))
+    _assert_streams_match_spawn(root, np.array(indices), prefix, suffix)
