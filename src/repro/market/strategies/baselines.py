@@ -36,15 +36,31 @@ from repro.market.termination import (
 from repro.utils.rng import as_generator
 from repro.utils.validation import require
 
-__all__ = ["IncreasePriceTaskParty", "RandomBundleDataParty"]
+__all__ = [
+    "BASE_STEP",
+    "CAP_STEP",
+    "RATE_STEP",
+    "IncreasePriceTaskParty",
+    "RandomBundleDataParty",
+]
+
+#: Increase Price's per-round multiplicative step bounds: each
+#: continuation scales ``p`` by ``1 + U(0, RATE_STEP)``, ``P0`` by
+#: ``1 + U(0, BASE_STEP)`` and ``Ph`` by ``1 + U(0, CAP_STEP)``.  The
+#: population kernel (:mod:`repro.simulate.kernel`) reads the same
+#: constants for the sessions it plays with this rule.
+RATE_STEP = 0.020
+BASE_STEP = 0.006
+CAP_STEP = 0.007
 
 
 class IncreasePriceTaskParty(TaskStrategy):
     """Arbitrary price escalation without the Eq. 5 structure.
 
-    Each continuation multiplies ``p`` and ``P0`` by ``1 + U(0, rate_step)``
-    and ``Ph`` by ``1 + U(0, cap_step)``, clipped to the utility rate
-    and budget.  The rate grows relatively faster than the cap, so the
+    Each continuation multiplies ``p`` by ``1 + U(0, rate_step)``,
+    ``P0`` by ``1 + U(0, base_step)`` and ``Ph`` by ``1 + U(0, cap_step)``
+    (three draws, in that order), clipped to half the utility rate and
+    the budget.  The rate grows relatively faster than the cap, so the
     turning point drifts downward and the game does terminate — just
     later and at a worse price than the strategic variant.
     """
@@ -54,9 +70,9 @@ class IncreasePriceTaskParty(TaskStrategy):
         config: MarketConfig,
         known_gains: list[float],
         *,
-        rate_step: float = 0.020,
-        cap_step: float = 0.007,
-        base_step: float = 0.006,
+        rate_step: float = RATE_STEP,
+        cap_step: float = CAP_STEP,
+        base_step: float = BASE_STEP,
         rng: object = None,
     ):
         require(bool(known_gains), "perfect information requires the gain catalogue")

@@ -8,7 +8,8 @@ the workload a production feature market actually serves.  Layered as:
   session specs (buyer economics, reserved prices, strategy/cost mix)
   from preset-anchored distributions;
 * :mod:`~repro.simulate.kernel` — the vectorised batch kernel for
-  strategic-vs-strategic sessions;
+  sessions against the strategic data party (strategic or
+  Increase-Price task party);
 * :mod:`~repro.simulate.pool` — the :class:`SessionPool` scheduler
   advancing every session round-by-round (batch kernel + stepwise
   :meth:`~repro.market.engine.BargainingEngine.step` fallback);

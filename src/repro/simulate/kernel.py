@@ -1,42 +1,57 @@
-"""Vectorised round kernel for strategic-vs-strategic sessions.
+"""Vectorised round kernel for perfect-information sessions.
 
 This is the batch-scheduling fast path of the simulator: it advances a
-whole batch of perfect-information strategic sessions one round at a
-time with numpy array operations, instead of paying the per-round
-Python costs of :class:`~repro.market.engine.BargainingEngine` (which
-scores ~``n_price_samples`` candidate quotes per round in Python).
+whole batch of sessions one round at a time with numpy array
+operations, instead of paying the per-round Python costs of
+:class:`~repro.market.engine.BargainingEngine`.  Every session plays
+the strategic data party (Eq. 4 offers, Cases 1-3, the Eq. 6 cost-aware
+acceptance) and the shared Case-4/5 task-party checks; the task party's
+escalation rule is per session (``StrategicBatch.increase_price``):
 
-The kernel implements exactly the same decision rules as the scalar
-strategies — Eq. 4 offer selection, Cases 1-6 termination, the Eq. 6/7
-cost-aware acceptances, Algorithm 1's escalated candidate sampling with
-min-cap selection — and the same sampling *distributions*, but consumes
-each session's RNG stream in a different order (array draws instead of
-interleaved scalar draws), so individual sessions are statistically,
-not bitwise, equivalent to ``BargainingEngine.run()``
-(``tests/simulate/test_pool.py`` pins the aggregate agreement).
+* **strategic** rows add the Eq. 7 acceptance and Algorithm 1's
+  escalated candidate sampling with min-cap selection.  They keep the
+  same sampling *distributions* as the engine but consume their RNG
+  stream in a different order (array draws instead of interleaved
+  scalar draws), so they are statistically, not bitwise, equivalent to
+  ``BargainingEngine.run()`` (``tests/simulate/test_pool.py`` pins the
+  aggregate agreement);
+* **Increase-Price** rows (§4.2's baseline,
+  :class:`~repro.market.strategies.baselines.IncreasePriceTaskParty`)
+  have no Eq. 7 and escalate by the strategy's multiplicative steps
+  (the module-level ``RATE_STEP``/``BASE_STEP``/``CAP_STEP``), clipped
+  to ``u/2`` and the budget, accepting once the price box saturates.
+  They read the engine's own stream, three doubles per continuation in
+  the engine's order (rate, base, cap), and compute exponential costs
+  with Python ``float ** int`` as the engine does (numpy's ``**`` can
+  round one ulp differently), so each such session is draw-for-draw
+  identical to ``population.build_engine(i).run()``
+  (``tests/simulate/test_kernel_baselines.py``).
 
 Determinism contract: every random draw comes from the session's own
-``spawn(seed, "session", i, "kernel")`` stream, consumed in round
-order — results are therefore independent of how sessions are grouped
-into batches (pinned by ``tests/simulate/test_determinism.py``).  A
-batch carries each stream as its four PCG64 seed words
-(:func:`~repro.utils.rng.stream_seed_words`, computed for the whole
-batch in one pass), and every kernel call builds fresh generators from
-them, so a batch can be run again, or concatenated with itself, and
-gives the same records each time.
+stream — ``spawn(seed, "session", i, "kernel")`` for strategic rows,
+``spawn(seed, "session", i, "task")`` for Increase-Price rows —
+consumed in round order, so results are independent of how sessions
+are grouped into batches (pinned by
+``tests/simulate/test_determinism.py``).  A batch carries each stream
+as its four PCG64 seed words (:func:`~repro.utils.rng.stream_seed_words`,
+computed for the whole batch in one pass), and every kernel call builds
+fresh generators from them, so a batch can be run again, or
+concatenated with itself, and gives the same records each time.
 
 Case-6 candidate sampling costs a fixed number of numpy calls per
 round plus a few calls per session per run:
 
 * a session's generator is built the first time it reaches Case 6,
   so a session that ends before sampling never builds one;
-* each session reads its ``(2, n_price_samples)`` candidate draws from
-  a per-session tape of up to ``_TAPE_ROUNDS`` rounds, refilled with
-  one ``random`` call per block of 1, 2, 4, ... rounds.  ``random``
-  fills in C order, so round ``r`` of the tape holds exactly the
-  doubles of the ``r``-th ``random((2, n_price_samples))`` call.
-  Drawing past a session's last round is unobservable: its generator
-  lives only for one kernel call;
+* each session reads its ``(2, n_price_samples)`` candidate draws
+  (an Increase-Price session: its three step draws) from a per-session
+  tape of up to ``_TAPE_ROUNDS`` rounds, refilled with one ``random``
+  call per block of 1, 2, 4, ... rounds.  ``random`` fills in C order,
+  so round ``r`` of the tape holds exactly the doubles of the ``r``-th
+  ``random((2, n_price_samples))`` call (of the ``r``-th continuation's
+  three ``uniform(0, step)`` calls, each ``step * random()``).  Drawing
+  past a session's last round is unobservable: its generator lives
+  only for one kernel call;
 * the min-cap pick takes the unmasked ``argmin`` of the candidate caps
   and checks validity for the picked candidate only.  When the first
   index of the global minimum is valid it is also the first index of
@@ -67,6 +82,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.market.strategies.baselines import BASE_STEP, CAP_STEP, RATE_STEP
 from repro.utils.rng import generator_from_seed_words, stream_seed_words
 
 __all__ = [
@@ -105,12 +121,16 @@ _TAPE_BYTES = 64 << 20
 
 @dataclass
 class StrategicBatch:
-    """One externally-assembled batch of strategic/strategic sessions.
+    """One externally-assembled batch of sessions against the strategic
+    data party.
 
     Parallel arrays over ``n`` sessions; the catalogue axis ``F`` may
     mix real columns with ``+inf`` padding (heterogeneous batches).
-    ``seed_words`` holds each session's RNG stream as PCG64 seed words;
-    the kernel builds generators from them afresh on every run.
+    ``increase_price`` selects each session's escalation rule (Increase
+    Price where set, Algorithm 1 elsewhere).  ``seed_words`` holds each
+    session's RNG stream as PCG64 seed words — the ``"kernel"`` stream
+    for strategic rows, the engine's ``"task"`` stream for Increase-Price
+    rows; the kernel builds generators from them afresh on every run.
     """
 
     gains: np.ndarray          # (n, F) shared/padded catalogues
@@ -129,6 +149,7 @@ class StrategicBatch:
     cost_a: np.ndarray
     n_price_samples: np.ndarray  # (n,) int
     max_rounds: np.ndarray       # (n,) int
+    increase_price: np.ndarray   # (n,) bool
     seed_words: np.ndarray       # (n, 4) uint64
 
     def __post_init__(self) -> None:
@@ -159,6 +180,16 @@ def assemble_strategic_batch(population, indices: np.ndarray) -> StrategicBatch:
     g = np.ascontiguousarray(
         np.broadcast_to(population.gains[None, :], (n, len(population.gains)))
     )
+    by_mix = np.array([task == "increase_price" for task, _, _ in spec.strategy_mix])
+    increase_price = by_mix[population.mix_idx[indices]]
+    seed_words = stream_seed_words(
+        population.seed, indices, prefix=("session",), suffix=("kernel",)
+    )
+    if increase_price.any():  # these rows read the engine's own stream
+        seed_words[increase_price] = stream_seed_words(
+            population.seed, indices[increase_price], prefix=("session",),
+            suffix=("task",),
+        )
     return StrategicBatch(
         gains=g,
         reserved_rate=population.reserved_rate[indices],
@@ -176,9 +207,8 @@ def assemble_strategic_batch(population, indices: np.ndarray) -> StrategicBatch:
         cost_a=population.cost_a[indices],
         n_price_samples=np.full(n, int(spec.n_price_samples), dtype=int),
         max_rounds=np.full(n, int(spec.max_rounds), dtype=int),
-        seed_words=stream_seed_words(
-            population.seed, indices, prefix=("session",), suffix=("kernel",)
-        ),
+        increase_price=increase_price,
+        seed_words=seed_words,
     )
 
 
@@ -222,12 +252,19 @@ def concat_strategic_batches(batches) -> StrategicBatch:
         cost_a=np.concatenate([b.cost_a for b in batches]),
         n_price_samples=np.concatenate([b.n_price_samples for b in batches]),
         max_rounds=np.concatenate([b.max_rounds for b in batches]),
+        increase_price=np.concatenate([b.increase_price for b in batches]),
         seed_words=np.concatenate([b.seed_words for b in batches]),
     )
 
 
-def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int) -> np.ndarray:
-    """Cumulative bargaining cost per session after ``round_number``."""
+def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int,
+             scalar_pow: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative bargaining cost per session after ``round_number``.
+
+    ``scalar_pow`` marks exponential rows computed as Python
+    ``float ** int``, the engine's :class:`~repro.market.costs.ExponentialCost`
+    arithmetic; numpy's ``**`` can round those one ulp differently.
+    """
     cost = np.zeros(len(kind))
     mask = kind == _COST_CONSTANT
     cost[mask] = a[mask]
@@ -235,6 +272,8 @@ def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int) -> np.ndarray:
     cost[mask] = a[mask] * round_number
     mask = kind == _COST_EXPONENTIAL
     cost[mask] = a[mask] ** round_number
+    if scalar_pow is not None and scalar_pow.any():
+        cost[scalar_pow] = [x**round_number for x in a[scalar_pow].tolist()]
     return cost
 
 
@@ -260,7 +299,8 @@ def _masked_min_cap(caps, cl, ns_rows, u, b0, p0, target):
 
 
 def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.ndarray]:
-    """Run the sessions in ``indices`` (all strategic/strategic) to
+    """Run the sessions in ``indices`` (all kernel-eligible, see
+    :meth:`~repro.simulate.population.Population.kernel_eligible`) to
     termination and return their terminal records as arrays.
 
     Convenience wrapper: :func:`assemble_strategic_batch` +
@@ -300,16 +340,49 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
     mr_max = int(mr.max())
     has_cost = cost_kind != _COST_NONE
     break_even = b0 / (u - p0)  # Case-4 bar, anchored to the opening quote
+    inc = batch.increase_price
+    any_inc = bool(inc.any())
+    eq7 = has_cost & ~inc  # Increase Price has no Eq. 7 acceptance
+    scalar_pow = inc & (cost_kind == _COST_EXPONENTIAL)
+    if not scalar_pow.any():
+        scalar_pow = None
 
     # Case-6 candidate tape: tape[s, r] holds the (2, W) draws of one
     # round for session s, filled in blocks and read at pos[s].
     W = int(ns.max())
     win = int(np.clip(_TAPE_BYTES // (n * 2 * W * 8), 1, _TAPE_ROUNDS))
     tape = np.zeros((n, win, 2, W))  # zero pages stay untouched until drawn
+    # Increase-Price rows keep their (rate, base, cap) draws per round
+    # in a tape of their own, behind the same positions and refills.
+    inc_tape = np.zeros((n, win, 3)) if any_inc else None
     gens: list = [None] * n
     pos = np.zeros(n, dtype=np.int64)
     filled = np.zeros(n, dtype=np.int64)
     block = np.ones(n, dtype=np.int64)
+
+    def tape_positions(sess: np.ndarray) -> np.ndarray:
+        """This round's tape slot for each of ``sess``; used-up tapes
+        are refilled with one ``random`` call per session."""
+        used_up = sess[pos[sess] == filled[sess]]
+        if used_up.size:
+            k_up = block[used_up]
+            for s, k in zip(used_up.tolist(), k_up.tolist()):
+                gen = gens[s]
+                if gen is None:
+                    gen = gens[s] = generator_from_seed_words(batch.seed_words[s])
+                k_s = int(ns[s])
+                if inc_tape is not None and inc[s]:
+                    gen.random(out=inc_tape[s, :k])
+                elif k_s == W:
+                    gen.random(out=tape[s, :k])
+                else:  # columns past n_price_samples stay 0.0
+                    tape[s, :k, :, :k_s] = gen.random((k, 2, k_s))
+            filled[used_up] = k_up
+            pos[used_up] = 0
+            block[used_up] = np.minimum(2 * k_up, win)
+        at_pos = pos[sess]
+        pos[sess] += 1
+        return at_pos
 
     # Standing quote per session (opens Eq.5-consistent at the target).
     rate = p0.copy()
@@ -356,8 +429,9 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
             break
         rate_l, base_l, cap_l = rate[live], base[live], cap[live]
         tp = (cap_l - base_l) / rate_l  # turning point (== target up to fp)
-        cost_r = _cost_at(cost_kind[live], cost_a[live], T)
-        cost_r1 = _cost_at(cost_kind[live], cost_a[live], T + 1)
+        pow_l = scalar_pow[live] if scalar_pow is not None else None
+        cost_r = _cost_at(cost_kind[live], cost_a[live], T, pow_l)
+        cost_r1 = _cost_at(cost_kind[live], cost_a[live], T + 1, pow_l)
 
         # --- Step 2: the data party reacts (Cases 1-3) -----------------
         afford = (res_rate[live] <= rate_l[:, None] + 1e-12) & (
@@ -431,38 +505,26 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
 
         fail_t = (gain < break_even[live]) & (gain < best_dom)  # Case 4
         accept_t = gain >= tp - eps_t[live]  # Case 5
-        costly = has_cost[live]
+        costly = eq7[live]
         if costly.any():  # Eq. 7 look-ahead acceptance
             lhs = u[live] * gain - (base_l + rate_l * gain) - cost_r
             rhs = u[live] * tp - cap_l - cost_r1 - eps_tc[live]
             accept_t |= costly & (lhs >= rhs)
         accept_t &= ~fail_t  # failure checked first, as in the engine
 
-        # Case 6: escalated Eq.5-consistent candidates, min-cap pick.
+        # Case 6, strategic rows: escalated Eq.5-consistent candidates,
+        # min-cap pick.
         running = ~fail_t & ~accept_t
+        if any_inc:
+            escalate = running & inc[live]
+            running &= ~escalate
         exhausted = running & (cap_l >= budget[live] - 1e-12)
         sample = running & ~exhausted
         rows = np.flatnonzero(sample)
         if rows.size:
             sess = live[rows]
             ns_rows = ns[sess]
-            used_up = sess[pos[sess] == filled[sess]]
-            if used_up.size:  # refill: one random() call per session
-                k_up = block[used_up]
-                for s, k in zip(used_up.tolist(), k_up.tolist()):
-                    gen = gens[s]
-                    if gen is None:
-                        gen = gens[s] = generator_from_seed_words(batch.seed_words[s])
-                    k_s = int(ns[s])
-                    if k_s == W:
-                        gen.random(out=tape[s, :k])
-                    else:  # columns past n_price_samples stay 0.0
-                        tape[s, :k, :, :k_s] = gen.random((k, 2, k_s))
-                filled[used_up] = k_up
-                pos[used_up] = 0
-                block[used_up] = np.minimum(2 * k_up, win)
-            at_pos = pos[sess]
-            pos[sess] += 1
+            at_pos = tape_positions(sess)
             cl = cap_l[rows]
             # cl + (budget - cl) * draw, in place on the gathered draws
             caps = tape[sess, at_pos, 0]
@@ -489,6 +551,27 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
             cap[ok] = new_cap
             rate[ok] = new_rate
             base[ok] = new_cap - new_rate * target[ok]
+
+        # Case 6, Increase Price: the engine's multiplicative steps.
+        if any_inc and escalate.any():
+            rows = np.flatnonzero(escalate)
+            sess = live[rows]
+            draws = inc_tape[sess, tape_positions(sess)]  # rate, base, cap
+            r_l, b_l, c_l = rate_l[rows], base_l[rows], cap_l[rows]
+            new_rate = np.minimum(r_l * (1.0 + RATE_STEP * draws[:, 0]),
+                                  u[sess] * 0.5)
+            new_base = b_l * (1.0 + BASE_STEP * draws[:, 1])
+            new_cap = np.minimum(c_l * (1.0 + CAP_STEP * draws[:, 2]),
+                                 budget[sess])
+            new_base = np.minimum(new_base, new_cap)
+            # A saturated price box has nothing left to concede: accept.
+            stuck = (new_rate <= r_l) & (new_base <= b_l) & (new_cap <= c_l)
+            exhausted[rows[stuck]] = True
+            moved = ~stuck
+            ok = sess[moved]
+            rate[ok] = new_rate[moved]
+            base[ok] = new_base[moved]
+            cap[ok] = new_cap[moved]
 
         accept_t |= exhausted
         if fail_t.any() or accept_t.any():

@@ -4,10 +4,14 @@
 splits a :class:`~repro.simulate.population.Population` into batches
 and advances every session round-by-round until termination:
 
-* strategic-vs-strategic sessions go through the vectorised batch
-  kernel (:mod:`repro.simulate.kernel`), which amortises the per-round
-  Python costs across the whole batch;
-* every other strategy mix runs on the stepwise
+* sessions against the strategic data party — with the strategic or
+  the ``increase_price`` task party, on a built-in cost schedule — go
+  through the vectorised batch kernel (:mod:`repro.simulate.kernel`),
+  which amortises the per-round Python costs across the whole batch
+  (Increase-Price sessions there are draw-for-draw identical to
+  :meth:`~repro.market.engine.BargainingEngine.run`);
+* every other strategy mix (``random_bundle``, ``imperfect``,
+  registered strategies or cost kinds) runs on the stepwise
   :meth:`~repro.market.engine.BargainingEngine.step` core, interleaved
   round-by-round within its batch, with platform queries deduplicated
   through a shared :class:`~repro.market.oracle.MemoisedOracle`.

@@ -218,14 +218,16 @@ class Population:
     def kernel_eligible(self) -> np.ndarray:
         """Boolean mask of sessions the vectorised kernel can advance.
 
-        The kernel implements the perfect-information strategic pair
-        over the built-in cost schedules; every other strategy
-        combination — and any session whose registered cost kind the
-        kernel has no code for — runs through the stepwise engine.
+        The kernel plays the strategic data party against either the
+        strategic or the ``increase_price`` task party, over the
+        built-in cost schedules; every other strategy combination
+        (``random_bundle``, ``imperfect``, registered strategies) — and
+        any session whose registered cost kind the kernel has no code
+        for — runs through the stepwise engine.
         """
         eligible = np.zeros(self.n_sessions, dtype=bool)
         for m, (task, data, _) in enumerate(self.spec.strategy_mix):
-            if task == "strategic" and data == "strategic":
+            if task in ("strategic", "increase_price") and data == "strategic":
                 eligible |= self.mix_idx == m
         return eligible & (self.cost_kind >= 0)
 

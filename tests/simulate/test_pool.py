@@ -88,8 +88,9 @@ class TestPoolScheduling:
         assert result.kernel_sessions == int(pop.kernel_eligible().sum())
 
     def test_memoised_oracle_dedupes_platform_queries(self):
+        # random_bundle sessions run on the stepwise engine path.
         spec = PopulationSpec(
-            strategy_mix=(("increase_price", "strategic", 1.0),),
+            strategy_mix=(("strategic", "random_bundle", 1.0),),
         )
         pop = sample_population(spec, 20, seed=16)
         result = SessionPool(pop, batch_size=8).run()
