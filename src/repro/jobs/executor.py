@@ -285,8 +285,6 @@ CHUNK_RUNNERS = {
     "batch": run_batch_chunk,
 }
 
-_CHUNK_RUNNERS = CHUNK_RUNNERS  # backward-compatible alias
-
 
 class ShardedExecutor:
     """Runs a stored job's pending chunks across worker-process shards.
@@ -339,7 +337,7 @@ class ShardedExecutor:
         are in.  Safe to call again after any interruption — finished
         chunks are never re-run."""
         record = self.store.get(job_id)
-        require(record.kind in _CHUNK_RUNNERS,
+        require(record.kind in CHUNK_RUNNERS,
                 f"unknown job kind {record.kind!r}")
         if record.finished:
             return record
@@ -347,7 +345,7 @@ class ShardedExecutor:
         self.store.set_status(job_id, "running")
         if pending:
             _CHUNK_EVENTS.inc(len(pending), kind=record.kind, event="queued")
-        runner = _CHUNK_RUNNERS[record.kind]
+        runner = CHUNK_RUNNERS[record.kind]
         try:
             interrupted = self._run_pending(job_id, record, runner, pending)
             if interrupted:

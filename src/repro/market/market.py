@@ -23,6 +23,7 @@ registered extensions plug into the facade with no changes here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from repro.market.oracle import PerformanceOracle, synthetic_gains
 from repro.market.pricing import ReservedPrice, cost_based_reserved_prices
 from repro.utils.rng import spawn
 from repro.utils.validation import require
+
+if TYPE_CHECKING:
+    from repro.oracle_factory.cache import DatasetRecipe
 
 __all__ = ["Market"]
 
@@ -53,7 +57,7 @@ class Market:
     reserved_prices: dict[FeatureBundle, ReservedPrice]
     config: MarketConfig
     name: str = "market"
-    dataset: PartitionedDataset | None = field(default=None, repr=False)
+    recipe: DatasetRecipe | None = field(default=None, repr=False)
     n_data_features: int = 0
 
     def __post_init__(self) -> None:
@@ -63,6 +67,16 @@ class Market:
             self.n_data_features = 1 + max(
                 max(b.indices) for b in self.oracle.bundles
             )
+
+    @property
+    def dataset(self) -> PartitionedDataset | None:
+        """The prepared rows (``None`` for catalogue-only markets).
+
+        Built on first read: bargaining needs only the oracle, so a
+        market whose gains came from the cache synthesises its rows
+        only for callers that read them (e.g. verification).
+        """
+        return None if self.recipe is None else self.recipe.dataset
 
     # ------------------------------------------------------------------
     # Construction
@@ -82,19 +96,26 @@ class Market:
         preset = entry.preset
         seed = spec.seed
         n_bundles = spec.n_bundles or preset.n_bundles
+        recipe = None
         if entry.synthetic:
             oracle = cls._synthetic_oracle(spec.dataset, entry, n_bundles, seed)
-            dataset = None
+            n_data_features = _SYNTHETIC_N_FEATURES
         else:
+            # Catalogue-only markets never load the oracle factory.
+            from repro.oracle_factory.cache import DatasetRecipe
             from repro.service.registry import BASE_MODELS
 
-            n_samples = (
-                preset.quick_n_samples if spec.quick else preset.full_n_samples
+            recipe = DatasetRecipe(
+                spec.dataset,
+                entry.loader,
+                seed=seed,
+                n_samples=(
+                    preset.quick_n_samples if spec.quick else preset.full_n_samples
+                ),
             )
-            raw = entry.loader(seed=seed)
-            dataset = raw.prepare(seed=seed, n_subsample=n_samples)
+            n_data_features = recipe.d_data
             catalogue = sample_bundles(
-                dataset.d_data,
+                n_data_features,
                 n_bundles,
                 rng=spawn(seed, spec.dataset, "bundles"),
                 min_size=1,
@@ -103,7 +124,7 @@ class Market:
             if spec.model_params:
                 params.update(spec.model_params)
             oracle = PerformanceOracle.build(
-                dataset,
+                recipe,
                 catalogue,
                 base_model=spec.base_model,
                 model_params=params,
@@ -146,9 +167,8 @@ class Market:
             name=f"{spec.dataset}/{spec.base_model}"
             if not entry.synthetic
             else spec.dataset,
-            dataset=dataset,
-            n_data_features=dataset.d_data if dataset is not None
-            else _SYNTHETIC_N_FEATURES,
+            recipe=recipe,
+            n_data_features=n_data_features,
         )
 
     @classmethod

@@ -13,12 +13,17 @@ builds an oracle from a plain ``bundle -> ΔG`` mapping without any VFL.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.data.partition import PartitionedDataset
 from repro.market.bundle import FeatureBundle
 from repro.utils.validation import require
 from repro.vfl.runner import isolated_performance, run_vfl
+
+if TYPE_CHECKING:
+    from repro.oracle_factory.cache import DatasetRecipe
 
 __all__ = [
     "MemoisedOracle",
@@ -89,7 +94,7 @@ class PerformanceOracle:
     @classmethod
     def build(
         cls,
-        dataset: PartitionedDataset,
+        dataset: PartitionedDataset | DatasetRecipe,
         bundles: list[FeatureBundle],
         *,
         base_model: str = "random_forest",

@@ -18,6 +18,25 @@ Any change to a key component changes the fingerprint and lands in a
 different file — that *is* the invalidation story.  Corrupted or
 incompatible files are treated as empty and rewritten.  Writes are
 atomic (temp file + ``os.replace``).
+
+**Recipe index.**  The fingerprint needs the data digest, and hashing
+rows means synthesising them — for ``adult`` that is ~90% of a warm
+market build.  The built-in generators are pure functions of their
+recipe, so ``recipes/<key>.json`` beside the course files maps a recipe
+to ``{"version", "digest"}``.  The key hashes the cache version, dataset
+name, :data:`repro.data.synthetic.GENERATOR_VERSION`, ``repr(seed)``,
+the prepared row count and ``numpy.__version__``; changing any of them
+misses the index, which then re-synthesises and rewrites the entry.  A
+:class:`DatasetRecipe` answers a warm build from the index without
+building a row; the data width it needs for the catalogue comes from
+the dataset's schema, never from the index.
+
+The content digest stays authoritative: before any course runs, the
+build hashes the real rows (:meth:`DatasetRecipe.verify`) and repairs
+an index entry that disagrees, so no course is ever stored under a
+digest its rows were not hashed to.  Only a registered dataset whose
+loader *is* the built-in generator of that name is indexed; every other
+loader's builds always hash the rows.
 """
 
 from __future__ import annotations
@@ -28,9 +47,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.data import synthetic
 from repro.data.partition import PartitionedDataset
 from repro.utils.canonical import content_digest
 
@@ -54,7 +75,14 @@ def _entry_lock(path: str):
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)
 
-__all__ = ["CacheStats", "GainCache", "dataset_digest", "default_cache_dir"]
+__all__ = [
+    "CacheStats",
+    "DatasetFacts",
+    "DatasetRecipe",
+    "GainCache",
+    "dataset_digest",
+    "default_cache_dir",
+]
 
 # v2: fingerprints hash the library-wide canonical JSON form
 # (repro.utils.canonical — compact separators), replacing the ad-hoc
@@ -101,6 +129,34 @@ def dataset_digest(dataset: PartitionedDataset) -> str:
     return h.hexdigest()
 
 
+class DatasetFacts(NamedTuple):
+    """What the gain-cache fingerprint needs to know of a dataset."""
+
+    name: str
+    digest: str
+
+    @classmethod
+    def of(cls, dataset: PartitionedDataset) -> "DatasetFacts":
+        """Facts read off materialised rows (hashes them)."""
+        return cls(dataset.name, dataset_digest(dataset))
+
+
+def _write_json_atomic(path: str, payload: dict) -> None:
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheStats:
     """Hit/miss accounting for one build."""
@@ -124,7 +180,7 @@ class GainCache:
     # ------------------------------------------------------------------
     @staticmethod
     def fingerprint(
-        dataset: PartitionedDataset,
+        dataset: PartitionedDataset | DatasetFacts,
         *,
         base_model: str,
         model_params: dict,
@@ -135,19 +191,39 @@ class GainCache:
         Hashed through the same :func:`repro.utils.canonical.content_digest`
         canonical form as the service layer's spec digests, so every
         content-addressed key in the stack shares one serialisation rule.
+        ``dataset`` may be its :class:`DatasetFacts` (a digest already
+        known, e.g. from the recipe index): the key is the same.
         """
+        if not isinstance(dataset, DatasetFacts):
+            dataset = DatasetFacts.of(dataset)
         key = {
             "version": _CACHE_VERSION,
             "dataset": dataset.name,
-            "digest": dataset_digest(dataset),
+            "digest": dataset.digest,
             "base_model": base_model,
             "model_params": {k: model_params[k] for k in sorted(model_params)},
             "seed": repr(seed),
         }
         return content_digest(key, length=64)
 
+    @staticmethod
+    def recipe_key(name: str, *, seed: object, n_samples: int | None) -> str:
+        """Recipe-index key of a built-in dataset (see the module notes)."""
+        key = {
+            "version": _CACHE_VERSION,
+            "dataset": name,
+            "generator": synthetic.GENERATOR_VERSION,
+            "seed": repr(seed),
+            "n_samples": n_samples,
+            "numpy": np.__version__,
+        }
+        return content_digest(key, length=64)
+
     def _path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, fingerprint[:2], f"{fingerprint}.json")
+
+    def _recipe_path(self, key: str) -> str:
+        return os.path.join(self.directory, "recipes", f"{key}.json")
 
     # ------------------------------------------------------------------
     # IO
@@ -207,17 +283,96 @@ class GainCache:
             "isolated": merged_isolated,
             "bundles": merged_bundles,
         }
-        path = self._path(fingerprint)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
-        )
+        _write_json_atomic(self._path(fingerprint), entry)
+
+    def lookup_recipe(self, key: str) -> str | None:
+        """The dataset digest indexed under recipe ``key``, or ``None``.
+
+        A missing, unreadable or malformed entry is a miss: the caller
+        re-synthesises and :meth:`store_recipe` rewrites it.
+        """
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            with open(self._recipe_path(key), encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            return None
+        if not isinstance(entry, dict) or entry.get("version") != _CACHE_VERSION:
+            return None
+        digest = entry.get("digest")
+        if not isinstance(digest, str) or len(digest) != 64:
+            return None
+        return digest
+
+    def store_recipe(self, key: str, digest: str) -> None:
+        """Atomically record the digest of what recipe ``key`` synthesises."""
+        path = self._recipe_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _write_json_atomic(path, {"version": _CACHE_VERSION, "digest": digest})
+
+
+@dataclass(eq=False)
+class DatasetRecipe:
+    """A prepared dataset named by how it is made; rows are built on demand.
+
+    ``loader(seed=seed)`` synthesises the raw table and ``prepare`` keeps
+    ``n_samples`` rows of it (all when ``None``).  When ``loader`` is the
+    built-in generator registered under ``name`` — the only rows
+    :data:`repro.data.synthetic.GENERATOR_VERSION` vouches for — the
+    recipe is indexed: its width comes from the schema and
+    :meth:`describe` answers from the gain cache's recipe index, neither
+    synthesising a row.  Two threads reading :attr:`dataset` at once may
+    both build it; the rows are identical, so either result serves.
+    """
+
+    name: str
+    loader: Callable | None
+    seed: object = 0
+    n_samples: int | None = None
+    _dataset: PartitionedDataset | None = field(default=None, repr=False)
+    _digest: str | None = field(default=None, repr=False)
+    _width: int | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._width = synthetic.builtin_data_width(self.name, self.loader)
+
+    @classmethod
+    def of(cls, dataset: PartitionedDataset) -> "DatasetRecipe":
+        """Already materialised rows (the content path, never indexed)."""
+        return cls(dataset.name, None, _dataset=dataset)
+
+    @property
+    def dataset(self) -> PartitionedDataset:
+        """The prepared rows, synthesised on first read."""
+        if self._dataset is None:
+            assert self.loader is not None  # of() always sets _dataset
+            raw = self.loader(seed=self.seed)
+            self._dataset = raw.prepare(seed=self.seed, n_subsample=self.n_samples)
+        return self._dataset
+
+    @property
+    def d_data(self) -> int:
+        """Data-party width: the schema's when indexed, else the rows'."""
+        return self._width if self._width is not None else self.dataset.d_data
+
+    def _key(self) -> str:
+        return GainCache.recipe_key(
+            self.name, seed=self.seed, n_samples=self.n_samples
+        )
+
+    def describe(self, cache: GainCache | None) -> DatasetFacts:
+        """The dataset's facts: indexed when known, else hashed from rows."""
+        if self._digest is None and self._width is not None and cache is not None:
+            digest = cache.lookup_recipe(self._key())
+            if digest is not None:
+                return DatasetFacts(self.name, digest)
+        return self.verify(cache)
+
+    def verify(self, cache: GainCache | None) -> DatasetFacts:
+        """Facts hashed from the real rows; the index is made to agree."""
+        if self._digest is None:
+            self._digest = dataset_digest(self.dataset)
+            if self._width is not None and cache is not None:
+                key = self._key()
+                if cache.lookup_recipe(key) != self._digest:
+                    cache.store_recipe(key, self._digest)
+        return DatasetFacts(self.name, self._digest)

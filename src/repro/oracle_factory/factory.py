@@ -31,7 +31,7 @@ from repro import obs
 from repro.data.partition import PartitionedDataset
 from repro.market.bundle import FeatureBundle
 from repro.market.oracle import PerformanceOracle, repeat_course_seeds
-from repro.oracle_factory.cache import CacheStats, GainCache
+from repro.oracle_factory.cache import CacheStats, DatasetRecipe, GainCache
 from repro.oracle_factory.course import FastForestCourse
 from repro.oracle_factory.designs import SharedDesigns
 from repro.utils.rng import spawn
@@ -213,8 +213,21 @@ def _worker_courses(job: tuple[tuple[int, ...], list[int]]):
     return bundle, values, time.perf_counter() - start
 
 
+def _label(key: tuple[int, ...]) -> str:
+    return ",".join(str(i) for i in key)
+
+
+def _complete(entry: dict, bundles: list[FeatureBundle], n_repeats: int) -> bool:
+    """Whether ``entry`` holds every course of the build (nothing to run)."""
+    repeats = [str(r) for r in range(n_repeats)]
+    stored = [entry["isolated"]] + [
+        entry["bundles"].get(_label(b.indices), {}) for b in bundles
+    ]
+    return all(r in courses for courses in stored for r in repeats)
+
+
 def build_oracle(
-    dataset: PartitionedDataset,
+    dataset: PartitionedDataset | DatasetRecipe,
     bundles: list[FeatureBundle],
     *,
     base_model: str = "random_forest",
@@ -234,6 +247,11 @@ def build_oracle(
     cache:
         A :class:`GainCache`, a cache directory path, or ``None`` to
         disable persistence.  Cached courses are never re-run.
+
+    ``dataset`` may be a :class:`DatasetRecipe`: a fully cached build
+    then takes its digest from the recipe index and never builds a row.
+    A build with courses to run hashes the real rows first and keys the
+    cache by that digest.
     """
     require(bool(bundles), "oracle needs at least one bundle")
     require(n_repeats >= 1, "n_repeats must be >= 1")
@@ -247,20 +265,34 @@ def build_oracle(
     if isinstance(cache, str):
         cache = GainCache(cache)
     stats = CacheStats() if cache is not None else None
+    source = (
+        dataset if isinstance(dataset, DatasetRecipe) else DatasetRecipe.of(dataset)
+    )
     entry = None
     fingerprint = None
     if cache is not None:
+        facts = source.describe(cache)
         fingerprint = cache.fingerprint(
-            dataset, base_model=base_model, model_params=params, seed=seed
+            facts, base_model=base_model, model_params=params, seed=seed
         )
         entry = cache.load(fingerprint)
+        if not _complete(entry, bundles, n_repeats):
+            # Courses will run and be stored: key them by the rows' own
+            # digest, never by an index entry that may be stale.
+            verified = source.verify(cache)
+            if verified != facts:
+                fingerprint = cache.fingerprint(
+                    verified, base_model=base_model, model_params=params,
+                    seed=seed,
+                )
+                entry = cache.load(fingerprint)
 
     runner: CourseRunner | None = None
 
     def get_runner() -> CourseRunner:
         nonlocal runner
         if runner is None:
-            runner = CourseRunner(dataset, base_model, params, seeds)
+            runner = CourseRunner(source.dataset, base_model, params, seeds)
         return runner
 
     report = BuildReport(
@@ -275,7 +307,7 @@ def build_oracle(
     # mid-build loses only in-flight courses — never finished ones.
     def record(key: tuple[int, ...], values: dict[int, float], secs: float) -> None:
         joint[key].update(values)
-        label = ",".join(str(i) for i in key)
+        label = _label(key)
         report.bundle_seconds[label] = secs
         report.courses_run += len(values)
         if entry is not None:
@@ -306,7 +338,7 @@ def build_oracle(
         todo: list[tuple[tuple[int, ...], list[int]]] = []
         for bundle in bundles:
             key = bundle.indices
-            label = ",".join(str(i) for i in key)
+            label = _label(key)
             cached_repeats = (
                 entry["bundles"].get(label, {}) if entry is not None else {}
             )
@@ -333,7 +365,7 @@ def build_oracle(
                 with ProcessPoolExecutor(
                     max_workers=min(jobs, len(todo)),
                     initializer=_worker_init,
-                    initargs=(dataset, base_model, params, seeds),
+                    initargs=(source.dataset, base_model, params, seeds),
                 ) as pool:
                     for key, values, secs in pool.map(_worker_courses, todo):
                         record(key, values, secs)

@@ -153,12 +153,17 @@ class Registry(Generic[T]):
 class DatasetEntry:
     """One tradable dataset: loader + market calibration.
 
-    ``loader(n_samples=None, *, seed=0) -> RawDataset`` synthesises (or
-    fetches) the raw table; ``preset`` calibrates the market built on
-    it; ``gain_scale`` anchors the population simulator's synthetic
-    catalogues for this dataset's preset.  ``synthetic=True`` marks
-    catalogue-only entries that stand up a market without any VFL
-    machinery (no loader).
+    ``loader(n_samples=N, *, seed=0) -> RawDataset`` synthesises (or
+    fetches) ``N`` raw rows.  Markets call it as ``loader(seed=seed)``,
+    so the default of ``n_samples`` must yield the whole table; the
+    preset's ``quick_n_samples``/``full_n_samples`` then subsample it.
+    The built-ins default to their paper row counts (891 / 30,000 /
+    48,842) and take an ``int`` only: ``n_samples=None`` is not "all
+    rows" for them.
+    ``preset`` calibrates the market built on it; ``gain_scale``
+    anchors the population simulator's synthetic catalogues for this
+    dataset's preset.  ``synthetic=True`` marks catalogue-only entries
+    that stand up a market without any VFL machinery (no loader).
     """
 
     name: str
