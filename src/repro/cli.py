@@ -58,8 +58,8 @@ Examples
     python -m repro simulate --sessions 5000 --server http://localhost:8765
     python -m repro bargain --runs 3 --server http://localhost:8765
     python -m repro jobs run --sessions 20000 --shards 4 --store sweeps.sqlite3
-    python -m repro jobs run --sessions 20000 --workers http://a:8765,http://b:8765
     python -m repro jobs run --sessions 20000 --server http://localhost:8765
+    python -m repro jobs run --sessions 20000 --fleet --store sweeps.sqlite3
     python -m repro jobs resume j0123abcd4567ef89 --store sweeps.sqlite3
     python -m repro serve --port 8765
     python -m repro simulate --sessions 120 --trace sim-trace.ndjson
@@ -253,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="worker-process shards (default 2; 0 = all "
                                  "cores; the merged report is identical for "
                                  "every value)")
-        parser.add_argument("--workers", default=None, metavar="URLS",
-                            help="comma-separated `repro serve` worker URLs: "
-                                 "ship chunks to these hosts over /v1/chunks "
-                                 "instead of local processes (the merged "
-                                 "report is still identical)")
         parser.add_argument("--fleet", action="store_true",
                             help="run through the fleet lease queue: joined "
                                  "workers (`repro serve --join`) pull the "
@@ -695,22 +690,9 @@ def _cmd_jobs_remote(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.jobs import RemoteShardExecutor, ShardedExecutor
+    from repro.jobs import ShardedExecutor
 
-    workers = getattr(args, "workers", None)
     fleet = getattr(args, "fleet", False)
-    if args.server and workers:
-        raise SystemExit(
-            "--server and --workers are mutually exclusive: --server runs "
-            "the job on that deployment's own store, --workers fans this "
-            "process's job across remote chunk executors"
-        )
-    if workers and fleet:
-        raise SystemExit(
-            "--workers and --fleet are mutually exclusive: --workers "
-            "pushes chunks to a static host list, --fleet lets joined "
-            "workers pull them from the lease queue"
-        )
     if args.server:
         return _cmd_jobs_remote(args)
 
@@ -739,10 +721,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         from repro.fleet import FleetExecutor
 
         executor = FleetExecutor(store, max_chunks=args.max_chunks)
-    elif workers:
-        executor = RemoteShardExecutor(
-            store, workers.split(","), max_chunks=args.max_chunks
-        )
     else:
         executor = ShardedExecutor(
             store, shards=args.shards, max_chunks=args.max_chunks
@@ -750,9 +728,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     if args.jobs_command == "run":
         spec = _simulation_spec(args)
         record = executor.submit(spec, chunks=args.chunks)
-        where = ("fleet queue" if fleet
-                 else f"workers {workers}" if workers
-                 else f"{args.shards or 'all'} shards")
+        where = "fleet queue" if fleet else f"{args.shards or 'all'} shards"
         print(f"submitted job {record.job_id} "
               f"({record.n_chunks} chunks, {where}, "
               f"store {store.path})")

@@ -254,14 +254,6 @@ class MarketplaceClient:
             f"job {job_id} did not reach a terminal status in {timeout}s"
         )
 
-    def run_chunk(self, kind: str, spec: dict, start: int, stop: int) -> dict:
-        """``POST /v1/chunks`` — execute one job chunk (worker protocol)."""
-        return self._call(
-            "POST", "/v1/chunks",
-            body={"kind": kind, "spec": spec,
-                  "start": int(start), "stop": int(stop)},
-        )
-
     # ------------------------------------------------------------------
     # The fleet protocol (worker side of the lease queue)
     # ------------------------------------------------------------------

@@ -121,9 +121,9 @@ class HttpTransport(Transport):
         self.retries = int(retries)
         self.backoff = float(backoff)
         self._local = threading.local()
-        # Every live connection, whichever thread dialled it: close()
-        # may run on a different thread than the requests did (the
-        # RemoteShardExecutor pattern), and must still release sockets.
+        # Every live connection, whichever thread dialled it: a client
+        # shared by several threads is closed by one of them, and must
+        # still release every thread's socket.
         self._conn_lock = threading.Lock()
         self._conns: set = set()
 
@@ -172,9 +172,8 @@ class HttpTransport(Transport):
         for conn in conns:
             # close() alone does not wake a peer thread blocked in
             # recv() on this socket (the fd stays referenced until the
-            # read returns); shutdown() interrupts it immediately, which
-            # is what lets RemoteShardExecutor abandon a hung worker
-            # without waiting out the socket timeout.
+            # read returns); shutdown() interrupts it immediately, so
+            # closing never waits out another thread's socket timeout.
             sock = getattr(conn, "sock", None)
             if sock is not None:
                 try:

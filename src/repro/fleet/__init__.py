@@ -1,14 +1,12 @@
 """The elastic worker fleet: registration, heartbeats, work stealing.
 
-PR 5's :class:`~repro.jobs.remote.RemoteShardExecutor` drives a
-*static* ``--workers`` list and pushes chunks at it; this package
-inverts the arrow into the deployment shape of real federated
-platforms.  Workers announce themselves to a coordinator (``POST
-/v1/workers``), heartbeat with their current load, and *pull* chunks
-from a shared lease-based queue — so a heterogeneous fleet
-load-balances itself (work stealing), a late joiner immediately picks
-up pending chunks, and a dead or hung worker's lease expires back into
-the queue instead of stranding the sweep.
+The only way a job's chunks run on other hosts.  Workers announce
+themselves to a coordinator (``POST /v1/workers``), heartbeat with
+their current load, and *pull* chunks from a shared lease-based
+queue — so a heterogeneous fleet load-balances itself (work
+stealing), a late joiner immediately picks up pending chunks, and a
+dead or hung worker's lease expires back into the queue instead of
+stranding the sweep.
 
 Three pieces:
 

@@ -114,8 +114,8 @@ class FleetAgent:
         self._registered = threading.Event()
         self._threads: list[threading.Thread] = []
         # Chunks currently executing in this process: the same family
-        # `_post_chunk` and `GET /v1/healthz` read, so an agent's
-        # heartbeat load and an external probe agree by construction.
+        # `GET /v1/healthz` reads, so an agent's heartbeat load and an
+        # external probe agree by construction.
         self._running = obs.REGISTRY.gauge(
             "repro_job_chunks_running",
             "Job chunks currently executing in this process.",
@@ -234,10 +234,12 @@ class FleetAgent:
         assert isinstance(spec, dict)
         error: str | None = None
         payload: dict[str, object] = {}
+        chunk_ctx: obs.SpanContext | None = None
         self._running.add(1)
         try:
             with obs.span(f"fleet-chunk:{kind}", kind=kind, job=job,
                           chunk=chunk, start=start, stop=stop):
+                chunk_ctx = obs.current()
                 payload = CHUNK_RUNNERS[kind](spec, start, stop)
         except Exception as exc:
             error = repr(exc)
@@ -247,7 +249,14 @@ class FleetAgent:
             # Heterogeneous-fleet knob: model a slower worker by
             # stretching its per-chunk service time.
             self._stop.wait(self.throttle)
-        self._report(client, job, chunk, payload, error)
+        # Deliver under the chunk span's context, so the completion POST
+        # and the coordinator's handling of it join the chunk's trace;
+        # the span itself has ended and still times the chunk alone.
+        token = obs.attach(chunk_ctx)
+        try:
+            self._report(client, job, chunk, payload, error)
+        finally:
+            obs.detach(token)
 
     def _report(self, client: MarketplaceClient, job: str, chunk: int,
                 payload: dict[str, object], error: str | None) -> None:

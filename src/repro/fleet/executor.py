@@ -1,15 +1,15 @@
 """The coordinator's executor for fleet-run jobs.
 
-:class:`FleetExecutor` is the third sibling of
+:class:`FleetExecutor` is the remote sibling of
 :class:`~repro.jobs.executor.ShardedExecutor` (local process pool) and
-:class:`~repro.jobs.remote.RemoteShardExecutor` (push to a static
-worker list): it runs *no* chunks itself.  The job's pending chunks sit
-in the store as a lease queue; registered workers pull, execute and
-complete them through the ``/v1/workers`` routes; this executor marks
-the job running, keeps lease/heartbeat liveness swept while it waits,
-and performs the same deterministic merge as every other executor once
-the queue drains — so the merged report is bit-identical to the
-single-process path for any join/leave/kill interleaving.
+the only way a job's chunks leave the process: it runs *no* chunks
+itself.  The job's pending chunks sit in the store as a lease queue;
+registered workers pull, execute and complete them through the
+``/v1/workers`` routes; this executor marks the job running, keeps
+lease/heartbeat liveness swept while it waits, and performs the same
+deterministic merge as the local executor once the queue drains — so
+the merged report is bit-identical to the single-process path for any
+join/leave/kill interleaving.
 
 Because all coordination state is durable, the executor itself is
 disposable: kill -9 the coordinator mid-sweep and a fresh
@@ -75,12 +75,11 @@ class FleetExecutor(ShardedExecutor):
         self,
         job_id: str,
         record: JobRecord,
-        runner: object,
         pending: list[tuple[int, int, int]],
     ) -> bool:
         """Wait for the fleet to drain the queue; True if stopped early.
 
-        ``runner`` is unused — workers resolve ``record.kind`` against
+        Workers resolve ``record.kind`` against
         :data:`~repro.jobs.executor.CHUNK_RUNNERS` on their own side.
         """
         budget = len(pending) if self.max_chunks is None else self.max_chunks

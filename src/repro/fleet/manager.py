@@ -40,7 +40,10 @@ _WORKERS = obs.REGISTRY.gauge(
 #: Lease lifecycle: ``granted`` on every successful pull, ``completed``
 #: when the result lands, ``expired`` when a deadline passes or the
 #: holder is lost, ``duplicate`` when a stolen chunk's original holder
-#: completes late (harmless: chunk payloads are deterministic).
+#: completes late (harmless: chunk payloads are deterministic),
+#: ``failed`` when the holder reports that its chunk raised, and
+#: ``stale`` when such a report comes from a worker that no longer
+#: holds the chunk (ignored).
 _LEASE_EVENTS = obs.REGISTRY.counter(
     "repro_fleet_leases_total",
     "Chunk lease lifecycle events.",
@@ -187,18 +190,20 @@ class FleetManager:
     ) -> dict[str, object]:
         """A chunk *raised* on its worker: fail the job, free the lease.
 
-        Mirrors the push executors' contract — a worker crash is
-        retried (lease expiry), but an error *reply* fails the job,
-        because a bad spec raises identically everywhere.
+        As with a local shard exception, an error *reply* fails the
+        job, because a bad spec raises identically everywhere; a
+        worker crash, by contrast, is retried (lease expiry).  A report
+        from a worker that no longer holds the chunk's active lease, or
+        about a chunk already done, is stale: like a duplicate
+        completion it is counted and otherwise ignored.
         """
-        self.store.release_lease(job_id, int(chunk_index), "expired")
-        self.store.set_status(
-            job_id, "failed",
-            error=f"chunk {int(chunk_index)} on {worker_id}: {error}",
+        failed = self.store.fail_lease(
+            worker_id, job_id, int(chunk_index),
+            f"chunk {int(chunk_index)} on {worker_id}: {error}",
         )
-        _LEASE_EVENTS.inc(event="failed")
-        return {"recorded": True, "job": job_id, "chunk": int(chunk_index),
-                "failed": True}
+        _LEASE_EVENTS.inc(event="failed" if failed else "stale")
+        return {"recorded": failed, "job": job_id, "chunk": int(chunk_index),
+                "failed": failed}
 
     def expire(self) -> dict[str, object]:
         """One liveness sweep: stale workers lost, overdue leases freed."""

@@ -13,14 +13,13 @@ multi-process, crash-tolerant platform:
   that is **bit-identical** to the single-process
   :class:`~repro.simulate.pool.SessionPool` path (pinned by report
   digests, for any shard count, including after a kill + resume).
-* :class:`~repro.jobs.remote.RemoteShardExecutor` — the multi-host
-  twin: the same store, layout, and merge, with chunks shipped to
-  ``repro serve`` worker processes over ``POST /v1/chunks`` (dead
-  workers are dropped and their chunks re-queued; runs stay
-  resumable and digest-identical).
+
+Chunks leave the process only through the fleet lease queue
+(:mod:`repro.fleet`): the same store, layout and merge, with joined
+workers pulling the chunks.
 
 Front doors: ``python -m repro jobs run|status|resume|list``
-(``--workers URL,URL`` fans chunks across hosts) and the server's
+(``--fleet`` hands the chunks to joined workers) and the server's
 ``POST /v1/simulations`` / ``GET /v1/jobs/<id>`` routes.
 """
 
@@ -33,14 +32,12 @@ from repro.jobs.executor import (
     submit_batch,
     submit_simulation,
 )
-from repro.jobs.remote import RemoteShardExecutor
 from repro.jobs.store import JobRecord, JobStore, default_store_path
 
 __all__ = [
     "CHUNK_RUNNERS",
     "JobRecord",
     "JobStore",
-    "RemoteShardExecutor",
     "ShardedExecutor",
     "chunk_layout",
     "default_store_path",

@@ -278,8 +278,8 @@ def merge_batch_chunks(spec: BatchSpec, results: dict[int, dict]) -> dict:
 # The executor
 # ----------------------------------------------------------------------
 #: Job kind -> worker-side chunk runner.  Shared by the process-pool
-#: executor, the remote executor's worker servers (``POST /v1/chunks``
-#: resolves the kind here), and job-kind validation.
+#: executor, fleet agents (a leased chunk's kind resolves here), and
+#: job-kind validation.
 CHUNK_RUNNERS = {
     "simulation": run_simulation_chunk,
     "batch": run_batch_chunk,
@@ -345,9 +345,8 @@ class ShardedExecutor:
         self.store.set_status(job_id, "running")
         if pending:
             _CHUNK_EVENTS.inc(len(pending), kind=record.kind, event="queued")
-        runner = CHUNK_RUNNERS[record.kind]
         try:
-            interrupted = self._run_pending(job_id, record, runner, pending)
+            interrupted = self._run_pending(job_id, record, pending)
             if interrupted:
                 self.store.set_status(job_id, "interrupted")
                 return self.store.get(job_id)
@@ -359,8 +358,9 @@ class ShardedExecutor:
             self.store.set_status(job_id, "failed", error=repr(exc))
             raise
 
-    def _run_pending(self, job_id, record, runner, pending) -> bool:
+    def _run_pending(self, job_id, record, pending) -> bool:
         """Dispatch pending chunks; True if stopped before all ran."""
+        runner = CHUNK_RUNNERS[record.kind]
         budget = len(pending) if self.max_chunks is None else self.max_chunks
         dispatched = 0
         with ProcessPoolExecutor(max_workers=self.shards) as pool:

@@ -88,10 +88,10 @@ CREATE TABLE IF NOT EXISTS leases (
 #: leases are re-queued), ``left`` (deregistered gracefully).
 _WORKER_STATUSES = ("live", "lost", "left")
 
-#: Lease lifecycle: ``active`` (a worker owns the chunk until the
-#: deadline), ``done`` (result recorded), ``expired`` (deadline passed
-#: or holder lost; the chunk went back to the queue).
-_LEASE_STATUSES = ("active", "done", "expired")
+# Lease lifecycle (``leases.status``): ``active`` (a worker owns the
+# chunk until the deadline), ``done`` (result recorded), ``expired``
+# (deadline passed or holder lost, so the chunk went back to the queue;
+# or the holder reported that the chunk raised, failing the job).
 
 
 def default_store_path() -> str:
@@ -527,6 +527,11 @@ class JobStore:
         self.worker(worker_id)  # KeyError for unknown workers
         now = _wall_now()
         with self._connect() as conn:
+            # sqlite3 opens its implicit transaction only at the INSERT,
+            # so without this the SELECT runs unlocked and two
+            # concurrent pullers can both pick, and both lease, the
+            # same chunk.
+            conn.execute("BEGIN IMMEDIATE")
             row = conn.execute(
                 "SELECT c.job_id, c.chunk_index, j.kind, j.spec, j.chunks "
                 "FROM chunks c JOIN jobs j ON j.job_id = c.job_id "
@@ -583,6 +588,9 @@ class JobStore:
         (not raised) for the steal metrics.
         """
         with self._connect() as conn:
+            # Locked before the read, as in grant_lease, so that of two
+            # racing completions exactly one is reported as the first.
+            conn.execute("BEGIN IMMEDIATE")
             row = conn.execute(
                 "SELECT status FROM chunks "
                 "WHERE job_id = ? AND chunk_index = ?",
@@ -604,18 +612,36 @@ class JobStore:
             )
         return first
 
-    def release_lease(
-        self, job_id: str, chunk_index: int, status: str = "expired"
-    ) -> None:
-        """Force a lease out of ``active`` (failure reports, drills)."""
-        require(status in _LEASE_STATUSES,
-                f"lease status must be one of {_LEASE_STATUSES}")
+    def fail_lease(
+        self, worker_id: str, job_id: str, chunk_index: int, error: str
+    ) -> bool:
+        """Fail the job over a chunk that raised; True if it counted.
+
+        The report counts only while ``worker_id`` still holds the
+        chunk's active lease and the chunk is not done.  Otherwise it
+        is stale — its lease expired and the chunk was re-leased or
+        completed elsewhere — and nothing changes.  Expiring the lease
+        and failing the job is one transaction, so no completion can
+        land in between.
+        """
         with self._connect() as conn:
-            conn.execute(
-                "UPDATE leases SET status = ? "
-                "WHERE job_id = ? AND chunk_index = ?",
-                (status, job_id, int(chunk_index)),
-            )
+            held = conn.execute(
+                "UPDATE leases SET status = 'expired' "
+                "WHERE job_id = ? AND chunk_index = ? AND worker_id = ? "
+                "AND status = 'active' "
+                "AND NOT EXISTS (SELECT 1 FROM chunks c "
+                "  WHERE c.job_id = leases.job_id "
+                "  AND c.chunk_index = leases.chunk_index "
+                "  AND c.status = 'done')",
+                (job_id, int(chunk_index), worker_id),
+            ).rowcount
+            if held:
+                conn.execute(
+                    "UPDATE jobs SET status = 'failed', error = ?, "
+                    "updated_at = ? WHERE job_id = ?",
+                    (error, _wall_now(), job_id),
+                )
+        return bool(held)
 
     def expire_leases(self) -> list[dict]:
         """Expire active leases past their deadline (one transaction).

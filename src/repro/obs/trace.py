@@ -3,11 +3,10 @@
 A trace is a tree of spans sharing one ``trace_id``.  The root span is
 opened at the client SDK (or a CLI entry point); its context crosses
 process boundaries inside a W3C-style ``traceparent`` header
-(``00-<trace_id>-<span_id>-01``), which both HTTP servers parse back
-into a remote parent before dispatching — so a
-:class:`~repro.jobs.remote.RemoteShardExecutor` sweep over live
-workers stitches into **one** trace whose chunk spans all carry the
-coordinator's root ``trace_id``.
+(``00-<trace_id>-<span_id>-01``), which the server parses back into
+a remote parent before dispatching — so a fleet worker's
+``fleet-chunk:`` span and the coordinator's handling of its completion
+report stitch into **one** trace.
 
 In-process propagation uses a :mod:`contextvars` variable, which
 follows the execution context across threads started per-request and

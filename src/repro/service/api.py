@@ -78,10 +78,10 @@ _REQUEST_LATENCY = obs.REGISTRY.histogram(
     ("method", "route"),
 )
 
-#: Job chunks currently executing in this process — fed by the worker
-#: protocol (`POST /v1/chunks`), the fleet agent's pullers, and read
-#: back by ``GET /v1/healthz``'s ``load`` field, so heartbeats and
-#: external probes report the same number by construction.
+#: Job chunks currently executing in this process — fed by the fleet
+#: agent's pullers and read back by ``GET /v1/healthz``'s ``load``
+#: field, so heartbeats and external probes report the same number by
+#: construction.
 _RUNNING_CHUNKS = obs.REGISTRY.gauge(
     "repro_job_chunks_running",
     "Job chunks currently executing in this process.",
@@ -565,7 +565,6 @@ def _ensure_instrumented_imports() -> None:
     import repro.client.http  # noqa: F401
     import repro.fleet  # noqa: F401  (package: its __init__ pulls agent+manager)
     import repro.jobs.executor  # noqa: F401
-    import repro.jobs.remote  # noqa: F401
     import repro.oracle_factory.factory  # noqa: F401
     import repro.security.batch  # noqa: F401
     import repro.simulate.pool  # noqa: F401
@@ -608,40 +607,6 @@ def _get_traces(ctx, params, body, query) -> Iterator[dict]:
         yield from records
 
     return lines()
-
-
-def _post_chunk(ctx, params, body, query):
-    """Execute one job chunk in this process — the worker protocol.
-
-    A worker server is just ``repro serve``: the
-    :class:`~repro.jobs.remote.RemoteShardExecutor` POSTs the job's
-    canonical ``(kind, spec, start, stop)`` here and records the reply
-    in its own durable store, exactly as a process-pool shard would.
-    """
-    from repro.jobs.executor import CHUNK_RUNNERS
-
-    kind = body.get("kind")
-    if kind not in CHUNK_RUNNERS:
-        raise ApiError(400, "invalid_request",
-                       f"unknown chunk kind {kind!r}; "
-                       f"known: {sorted(CHUNK_RUNNERS)}")
-    spec = body.get("spec")
-    if not isinstance(spec, dict):
-        raise ApiError(400, "invalid_request", "spec must be a JSON object")
-    start, stop = body.get("start"), body.get("stop")
-    if not (isinstance(start, int) and isinstance(stop, int)
-            and 0 <= start < stop):
-        raise ApiError(400, "invalid_request",
-                       "start/stop must be ints with 0 <= start < stop")
-    # The chunk span parents under the dispatch span, which itself
-    # parents under the coordinator's traceparent — so a remote sweep's
-    # chunk spans all carry the coordinator's root trace id.
-    _RUNNING_CHUNKS.add(1)
-    try:
-        with obs.span(f"chunk:{kind}", kind=kind, start=start, stop=stop):
-            return CHUNK_RUNNERS[kind](spec, start, stop)
-    finally:
-        _RUNNING_CHUNKS.add(-1)
 
 
 # ----------------------------------------------------------------------
@@ -829,15 +794,6 @@ ROUTES: tuple[Route, ...] = (
           response="JSON lines: `{event: progress|end|timeout, job, "
                    "status, ...}`; `end` carries `digest`/`error`.",
           streaming=True),
-    Route("POST", "/v1/chunks", _post_chunk, 200,
-          "Execute one job chunk synchronously — the multi-host worker "
-          "protocol behind `RemoteShardExecutor`.",
-          request={"kind": "job kind (`simulation` or `batch`)",
-                   "spec": "the job's canonical spec dict",
-                   "start": "chunk start index (inclusive)",
-                   "stop": "chunk stop index (exclusive)"},
-          response="The chunk result payload, exactly as a process-pool "
-                   "shard would record it."),
     Route("POST", "/v1/workers", _post_worker, 201,
           "Register (or re-adopt) a fleet worker by its advertised URL.",
           request={"url": "the worker's advertised base URL — its "
@@ -874,10 +830,14 @@ ROUTES: tuple[Route, ...] = (
                    "elapsed": "chunk wall seconds (optional)",
                    "error": "failure text instead of `result`: fails the "
                             "job, exactly as a local shard exception "
-                            "would"},
+                            "would — unless the worker no longer holds "
+                            "the chunk's active lease or the chunk is "
+                            "done (a stale report, ignored)"},
           response="`{recorded, first, job, chunk}` — `first` is false "
                    "for a duplicate delivery of a stolen chunk "
-                   "(harmless: chunks are deterministic)."),
+                   "(harmless: chunks are deterministic); a failure "
+                   "report gets `{recorded, job, chunk, failed}`, both "
+                   "false when stale."),
     Route("DELETE", "/v1/workers/{worker_id}", _delete_worker, 200,
           "Gracefully deregister a worker; its active leases re-queue.",
           response="`{worker, left}`."),

@@ -26,7 +26,6 @@ GET      ``/v1/jobs?limit=&after=``            paginated job listings
 GET      ``/v1/jobs/<id>``                     one job's progress
 POST     ``/v1/jobs/<id>/resume``              restart pending chunks
 GET      ``/v1/jobs/<id>/events``              JSON-lines progress stream
-POST     ``/v1/chunks``                        multi-host worker protocol
 =======  ====================================  =========================
 
 Paths outside ``/v1`` get the uniform ``404`` ``not_found`` envelope.

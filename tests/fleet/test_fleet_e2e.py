@@ -16,6 +16,7 @@ import pytest
 from repro.client import MarketplaceClient
 from repro.fleet.agent import FleetAgent
 from repro.fleet.executor import FleetExecutor
+from repro.fleet.manager import FleetManager
 from repro.jobs import JobStore
 from repro.service import (
     JobService,
@@ -207,7 +208,146 @@ class TestCrashAdoption:
             _stop(server)
 
 
+class TestHungWorker:
+    def test_hung_worker_chunk_is_rescued_by_lease_expiry(
+        self, store, reference_digest
+    ):
+        """A worker whose chunk never returns in time keeps heartbeating,
+        so heartbeat expiry never fires: only lease expiry can hand its
+        chunk to a survivor.  Its late completion is a duplicate."""
+        from repro import obs
+
+        lease_ttl, throttle = 1.0, 6.0
+        server, url = _coordinator(store, lease_ttl=lease_ttl,
+                                   heartbeat_ttl=5.0)
+        hung = FleetAgent(url, "http://hung.test", poll=0.05,
+                          heartbeat_interval=0.2, throttle=throttle)
+        leases = obs.REGISTRY.counter(
+            "repro_fleet_leases_total", "Chunk lease lifecycle events.",
+            ("event",),
+        )
+        duplicates = leases.value(event="duplicate")
+        try:
+            hung.start()
+            with MarketplaceClient.connect(url) as client:
+                job_id = client.submit_simulation(SPEC, chunks=4,
+                                                  fleet=True)["job"]
+                deadline = time.monotonic() + 60
+                while not any(row["worker"] == hung.worker_id
+                              for row in client.fleet_status()["leases"]):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+                t0 = time.monotonic()
+                survivor = FleetAgent(url, "http://survivor.test",
+                                      capacity=2, poll=0.05,
+                                      heartbeat_interval=0.2)
+                survivor.start()
+                try:
+                    final = _wait_done(client, job_id)
+                    assert final["status"] == "done"
+                    assert final["digest"] == reference_digest
+                    assert time.monotonic() - t0 < throttle / 2
+                    rows = {row["worker"]: row["status"]
+                            for row in client.fleet_status()["workers"]}
+                    assert rows[hung.worker_id] == "live"
+                    # The throttle ends and the hung worker delivers its
+                    # chunk after the job is done: a duplicate
+                    # (`first: false`) that moves nothing.
+                    deadline = time.monotonic() + throttle + 30
+                    while not any(row["worker"] == hung.worker_id
+                                  for row in store.leases()):
+                        assert time.monotonic() < deadline
+                        time.sleep(0.1)
+                    assert leases.value(event="duplicate") > duplicates
+                    assert client.job(job_id)["digest"] == reference_digest
+                finally:
+                    survivor.stop()
+        finally:
+            hung.stop(deregister=False, timeout=0.1)
+            _stop(server)
+
+
+class TestInterruptResume:
+    """The ``repro jobs run --fleet --store S`` shape: a
+    :class:`FleetExecutor` over the same store file the coordinator
+    serves the lease routes from."""
+
+    def test_interrupt_kill_a_worker_resume_on_the_survivor(
+        self, store, reference_digest
+    ):
+        server, url = _coordinator(store, lease_ttl=30.0, heartbeat_ttl=0.6)
+        # The throttle keeps chunks slow enough that the interrupt
+        # lands with chunks still pending.
+        doomed, survivor = (
+            FleetAgent(url, f"http://{name}.test", poll=0.05,
+                       heartbeat_interval=0.2, throttle=0.1)
+            for name in ("doomed", "survivor")
+        )
+        try:
+            doomed.start()
+            survivor.start()
+            first = FleetExecutor(store, max_chunks=2, poll=0.02)
+            record = first.run(first.submit(SPEC, chunks=6).job_id)
+            assert record.status == "interrupted"
+            assert 0 < record.done_chunks < record.n_chunks
+            # kill -9 semantics: no goodbye, so only its stale heartbeat
+            # frees whatever it still holds.
+            doomed.stop(deregister=False, timeout=0.1)
+            assert store.pending_chunks(record.job_id)
+
+            record = FleetExecutor(store, poll=0.02).run(record.job_id)
+            assert record.status == "done"
+            assert record.digest == reference_digest
+        finally:
+            doomed.stop(deregister=False, timeout=0.1)
+            survivor.stop()
+            _stop(server)
+
+    def test_all_workers_gone_leaves_job_resumable(self, store,
+                                                   reference_digest):
+        server, url = _coordinator(store, lease_ttl=30.0, heartbeat_ttl=0.6)
+        fleet = FleetManager(store, lease_ttl=30.0, heartbeat_ttl=0.6)
+        executor = FleetExecutor(store, fleet=fleet, poll=0.02,
+                                 idle_timeout=0.3)
+        record = executor.submit(SPEC, chunks=4)
+        doomed = FleetAgent(url, "http://doomed.test", poll=0.05,
+                            heartbeat_interval=0.2, throttle=30.0)
+        try:
+            doomed.start()
+            deadline = time.monotonic() + 60
+            while not store.leases(active_only=True):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            doomed.stop(deregister=False, timeout=0.1)
+            # The only worker vanished mid-chunk: once its heartbeat is
+            # stale the queue has nobody working it.
+            record = executor.run(record.job_id)
+            assert record.status == "interrupted"
+            assert record.done_chunks == 0
+
+            with FleetAgent(url, "http://late.test", capacity=2, poll=0.05,
+                            heartbeat_interval=0.2):
+                record = FleetExecutor(store, poll=0.02).run(record.job_id)
+            assert record.status == "done"
+            assert record.digest == reference_digest
+        finally:
+            doomed.stop(deregister=False, timeout=0.1)
+            _stop(server)
+
+
 class TestFleetExecutorLocal:
+    def test_arguments_are_validated(self, store):
+        with pytest.raises(ValueError, match="coordinator"):
+            FleetAgent("", "http://a.test")
+        with pytest.raises(ValueError, match="capacity"):
+            FleetAgent("http://c.test", "http://a.test", capacity=0)
+        with pytest.raises(ValueError, match="throttle"):
+            FleetAgent("http://c.test", "http://a.test", throttle=-1)
+        with pytest.raises(ValueError, match="poll"):
+            FleetExecutor(store, poll=0)
+        with pytest.raises(ValueError, match="lease_ttl"):
+            FleetManager(store, lease_ttl=0)
+
     def test_idle_timeout_leaves_job_resumable(self, store):
         executor = FleetExecutor(store, poll=0.02, idle_timeout=0.1)
         record = executor.submit(SPEC, chunks=4)
@@ -218,7 +358,6 @@ class TestFleetExecutorLocal:
     def test_max_chunks_budget_interrupts(self, store, reference_digest):
         """max_chunks bounds completions per invocation — the CI drill
         hook — and a later unbounded run finishes the job."""
-        from repro.fleet.manager import FleetManager
         from repro.jobs.executor import CHUNK_RUNNERS
 
         fleet = FleetManager(store)

@@ -3,10 +3,12 @@
 Everything here drives :class:`~repro.fleet.manager.FleetManager`
 directly over a store file — no HTTP — so the semantics (content-
 addressed identity, crash adoption, deterministic lease order, steal on
-expiry, idempotent duplicate completion, fail-fast on chunk errors) are
-pinned independently of any transport.
+expiry, idempotent duplicate completion, fail-fast on chunk errors,
+stale failure reports ignored, one grant per chunk under racing
+pullers) are pinned independently of any transport.
 """
 
+import threading
 import time
 
 import pytest
@@ -175,6 +177,99 @@ class TestLeaseQueue:
         assert current.status == "failed"
         assert "ValueError" in current.error and wid in current.error
         assert fleet.status()["leases"] == []
+
+    def test_stale_failure_report_cannot_fail_a_finished_job(self, store):
+        """A fails after its chunk was stolen, completed and merged:
+        the report is stale and the finished job keeps its status."""
+        from repro.fleet.executor import FleetExecutor
+
+        fleet = FleetManager(store, lease_ttl=0.05, heartbeat_ttl=30.0)
+        record = submit_simulation(store, SPEC, chunks=1)
+        slow = fleet.register("http://slow:1")["worker"]
+        fast = fleet.register("http://fast:1")["worker"]
+        lease = fleet.lease(slow)["lease"]
+        time.sleep(0.1)
+        stolen = fleet.lease(fast)["lease"]
+        assert stolen["stolen_from"] == slow
+        fleet.complete(fast, stolen["job"], stolen["chunk"], _run(stolen))
+        done = FleetExecutor(store, fleet=fleet, poll=0.01).run(record.job_id)
+        assert done.status == "done"
+
+        reply = fleet.fail(slow, lease["job"], lease["chunk"],
+                           "ValueError('late')")
+        assert not reply["failed"] and not reply["recorded"]
+        current = store.get(record.job_id)
+        assert current.status == "done"
+        assert current.digest == done.digest
+        assert current.error is None
+
+    def test_stale_failure_report_keeps_the_thiefs_lease(self, store,
+                                                         fleet):
+        short = FleetManager(store, lease_ttl=0.05, heartbeat_ttl=30.0)
+        record = submit_simulation(store, SPEC, chunks=1)
+        slow = fleet.register("http://slow:1")["worker"]
+        fast = fleet.register("http://fast:1")["worker"]
+        lease = short.lease(slow)["lease"]
+        time.sleep(0.1)
+        stolen = fleet.lease(fast)["lease"]  # held for the full 30 s
+        assert stolen["stolen_from"] == slow
+        assert not fleet.fail(slow, lease["job"], lease["chunk"],
+                              "ValueError('late')")["failed"]
+        assert store.get(record.job_id).status == "submitted"
+        [active] = fleet.status()["leases"]
+        assert active["worker"] == fast
+
+    def test_concurrent_pullers_never_share_a_chunk(self, store, fleet):
+        """Racing grants on separate connections: each chunk is leased
+        to exactly one worker, and every chunk is leased."""
+        for seed in range(3):
+            submit_simulation(
+                store, SimulationSpec(sessions=24, seed=seed, batch_size=8),
+                chunks=8,
+            )
+        workers = [fleet.register(f"http://w{i}:1")["worker"]
+                   for i in range(8)]
+        barrier = threading.Barrier(len(workers))
+        granted = []
+
+        def pull(wid):
+            barrier.wait()
+            while (lease := fleet.lease(wid)["lease"]) is not None:
+                granted.append((lease["job"], lease["chunk"]))
+
+        threads = [threading.Thread(target=pull, args=(wid,))
+                   for wid in workers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert len(granted) == len(set(granted)) == 24
+        assert store.queue_depth() == 0
+
+    def test_racing_completions_report_exactly_one_first(self, store,
+                                                          fleet):
+        record = submit_simulation(store, SPEC, chunks=1)
+        workers = [fleet.register(f"http://w{i}:1")["worker"]
+                   for i in range(6)]
+        lease = fleet.lease(workers[0])["lease"]
+        payload = _run(lease)
+        barrier = threading.Barrier(len(workers))
+        replies = []
+
+        def complete(wid):
+            barrier.wait()
+            replies.append(fleet.complete(wid, lease["job"], lease["chunk"],
+                                          payload))
+
+        threads = [threading.Thread(target=complete, args=(wid,))
+                   for wid in workers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert sorted(reply["first"] for reply in replies) == [
+            False] * 5 + [True]
+        assert store.get(record.job_id).done_chunks == 1
 
     def test_status_reports_queue_depth(self, store, fleet):
         submit_simulation(store, SPEC, chunks=4)

@@ -43,6 +43,18 @@ class TestParser:
         args = build_parser().parse_args(["jobs", "resume", "jabc"])
         assert args.job_id == "jabc"
 
+    @pytest.mark.parametrize("argv", [
+        ["jobs", "run", "--workers", "http://a:1"],
+        ["jobs", "resume", "jabc", "--workers", "http://a:1"],
+    ], ids=["run", "resume"])
+    def test_workers_option_is_rejected(self, argv, capsys):
+        """Chunks leave the process only through the fleet (``--fleet``);
+        there is no static worker list to push them to."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestRunResume:
     def test_run_to_completion_with_digest_guard(
