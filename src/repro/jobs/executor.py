@@ -51,7 +51,8 @@ __all__ = [
 #: the executor (queued at run start, running on dispatch, done on
 #: durable record; failed is job-level) plus worker-reported chunk
 #: runtimes.  Coordinator-side only — worker processes keep their own
-#: registries, which the remote executor surfaces per worker.
+#: registries (a fleet worker counts its leased chunks in
+#: ``repro_fleet_agent_chunks_total``).
 _CHUNK_EVENTS = obs.REGISTRY.counter(
     "repro_job_chunk_events_total",
     "Job chunk lifecycle transitions, by job kind.",

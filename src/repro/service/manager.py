@@ -22,7 +22,7 @@ advances one session through its own engine under its own lock, which
 is the paper's §3.4 protocol — one task party and one data party per
 session.  (Population workloads reach the vectorised kernel only
 through :class:`~repro.simulate.pool.SessionPool`, which runs its
-strategic/strategic sessions through
+kernel-eligible sessions, one population per call, through
 :func:`~repro.simulate.kernel.simulate_strategic_batch`; wire sessions
 stay on the stepwise path so their digests never drift.)
 

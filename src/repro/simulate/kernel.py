@@ -6,7 +6,7 @@ operations, instead of paying the per-round Python costs of
 :class:`~repro.market.engine.BargainingEngine`.  Every session plays
 the strategic data party (Eq. 4 offers, Cases 1-3, the Eq. 6 cost-aware
 acceptance) and the shared Case-4/5 task-party checks; the task party's
-escalation rule is per session (``StrategicBatch.increase_price``):
+escalation rule is per session, from the session's strategy mix:
 
 * **strategic** rows add the Eq. 7 acceptance and Algorithm 1's
   escalated candidate sampling with min-cap selection.  They keep the
@@ -32,11 +32,17 @@ stream — ``spawn(seed, "session", i, "kernel")`` for strategic rows,
 ``spawn(seed, "session", i, "task")`` for Increase-Price rows —
 consumed in round order, so results are independent of how sessions
 are grouped into batches (pinned by
-``tests/simulate/test_determinism.py``).  A batch carries each stream
-as its four PCG64 seed words (:func:`~repro.utils.rng.stream_seed_words`,
-computed for the whole batch in one pass), and every kernel call builds
-fresh generators from them, so a batch can be run again, or
-concatenated with itself, and gives the same records each time.
+``tests/simulate/test_determinism.py`` and
+``tests/simulate/test_kernel_batches.py``).  Each call derives every
+stream's four PCG64 seed words for the whole batch in one pass
+(:func:`~repro.utils.rng.stream_seed_words`) and builds fresh
+generators from them, so running the same sessions again gives the
+same records.
+
+One call runs sessions of one population: they share its catalogue
+(broadcast as a single ``(1, F)`` row, as the platform computes each
+bundle's ΔG once in §3.4) and its protocol constants
+``spec.n_price_samples`` and ``spec.max_rounds``.
 
 Case-6 candidate sampling costs a fixed number of numpy calls per
 round plus a few calls per session per run:
@@ -55,30 +61,11 @@ round plus a few calls per session per run:
 * the min-cap pick takes the unmasked ``argmin`` of the candidate caps
   and checks validity for the picked candidate only.  When the first
   index of the global minimum is valid it is also the first index of
-  the masked minimum, so only rows whose pick is invalid (or a padded
-  sample column) fall back to the masked ``where``/``argmin``.
-
-Batch assembly is decoupled from execution so callers other than
-:class:`~repro.simulate.pool.SessionPool` can drive the kernel:
-
-* :func:`assemble_strategic_batch` lifts sessions out of a
-  :class:`~repro.simulate.population.Population` into a
-  :class:`StrategicBatch` of parallel arrays;
-* :func:`concat_strategic_batches` merges batches from *different*
-  populations (different catalogue widths, round caps, or sampling
-  depths) into one heterogeneous batch — catalogues are padded with
-  sentinel columns that can never be afforded, so merged execution is
-  bit-identical to running each batch alone;
-* :func:`simulate_assembled_batch` runs any assembled batch to
-  termination.
-
-:func:`simulate_strategic_batch` (assemble + simulate over one
-population) remains the convenience wrapper the pool uses.
+  the masked minimum, so only rows whose pick is invalid fall back to
+  the masked ``where``/``argmin``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,10 +79,6 @@ __all__ = [
     "STATUS_ACCEPTED",
     "STATUS_FAILED",
     "STATUS_MAX_ROUNDS",
-    "StrategicBatch",
-    "assemble_strategic_batch",
-    "concat_strategic_batches",
-    "simulate_assembled_batch",
     "simulate_strategic_batch",
 ]
 
@@ -109,152 +92,9 @@ BY_ENGINE = 3
 
 _COST_NONE, _COST_CONSTANT, _COST_LINEAR, _COST_EXPONENTIAL = 0, 1, 2, 3
 
-#: Catalogue pad value for heterogeneous batches: a padded column's
-#: reserved prices are +inf (never affordable, Case-1/Eq.4 masks skip
-#: it) and its gain is +inf (never the |ΔG − tp| argmin target).
-_PAD = np.inf
-
 #: Longest candidate-tape block, in rounds, and the tape's size cap.
 _TAPE_ROUNDS = 8
 _TAPE_BYTES = 64 << 20
-
-
-@dataclass
-class StrategicBatch:
-    """One externally-assembled batch of sessions against the strategic
-    data party.
-
-    Parallel arrays over ``n`` sessions; the catalogue axis ``F`` may
-    mix real columns with ``+inf`` padding (heterogeneous batches).
-    ``increase_price`` selects each session's escalation rule (Increase
-    Price where set, Algorithm 1 elsewhere).  ``seed_words`` holds each
-    session's RNG stream as PCG64 seed words — the ``"kernel"`` stream
-    for strategic rows, the engine's ``"task"`` stream for Increase-Price
-    rows; the kernel builds generators from them afresh on every run.
-    """
-
-    gains: np.ndarray          # (n, F) shared/padded catalogues
-    reserved_rate: np.ndarray  # (n, F)
-    reserved_base: np.ndarray  # (n, F)
-    utility_rate: np.ndarray   # (n,)
-    budget: np.ndarray
-    initial_rate: np.ndarray
-    initial_base: np.ndarray
-    target: np.ndarray
-    eps_d: np.ndarray
-    eps_t: np.ndarray
-    eps_dc: np.ndarray
-    eps_tc: np.ndarray
-    cost_kind: np.ndarray      # (n,) int8
-    cost_a: np.ndarray
-    n_price_samples: np.ndarray  # (n,) int
-    max_rounds: np.ndarray       # (n,) int
-    increase_price: np.ndarray   # (n,) bool
-    seed_words: np.ndarray       # (n, 4) uint64
-
-    def __post_init__(self) -> None:
-        n = self.gains.shape[0]
-        for field in fields(self):  # every field is per-session
-            got = len(getattr(self, field.name))
-            if got != n:
-                raise ValueError(
-                    f"batch fields disagree on the session count: gains "
-                    f"has {n} rows, {field.name} has {got}"
-                )
-
-    def __len__(self) -> int:
-        return self.gains.shape[0]
-
-
-def assemble_strategic_batch(population, indices: np.ndarray) -> StrategicBatch:
-    """Lift ``population``'s sessions at ``indices`` into a batch.
-
-    Every array is copied out at the session granularity, so the batch
-    is self-contained: it can be merged with batches from other
-    populations (:func:`concat_strategic_batches`) or executed on its
-    own (:func:`simulate_assembled_batch`).
-    """
-    indices = np.asarray(indices, dtype=int)
-    n = len(indices)
-    spec = population.spec
-    g = np.ascontiguousarray(
-        np.broadcast_to(population.gains[None, :], (n, len(population.gains)))
-    )
-    by_mix = np.array([task == "increase_price" for task, _, _ in spec.strategy_mix])
-    increase_price = by_mix[population.mix_idx[indices]]
-    seed_words = stream_seed_words(
-        population.seed, indices, prefix=("session",), suffix=("kernel",)
-    )
-    if increase_price.any():  # these rows read the engine's own stream
-        seed_words[increase_price] = stream_seed_words(
-            population.seed, indices[increase_price], prefix=("session",),
-            suffix=("task",),
-        )
-    return StrategicBatch(
-        gains=g,
-        reserved_rate=population.reserved_rate[indices],
-        reserved_base=population.reserved_base[indices],
-        utility_rate=population.utility_rate[indices],
-        budget=population.budget[indices],
-        initial_rate=population.initial_rate[indices],
-        initial_base=population.initial_base[indices],
-        target=population.target[indices],
-        eps_d=population.eps_d[indices],
-        eps_t=population.eps_t[indices],
-        eps_dc=population.eps_dc[indices],
-        eps_tc=population.eps_tc[indices],
-        cost_kind=population.cost_kind[indices],
-        cost_a=population.cost_a[indices],
-        n_price_samples=np.full(n, int(spec.n_price_samples), dtype=int),
-        max_rounds=np.full(n, int(spec.max_rounds), dtype=int),
-        increase_price=increase_price,
-        seed_words=seed_words,
-    )
-
-
-def concat_strategic_batches(batches) -> StrategicBatch:
-    """Merge assembled batches into one heterogeneous batch.
-
-    Catalogues of different widths are right-padded with ``+inf``
-    sentinel columns (unaffordable, never an Eq.4/Eq.6 pick), so each
-    session's trajectory is bit-identical to running its home batch
-    alone — the determinism contract extends across populations.
-    """
-    batches = list(batches)
-    if not batches:
-        raise ValueError("concat_strategic_batches needs at least one batch")
-    if len(batches) == 1:
-        return batches[0]
-    width = max(b.gains.shape[1] for b in batches)
-
-    def pad(array: np.ndarray) -> np.ndarray:
-        n, f = array.shape
-        if f == width:
-            return array
-        out = np.full((n, width), _PAD)
-        out[:, :f] = array
-        return out
-
-    return StrategicBatch(
-        gains=np.concatenate([pad(b.gains) for b in batches]),
-        reserved_rate=np.concatenate([pad(b.reserved_rate) for b in batches]),
-        reserved_base=np.concatenate([pad(b.reserved_base) for b in batches]),
-        utility_rate=np.concatenate([b.utility_rate for b in batches]),
-        budget=np.concatenate([b.budget for b in batches]),
-        initial_rate=np.concatenate([b.initial_rate for b in batches]),
-        initial_base=np.concatenate([b.initial_base for b in batches]),
-        target=np.concatenate([b.target for b in batches]),
-        eps_d=np.concatenate([b.eps_d for b in batches]),
-        eps_t=np.concatenate([b.eps_t for b in batches]),
-        eps_dc=np.concatenate([b.eps_dc for b in batches]),
-        eps_tc=np.concatenate([b.eps_tc for b in batches]),
-        cost_kind=np.concatenate([b.cost_kind for b in batches]),
-        cost_a=np.concatenate([b.cost_a for b in batches]),
-        n_price_samples=np.concatenate([b.n_price_samples for b in batches]),
-        max_rounds=np.concatenate([b.max_rounds for b in batches]),
-        increase_price=np.concatenate([b.increase_price for b in batches]),
-        seed_words=np.concatenate([b.seed_words for b in batches]),
-    )
 
 
 def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int,
@@ -277,20 +117,15 @@ def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int,
     return cost
 
 
-def _masked_min_cap(caps, cl, ns_rows, u, b0, p0, target):
+def _masked_min_cap(caps, cl, u, b0, p0, target):
     """Masked min-cap pick over whole candidate rows.
 
     Returns ``(pick, got, cap, rate_high)``: the first index of the
     smallest admissible cap, whether any candidate was admissible, and
     that candidate's cap and rate ceiling.  A candidate is admissible
-    when it raises the cap, lies within the session's
-    ``n_price_samples``, and leaves a rate above the opening rate.
+    when it raises the cap and leaves a rate above the opening rate.
     """
     valid = caps > cl[:, None] + 1e-12
-    # Padded sample columns (heterogeneous n_price_samples) draw 0.0,
-    # land exactly on cl, and fail the > check; the explicit mask keeps
-    # that invariant independent of fp.
-    valid &= np.arange(caps.shape[1])[None, :] < ns_rows[:, None]
     rate_high = np.minimum(u[:, None], (caps - b0[:, None]) / target[:, None])
     valid &= rate_high > p0[:, None]
     pick = np.where(valid, caps, np.inf).argmin(axis=1)
@@ -303,45 +138,44 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
     :meth:`~repro.simulate.population.Population.kernel_eligible`) to
     termination and return their terminal records as arrays.
 
-    Convenience wrapper: :func:`assemble_strategic_batch` +
-    :func:`simulate_assembled_batch`.
-    """
-    return simulate_assembled_batch(
-        assemble_strategic_batch(population, np.asarray(indices, dtype=int))
-    )
-
-
-def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
-    """Run an assembled (possibly heterogeneous) batch to termination.
-
     Returned keys: ``status``, ``terminated_by``, ``n_rounds``,
     ``delta_g``, ``payment``, ``net_profit``, ``cost_task``,
     ``cost_data``, ``final_rate``, ``final_base``, ``final_cap`` — the
     same quantities a :class:`~repro.market.engine.BargainOutcome`
-    carries, for the batch, in batch order.
+    carries, in ``indices`` order.
     """
-    n = len(batch)
-    G = batch.gains  # (n, F) per-session catalogues (padded rows allowed)
-    res_rate = batch.reserved_rate
-    res_base = batch.reserved_base
-    u = batch.utility_rate
-    budget = batch.budget
-    p0 = batch.initial_rate
-    b0 = batch.initial_base
-    target = batch.target
-    eps_d = batch.eps_d
-    eps_t = batch.eps_t
-    eps_dc = batch.eps_dc
-    eps_tc = batch.eps_tc
-    cost_kind = batch.cost_kind
-    cost_a = batch.cost_a
-    ns = batch.n_price_samples
-    mr = batch.max_rounds
-    mr_max = int(mr.max())
+    pop = population
+    indices = np.asarray(indices, dtype=int)
+    n = len(indices)
+    G = pop.gains[None, :]  # (1, F): one catalogue, broadcast over rows
+    res_rate = pop.reserved_rate[indices]
+    res_base = pop.reserved_base[indices]
+    u = pop.utility_rate[indices]
+    budget = pop.budget[indices]
+    p0 = pop.initial_rate[indices]
+    b0 = pop.initial_base[indices]
+    target = pop.target[indices]
+    eps_d = pop.eps_d[indices]
+    eps_t = pop.eps_t[indices]
+    eps_dc = pop.eps_dc[indices]
+    eps_tc = pop.eps_tc[indices]
+    cost_kind = pop.cost_kind[indices]
+    cost_a = pop.cost_a[indices]
+    W = int(pop.spec.n_price_samples)
+    max_rounds = int(pop.spec.max_rounds)
     has_cost = cost_kind != _COST_NONE
     break_even = b0 / (u - p0)  # Case-4 bar, anchored to the opening quote
-    inc = batch.increase_price
+    by_mix = np.array([task == "increase_price"
+                       for task, _, _ in pop.spec.strategy_mix])
+    inc = by_mix[pop.mix_idx[indices]]
+    seed_words = stream_seed_words(
+        pop.seed, indices, prefix=("session",), suffix=("kernel",)
+    )
     any_inc = bool(inc.any())
+    if any_inc:  # these rows read the engine's own stream
+        seed_words[inc] = stream_seed_words(
+            pop.seed, indices[inc], prefix=("session",), suffix=("task",)
+        )
     eq7 = has_cost & ~inc  # Increase Price has no Eq. 7 acceptance
     scalar_pow = inc & (cost_kind == _COST_EXPONENTIAL)
     if not scalar_pow.any():
@@ -349,7 +183,6 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
 
     # Case-6 candidate tape: tape[s, r] holds the (2, W) draws of one
     # round for session s, filled in blocks and read at pos[s].
-    W = int(ns.max())
     win = int(np.clip(_TAPE_BYTES // (n * 2 * W * 8), 1, _TAPE_ROUNDS))
     tape = np.zeros((n, win, 2, W))  # zero pages stay untouched until drawn
     # Increase-Price rows keep their (rate, base, cap) draws per round
@@ -369,14 +202,8 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
             for s, k in zip(used_up.tolist(), k_up.tolist()):
                 gen = gens[s]
                 if gen is None:
-                    gen = gens[s] = generator_from_seed_words(batch.seed_words[s])
-                k_s = int(ns[s])
-                if inc_tape is not None and inc[s]:
-                    gen.random(out=inc_tape[s, :k])
-                elif k_s == W:
-                    gen.random(out=tape[s, :k])
-                else:  # columns past n_price_samples stay 0.0
-                    tape[s, :k, :, :k_s] = gen.random((k, 2, k_s))
+                    gen = gens[s] = generator_from_seed_words(seed_words[s])
+                gen.random(out=inc_tape[s, :k] if inc[s] else tape[s, :k])
             filled[used_up] = k_up
             pos[used_up] = 0
             block[used_up] = np.minimum(2 * k_up, win)
@@ -403,7 +230,7 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
     out_cap = np.full(n, np.nan)
 
     # Offer trail for the Case-4 regression test (grown on demand).
-    trail_width = min(64, mr_max)
+    trail_width = min(64, max_rounds)
     tr_rate = np.empty((n, trail_width))
     tr_base = np.empty((n, trail_width))
     tr_gain = np.empty((n, trail_width))
@@ -424,7 +251,7 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
         out_cap[rows] = q_cap
 
     live = np.arange(n)
-    for T in range(1, mr_max + 1):
+    for T in range(1, max_rounds + 1):
         if live.size == 0:
             break
         rate_l, base_l, cap_l = rate[live], base[live], cap[live]
@@ -450,10 +277,9 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
 
         # Eq. 4 offer: the affordable gain closest to the turning point
         # from below; if everything overshoots, the smallest overshoot.
-        G_l = G[live]
-        below = afford & (G_l <= tp[:, None])
-        g_below = np.where(below, G_l, -np.inf).max(axis=1)
-        g_over = np.where(afford, G_l, np.inf).min(axis=1)
+        below = afford & (G <= tp[:, None])
+        g_below = np.where(below, G, -np.inf).max(axis=1)
+        g_over = np.where(afford, G, np.inf).min(axis=1)
         gain = np.where(np.isfinite(g_below), g_below, g_over)
         payment = np.minimum(np.maximum(base_l, base_l + rate_l * gain), cap_l)
         net = u[live] * gain - payment
@@ -461,7 +287,7 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
         accept_d = (tp - gain) <= eps_d[live]  # Case 2
         costly = has_cost[live]
         if costly.any():  # Eq. 6 look-ahead acceptance
-            tgt = np.abs(G_l - tp[:, None]).argmin(axis=1)
+            tgt = np.abs(G - tp[:, None]).argmin(axis=1)
             rows_l = np.arange(live.size)
             rrt = res_rate[live][rows_l, tgt]
             rbt = res_base[live][rows_l, tgt]
@@ -493,7 +319,7 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
         else:
             best_dom = np.full(live.size, -np.inf)
         if k >= trail_width:  # grow the trail (games rarely get here)
-            grow = min(trail_width, mr_max - trail_width)
+            grow = min(trail_width, max_rounds - trail_width)
             pad = np.empty((n, grow))
             tr_rate = np.concatenate([tr_rate, pad], axis=1)
             tr_base = np.concatenate([tr_base, pad], axis=1)
@@ -523,7 +349,6 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
         rows = np.flatnonzero(sample)
         if rows.size:
             sess = live[rows]
-            ns_rows = ns[sess]
             at_pos = tape_positions(sess)
             cl = cap_l[rows]
             # cl + (budget - cl) * draw, in place on the gathered draws
@@ -535,12 +360,12 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
             pick = caps.argmin(axis=1)
             new_cap = caps[at, pick]
             rate_high = np.minimum(u_s, (new_cap - b0_s) / tg_s)
-            got = (new_cap > cl + 1e-12) & (pick < ns_rows) & (rate_high > p0_s)
+            got = (new_cap > cl + 1e-12) & (rate_high > p0_s)
             if not got.all():
                 bad = np.flatnonzero(~got)
                 pick[bad], got[bad], new_cap[bad], rate_high[bad] = _masked_min_cap(
-                    caps[bad], cl[bad], ns_rows[bad], u_s[bad], b0_s[bad],
-                    p0_s[bad], tg_s[bad],
+                    caps[bad], cl[bad], u_s[bad], b0_s[bad], p0_s[bad],
+                    tg_s[bad],
                 )
             new_rate = p0_s + (rate_high - p0_s) * tape[sess, at_pos, 1, pick]
             # No admissible candidate left: accept the standing outcome
@@ -584,14 +409,13 @@ def simulate_assembled_batch(batch: StrategicBatch) -> dict[str, np.ndarray]:
                              q_rate=rate_l[mask], q_base=base_l[mask],
                              q_cap=cap_l[mask])
         cont = ~fail_t & ~accept_t
-        capped = cont & (mr[live] == T)  # per-session round cap
-        if capped.any():  # round cap: counted as failed
-            finalise(live[capped], st=STATUS_MAX_ROUNDS, by=BY_ENGINE, T=T,
-                     gain=gain[capped], pay=payment[capped], net=net[capped],
-                     ct=cost_r[capped], cd=cost_r[capped],
-                     q_rate=rate_l[capped], q_base=base_l[capped],
-                     q_cap=cap_l[capped])
-        live = live[cont & ~capped]
+        if T == max_rounds and cont.any():  # round cap: counted as failed
+            finalise(live[cont], st=STATUS_MAX_ROUNDS, by=BY_ENGINE, T=T,
+                     gain=gain[cont], pay=payment[cont], net=net[cont],
+                     ct=cost_r[cont], cd=cost_r[cont],
+                     q_rate=rate_l[cont], q_base=base_l[cont],
+                     q_cap=cap_l[cont])
+        live = live[cont]
 
     return {
         "status": status,

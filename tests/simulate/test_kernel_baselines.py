@@ -6,8 +6,9 @@ the engine's order (rate, base, cap draws per continuation).  Every
 such session's record must equal ``population.build_engine(i).run()``
 on all eleven :class:`~repro.simulate.pool.PoolResult` fields, NaNs
 included — for every built-in cost kind, the saturated-price-box
-accept, every batch size, and in batches shared with strategic rows,
-whose records must stay exactly what the kernel gives them on their own.
+accept, every batch size, catalogue width, sampling depth and round
+cap, and in batches shared with strategic rows, whose records must stay
+exactly what the kernel gives them on their own.
 """
 
 import dataclasses
@@ -20,9 +21,7 @@ from repro.simulate.kernel import (
     BY_TASK,
     STATUS_ACCEPTED,
     STATUS_MAX_ROUNDS,
-    assemble_strategic_batch,
-    concat_strategic_batches,
-    simulate_assembled_batch,
+    simulate_strategic_batch,
 )
 from repro.simulate.pool import session_record_arrays
 
@@ -127,7 +126,7 @@ class TestBatchSizes:
         pop = _population(5, 1100, increase_share=0.1)
         inc = _increase_rows(pop)
         strategic = np.setdiff1d(np.arange(pop.n_sessions), inc)
-        alone = simulate_assembled_batch(assemble_strategic_batch(pop, strategic))
+        alone = simulate_strategic_batch(pop, strategic)
         return pop, inc, _engine_records(pop, inc), strategic, alone
 
     @pytest.mark.parametrize("batch_size, n_run",
@@ -147,33 +146,23 @@ class TestBatchSizes:
         _assert_rows_equal(got, alone, strategic[mine], np.flatnonzero(mine))
 
 
-class TestHeterogeneousBatch:
-    def test_mixed_concat_matches_engine_and_strategic_alone(self):
-        """Populations of different catalogue widths, sampling depths
-        and round caps, half Increase Price, merged into one batch."""
-        pops = [
-            _population(20, 40, increase_share=0.5, n_bundles=8),
-            _population(21, 40, increase_share=0.5, n_bundles=30,
-                        n_price_samples=3, max_rounds=25),
-            _population(22, 40, increase_share=0.5, n_bundles=16,
-                        n_price_samples=1),
-        ]
-        batch = concat_strategic_batches(
-            [assemble_strategic_batch(p, np.arange(p.n_sessions)) for p in pops]
-        )
-        merged = simulate_assembled_batch(batch)
-        offset = 0
-        for pop in pops:
-            inc = _increase_rows(pop)
-            strategic = np.setdiff1d(np.arange(pop.n_sessions), inc)
-            _assert_rows_equal(merged, _engine_records(pop, inc),
-                               offset + inc, inc)
-            alone = simulate_assembled_batch(
-                assemble_strategic_batch(pop, strategic)
-            )
-            _assert_rows_equal(merged, alone, offset + strategic,
-                               np.arange(strategic.size))
-            offset += pop.n_sessions
-        # The 25-round cap binds some Increase-Price games.
-        capped = merged["status"][40:80][_increase_rows(pops[1])]
-        assert (capped == STATUS_MAX_ROUNDS).any()
+class TestPopulationShapes:
+    @pytest.mark.parametrize("seed, shape", [
+        (20, dict(n_bundles=8)),
+        (21, dict(n_bundles=30, n_price_samples=3, max_rounds=25)),
+        (22, dict(n_bundles=16, n_price_samples=1)),
+    ], ids=["narrow", "capped", "one-sample"])
+    def test_half_increase_price_matches_engine_and_strategic_alone(
+            self, seed, shape):
+        """Half Increase Price, over catalogue widths, sampling depths and
+        round caps: every Increase-Price row equals the engine, every
+        strategic row what the kernel gives it without them."""
+        pop = _population(seed, 40, increase_share=0.5, **shape)
+        out = simulate_strategic_batch(pop, np.arange(pop.n_sessions))
+        inc = _increase_rows(pop)
+        strategic = np.setdiff1d(np.arange(pop.n_sessions), inc)
+        _assert_rows_equal(out, _engine_records(pop, inc), inc)
+        _assert_rows_equal(out, simulate_strategic_batch(pop, strategic),
+                           strategic, np.arange(strategic.size))
+        if pop.spec.max_rounds == 25:  # the cap binds some of these games
+            assert (out["status"][inc] == STATUS_MAX_ROUNDS).any()

@@ -1,153 +1,103 @@
-"""Externally-assembled kernel batches: assembly, concat, heterogeneity.
+"""Batch composition is a pure execution concern of the kernel.
 
-The contract under test: :func:`simulate_assembled_batch` over a batch
-merged from *different* populations (different catalogue widths, round
-caps, sampling depths) returns, for every session, records bit-identical
-to running that session's home population alone — padding and batch
-composition are pure execution concerns.
+:func:`simulate_strategic_batch` runs the sessions of one population at
+any index set.  Each session's record must be the same bits whichever
+other sessions share its call, in whatever order they come, and however
+often the call is repeated — for generated populations over catalogue
+widths, sampling depths, round caps, strategy mixes (with stepwise rows
+left out of the kernel's index set) and every built-in cost kind.
 """
 
-from dataclasses import replace
-
 import numpy as np
-import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from repro.simulate.kernel import (
-    assemble_strategic_batch,
-    concat_strategic_batches,
-    simulate_assembled_batch,
-    simulate_strategic_batch,
-)
+from repro.simulate.kernel import STATUS_MAX_ROUNDS, simulate_strategic_batch
 from repro.simulate.population import PopulationSpec, sample_population
 
+MIXES = (
+    (("strategic", "strategic", 1.0),),
+    (("strategic", "strategic", 0.6), ("increase_price", "strategic", 0.4)),
+    (("increase_price", "strategic", 0.5), ("strategic", "random_bundle", 0.5)),
+)
+COST_MIXES = (
+    (("none", 0.0, 1.0),),
+    (("none", 0.0, 1.0), ("constant", 0.5, 1.0), ("linear", 0.01, 1.0),
+     ("exponential", 1.01, 1.0)),
+)
 
-def _population(seed, *, n_sessions=40, n_bundles=24, max_rounds=500,
-                n_price_samples=120, preset="synthetic"):
+PROPERTY = settings(max_examples=15, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def populations(draw):
+    """A small population and its kernel-eligible indices (two or more)."""
     spec = PopulationSpec(
-        preset=preset,
-        n_bundles=n_bundles,
-        max_rounds=max_rounds,
-        n_price_samples=n_price_samples,
+        preset="synthetic",
+        n_bundles=draw(st.integers(min_value=2, max_value=30)),
+        n_price_samples=draw(st.sampled_from((1, 3, 31, 120))),
+        max_rounds=draw(st.sampled_from((1, 2, 25, 500))),
+        strategy_mix=draw(st.sampled_from(MIXES)),
+        cost_mix=draw(st.sampled_from(COST_MIXES)),
     )
-    return sample_population(spec, n_sessions, seed=seed)
+    pop = sample_population(spec, draw(st.integers(min_value=2, max_value=40)),
+                            seed=draw(st.integers(min_value=0, max_value=2**16)))
+    eligible = np.flatnonzero(pop.kernel_eligible())
+    assume(eligible.size >= 2)
+    return pop, eligible
 
 
-def _assert_records_equal(got, want, rows_got, rows_want):
+def _assert_same_bits(got, want):
+    assert got.keys() == want.keys()
     for key in want:
-        np.testing.assert_array_equal(
-            got[key][rows_got], want[key][rows_want], err_msg=key
-        )
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
-class TestAssembledEntryPoint:
-    def test_wrapper_equals_assemble_plus_simulate(self):
-        pop = _population(0)
-        indices = np.arange(pop.n_sessions)
-        via_wrapper = simulate_strategic_batch(pop, indices)
-        via_parts = simulate_assembled_batch(
-            assemble_strategic_batch(pop, indices)
-        )
-        _assert_records_equal(via_parts, via_wrapper,
-                              slice(None), slice(None))
-
-    def test_batch_carries_per_session_protocol_constants(self):
-        pop = _population(3, max_rounds=77, n_price_samples=31)
-        batch = assemble_strategic_batch(pop, np.arange(5))
-        assert len(batch) == 5
-        assert (batch.max_rounds == 77).all()
-        assert (batch.n_price_samples == 31).all()
-
-    def test_seed_word_count_mismatch_rejected(self):
-        pop = _population(1)
-        batch = assemble_strategic_batch(pop, np.arange(4))
-        with pytest.raises(ValueError, match="seed_words"):
-            replace(batch, seed_words=batch.seed_words[:-1])
-
-    @pytest.mark.parametrize("field", [
-        "gains", "utility_rate", "budget", "cost_kind", "n_price_samples",
-        "max_rounds",
-    ])
-    def test_every_per_session_field_length_checked(self, field):
-        batch = assemble_strategic_batch(_population(1), np.arange(4))
-        with pytest.raises(ValueError, match=field):
-            replace(batch, **{field: getattr(batch, field)[:3]})
-
-    def test_batch_can_be_run_again(self):
-        batch = assemble_strategic_batch(_population(4), np.arange(40))
-        first = simulate_assembled_batch(batch)
-        _assert_records_equal(simulate_assembled_batch(batch), first,
-                              slice(None), slice(None))
-
-    def test_self_concat_runs_each_half_like_the_batch_alone(self):
-        batch = assemble_strategic_batch(_population(5), np.arange(40))
-        alone = simulate_assembled_batch(batch)
-        out = simulate_assembled_batch(concat_strategic_batches([batch, batch]))
-        _assert_records_equal(out, alone, slice(0, 40), slice(None))
-        _assert_records_equal(out, alone, slice(40, 80), slice(None))
+@PROPERTY
+@given(world=populations(), data=st.data())
+def test_any_split_equals_one_call(world, data):
+    pop, eligible = world
+    cuts = sorted(data.draw(st.sets(
+        st.integers(min_value=1, max_value=eligible.size - 1), max_size=6)))
+    parts = [simulate_strategic_batch(pop, part) for part in np.split(eligible, cuts)]
+    joined = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    _assert_same_bits(joined, simulate_strategic_batch(pop, eligible))
 
 
-class TestHeterogeneousConcat:
-    def test_concat_of_one_is_identity(self):
-        pop = _population(2)
-        batch = assemble_strategic_batch(pop, np.arange(8))
-        assert concat_strategic_batches([batch]) is batch
+@PROPERTY
+@given(world=populations(), data=st.data())
+def test_any_permutation_equals_one_call(world, data):
+    pop, eligible = world
+    order = np.array(data.draw(st.permutations(range(eligible.size))))
+    full = simulate_strategic_batch(pop, eligible)
+    _assert_same_bits(simulate_strategic_batch(pop, eligible[order]),
+                      {key: values[order] for key, values in full.items()})
 
-    def test_concat_requires_a_batch(self):
-        with pytest.raises(ValueError, match="at least one"):
-            concat_strategic_batches([])
 
-    def test_mixed_catalogue_widths_bit_identical_to_solo_runs(self):
-        """Sessions from three differently-shaped populations merged
-        into one kernel invocation terminate exactly as they do alone."""
-        pops = [
-            _population(10, n_sessions=30, n_bundles=12),
-            _population(11, n_sessions=25, n_bundles=40,
-                        n_price_samples=60),
-            _population(12, n_sessions=20, n_bundles=24, max_rounds=50),
-        ]
-        solo = [
-            simulate_strategic_batch(pop, np.arange(pop.n_sessions))
-            for pop in pops
-        ]
-        merged = concat_strategic_batches(
-            [assemble_strategic_batch(pop, np.arange(pop.n_sessions))
-             for pop in pops]
-        )
-        assert merged.gains.shape == (75, 40)
-        out = simulate_assembled_batch(merged)
-        start = 0
-        for pop, want in zip(pops, solo):
-            rows = slice(start, start + pop.n_sessions)
-            _assert_records_equal(out, want, rows, slice(None))
-            start += pop.n_sessions
+@PROPERTY
+@given(world=populations())
+def test_a_second_call_returns_the_same_bits(world):
+    pop, eligible = world
+    first = simulate_strategic_batch(pop, eligible)
+    _assert_same_bits(simulate_strategic_batch(pop, eligible), first)
 
-    def test_padding_columns_are_never_traded(self):
-        """A padded column must never be offered: every transacted gain
-        of the narrow population exists in its real catalogue."""
-        narrow = _population(20, n_sessions=30, n_bundles=8)
-        wide = _population(21, n_sessions=30, n_bundles=32)
-        merged = concat_strategic_batches([
-            assemble_strategic_batch(narrow, np.arange(narrow.n_sessions)),
-            assemble_strategic_batch(wide, np.arange(wide.n_sessions)),
-        ])
-        out = simulate_assembled_batch(merged)
-        gains = out["delta_g"][:narrow.n_sessions]
-        real = set(float(g) for g in narrow.gains)
-        for value in gains[np.isfinite(gains)]:
-            assert float(value) in real
 
-    def test_interleaved_cost_mixes_survive_concat(self):
-        spec = PopulationSpec(
-            preset="synthetic",
-            cost_mix=(("none", 0.0, 1.0), ("linear", 0.05, 1.0)),
-        )
-        pop_a = sample_population(spec, 20, seed=30)
-        pop_b = _population(31, n_sessions=15, n_bundles=10)
-        solo_a = simulate_strategic_batch(pop_a, np.arange(20))
-        solo_b = simulate_strategic_batch(pop_b, np.arange(15))
-        out = simulate_assembled_batch(concat_strategic_batches([
-            assemble_strategic_batch(pop_a, np.arange(20)),
-            assemble_strategic_batch(pop_b, np.arange(15)),
-        ]))
-        _assert_records_equal(out, solo_a, slice(0, 20), slice(None))
-        _assert_records_equal(out, solo_b, slice(20, 35), slice(None))
+@PROPERTY
+@given(world=populations())
+def test_every_traded_gain_is_in_the_catalogue(world):
+    pop, eligible = world
+    gains = simulate_strategic_batch(pop, eligible)["delta_g"]
+    assert np.isin(gains[np.isfinite(gains)], pop.gains).all()
+
+
+@PROPERTY
+@given(world=populations())
+def test_rounds_are_capped_at_the_spec_max_rounds(world):
+    pop, eligible = world
+    out = simulate_strategic_batch(pop, eligible)
+    assert (out["n_rounds"] >= 1).all()
+    assert (out["n_rounds"] <= pop.spec.max_rounds).all()
+    capped = out["status"] == STATUS_MAX_ROUNDS
+    assert (out["n_rounds"][capped] == pop.spec.max_rounds).all()

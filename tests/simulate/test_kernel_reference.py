@@ -6,10 +6,18 @@ and the one-pass min-cap pick: one live ``spawn(seed, "session", i,
 "kernel")`` generator per session, one ``random((2, k))`` call per
 sampling session per round, and a masked scan over every candidate.
 The fast kernel must return the same bits for every record, including
-NaNs, on homogeneous pool batches, heterogeneous concats, every cost
-kind the kernel implements, and games long enough to grow the offer
-trail and refill the tape many times.
+NaNs, on pool batches, strided index sets, every cost kind the kernel
+implements, every ``(n_price_samples, max_rounds)`` shape below, rows
+that reach the masked min-cap fallback, and games long enough to grow
+the offer trail and refill the tape many times.
+
+The frozen kernel reads per-session arrays (an ``(n, F)`` catalogue and
+per-row ``n_price_samples``/``max_rounds``); :func:`_reference_inputs`
+lays a population's sessions out that way.
 """
+
+import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -22,9 +30,7 @@ from repro.simulate.kernel import (
     STATUS_ACCEPTED,
     STATUS_FAILED,
     STATUS_MAX_ROUNDS,
-    assemble_strategic_batch,
-    concat_strategic_batches,
-    simulate_assembled_batch,
+    simulate_strategic_batch,
 )
 from repro.simulate.population import PopulationSpec, sample_population
 from repro.utils.rng import spawn
@@ -33,6 +39,9 @@ _COST_NONE, _COST_CONSTANT, _COST_LINEAR, _COST_EXPONENTIAL = 0, 1, 2, 3
 
 ALL_COSTS = (("none", 0.0, 1.0), ("constant", 0.5, 1.0),
              ("linear", 0.01, 1.0), ("exponential", 1.01, 1.0))
+#: ``(n_price_samples, max_rounds)`` shapes, one population each.
+SHAPES = ((1, 500), (3, 50), (31, 2), (120, 1), (3, 500), (1, 2), (120, 50),
+          (31, 500))
 
 
 def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int) -> np.ndarray:
@@ -278,6 +287,28 @@ def _kernel_generators(population, indices):
     return [spawn(population.seed, "session", int(i), "kernel") for i in indices]
 
 
+class _Sessions(types.SimpleNamespace):
+    def __len__(self):
+        return len(self.gains)
+
+
+def _reference_inputs(population, indices):
+    """``population``'s sessions at ``indices`` as per-session arrays."""
+    n, spec = len(indices), population.spec
+    per_session = {
+        name: getattr(population, name)[indices]
+        for name in ("reserved_rate", "reserved_base", "utility_rate", "budget",
+                     "initial_rate", "initial_base", "target", "eps_d",
+                     "eps_t", "eps_dc", "eps_tc", "cost_kind", "cost_a")
+    }
+    return _Sessions(
+        gains=np.broadcast_to(population.gains, (n, len(population.gains))),
+        n_price_samples=np.full(n, spec.n_price_samples),
+        max_rounds=np.full(n, spec.max_rounds),
+        **per_session,
+    )
+
+
 def _population(seed, n_sessions=60, **spec):
     return sample_population(PopulationSpec(preset="synthetic", **spec),
                              n_sessions, seed=seed)
@@ -290,13 +321,14 @@ def _assert_bit_identical(got, want):
         assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
-def _check(pops):
-    """Run ``pops`` merged into one batch through both kernels."""
-    parts = [assemble_strategic_batch(p, np.arange(p.n_sessions)) for p in pops]
-    gens = [g for p in pops for g in _kernel_generators(p, np.arange(p.n_sessions))]
-    batch = concat_strategic_batches(parts)
-    want = reference_simulate(batch, gens)
-    _assert_bit_identical(simulate_assembled_batch(batch), want)
+def _check(pop, indices=None):
+    """Run ``pop``'s sessions at ``indices`` (all by default) through
+    both kernels."""
+    if indices is None:
+        indices = np.arange(pop.n_sessions)
+    want = reference_simulate(_reference_inputs(pop, indices),
+                              _kernel_generators(pop, indices))
+    _assert_bit_identical(simulate_strategic_batch(pop, indices), want)
     return want
 
 
@@ -316,32 +348,47 @@ def fallbacks(monkeypatch):
 
 class TestAgainstFrozenKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_homogeneous_pool_batches(self, seed):
-        _check([_population(seed, n_sessions=120,
-                            cost_mix=(("none", 0.0, 1.0), ("linear", 0.001, 1.0),
-                                      ("exponential", 1.001, 1.0)))])
+    def test_pool_batches(self, seed):
+        _check(_population(seed, n_sessions=120,
+                           cost_mix=(("none", 0.0, 1.0), ("linear", 0.001, 1.0),
+                                     ("exponential", 1.001, 1.0))))
 
     def test_every_cost_kind(self):
-        out = _check([_population(7, n_sessions=160, cost_mix=ALL_COSTS)])
+        out = _check(_population(7, n_sessions=160, cost_mix=ALL_COSTS))
         assert set(np.unique(out["status"])) >= {STATUS_ACCEPTED, STATUS_FAILED}
 
-    def test_heterogeneous_samples_and_round_caps(self, fallbacks):
-        pops = [
-            _population(20 + j, n_sessions=30, n_bundles=8 + 8 * j,
-                        n_price_samples=ns, max_rounds=mr, cost_mix=ALL_COSTS)
-            for j, (ns, mr) in enumerate(
-                [(1, 500), (3, 50), (31, 2), (120, 1), (3, 500), (1, 2),
-                 (120, 50), (31, 500)])
-        ]
-        out = _check(pops)
-        assert (out["status"] == STATUS_MAX_ROUNDS).any()
-        # Padded sample columns hold the global minimum cap, so rows
-        # with fewer than 120 samples are resolved by the fallback.
+    def test_strided_indices(self):
+        pop = _population(8, n_sessions=160, cost_mix=ALL_COSTS)
+        _check(pop, np.arange(3, pop.n_sessions, 7))
+
+    @pytest.mark.parametrize(
+        "j, n_price_samples, max_rounds",
+        [(j, ns, mr) for j, (ns, mr) in enumerate(SHAPES)],
+        ids=[f"ns{ns}-mr{mr}" for ns, mr in SHAPES],
+    )
+    def test_sampling_depths_and_round_caps(self, j, n_price_samples, max_rounds):
+        out = _check(_population(20 + j, n_sessions=30, n_bundles=8 + 8 * j,
+                                 n_price_samples=n_price_samples,
+                                 max_rounds=max_rounds, cost_mix=ALL_COSTS))
+        assert (out["n_rounds"] <= max_rounds).all()
+        if max_rounds <= 2:
+            assert (out["status"] == STATUS_MAX_ROUNDS).any()
+
+    def test_masked_min_cap_fallback(self, fallbacks):
+        """A budget 5e-12 above the opening cap puts a fifth of the
+        candidates within the 1e-12 "raises the cap" margin, so the
+        smallest cap is nearly always inadmissible and the masked pick
+        must resolve it."""
+        pop = _population(9, n_sessions=80)
+        pop = dataclasses.replace(
+            pop, budget=pop.initial_base + pop.initial_rate * pop.target + 5e-12,
+        )
+        _check(pop)
         assert sum(fallbacks) > 0
 
     def test_long_games_grow_the_trail_and_refill_the_tape(self):
         pop = _population(5, n_sessions=400, n_price_samples=240)
-        out = _check([pop])
+        out = _check(pop)
         # Past 64 rounds the offer trail grows; past 8 tape windows the
         # tape has been refilled at least 8 times.
         assert out["n_rounds"].max() > max(64, 8 * kernel._TAPE_ROUNDS)
@@ -349,4 +396,4 @@ class TestAgainstFrozenKernel:
     def test_single_round_budget_tape(self, monkeypatch):
         # A one-round tape refills on every sampling round.
         monkeypatch.setattr(kernel, "_TAPE_BYTES", 1)
-        _check([_population(6, n_sessions=80, cost_mix=ALL_COSTS)])
+        _check(_population(6, n_sessions=80, cost_mix=ALL_COSTS))
