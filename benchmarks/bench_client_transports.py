@@ -6,7 +6,10 @@ The claim under test: the typed client is free where it should be free
 :class:`~repro.service.manager.SessionManager` directly (the facade
 adds one route match and one JSON round-trip per call to work that
 runs whole bargaining games) — and the HTTP transport's per-call
-round-trip overhead is measured and reported, not guessed.
+round-trip overhead is measured and reported, not guessed.  The
+latency of one single-round ``/step`` over HTTP — the call a
+round-by-round bargaining party makes every round — is reported as
+``http_step_p50_us`` (no floor).
 
 All three paths play the *same* games (identical per-run seed
 streams), so the comparison also pins outcome equality across the
@@ -17,6 +20,7 @@ CI artifact.
 
 import json
 import os
+import statistics
 import time
 
 from repro.client import MarketplaceClient
@@ -63,6 +67,23 @@ def _run_client(client: MarketplaceClient, n: int):
     return outcomes
 
 
+def _step_latencies(client: MarketplaceClient, n: int) -> list[float]:
+    """Seconds per single-round ``/step`` call, over ``n`` sessions
+    each stepped round by round to termination."""
+    took = []
+    for run in range(n):
+        reply = client.open_session(
+            SessionSpec(market=SPEC, seed=SEED, run=run)
+        )
+        session = reply["session"]
+        while not reply["done"]:
+            t0 = time.perf_counter()
+            reply = client.step(session)
+            took.append(time.perf_counter() - t0)
+        client.close_session(session)
+    return took
+
+
 def _best_of(fn, repeats: int = REPEATS):
     """(best elapsed, last result) — the min damps scheduler noise."""
     best, result = float("inf"), None
@@ -102,6 +123,7 @@ def test_client_transport_overhead(results_dir, tmp_path):
         http_elapsed, http = _best_of(
             lambda: _run_client(http_client, N_SESSIONS)
         )
+        step_times = _step_latencies(http_client, N_SESSIONS)
     finally:
         http_client.close()
         server.shutdown()
@@ -112,6 +134,7 @@ def test_client_transport_overhead(results_dir, tmp_path):
         / (N_SESSIONS * calls_per_session)
     )
     local_overhead = local_elapsed / direct_elapsed - 1.0
+    http_step_p50_us = 1e6 * statistics.median(step_times)
 
     print()
     print(f"direct SessionManager : {N_SESSIONS} sessions in "
@@ -122,6 +145,8 @@ def test_client_transport_overhead(results_dir, tmp_path):
     print(f"HttpTransport client  : {N_SESSIONS} sessions in "
           f"{http_elapsed:.3f}s "
           f"(~{1e6 * max(http_call_overhead, 0.0):.0f}us per round trip)")
+    print(f"HTTP single-round step: p50 {http_step_p50_us:.0f}us over "
+          f"{len(step_times)} calls")
 
     payload = {
         "n_sessions": N_SESSIONS,
@@ -132,6 +157,8 @@ def test_client_transport_overhead(results_dir, tmp_path):
         "local_overhead": local_overhead,
         "local_overhead_ceiling": LOCAL_OVERHEAD_CEILING,
         "http_roundtrip_overhead_us": 1e6 * max(http_call_overhead, 0.0),
+        "http_step_calls": len(step_times),
+        "http_step_p50_us": http_step_p50_us,
     }
     with open(os.path.join(results_dir, "client_transports.json"), "w",
               encoding="utf-8") as fh:

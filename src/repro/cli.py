@@ -8,8 +8,8 @@ arguments become a typed :class:`~repro.service.specs.MarketSpec` /
 :class:`~repro.client.MarketplaceClient` — in-process by default
 (:class:`~repro.client.LocalTransport` over the shared market pool),
 or against any ``python -m repro serve`` deployment with
-``--server URL`` (:class:`~repro.client.HttpTransport`), with
-identical report digests either way.
+``--server URL`` (:class:`~repro.client.HttpTransport`, keep-alive
+HTTP/1.1 with retries), with identical report digests either way.
 
 Commands
 --------

@@ -10,9 +10,9 @@ the platform lives:
   :class:`~repro.service.manager.SessionManager` and
   :class:`~repro.service.api.JobService` directly (zero HTTP
   overhead; what ``python -m repro bargain`` uses by default);
-* :class:`HttpTransport` — stdlib HTTP with connection reuse and
-  retry/backoff against a ``repro serve`` URL (what ``--server``
-  switches any front door to).
+* :class:`HttpTransport` — HTTP/1.1 framed on one keep-alive socket
+  per thread, with retry/backoff, against a ``repro serve`` URL (what
+  ``--server`` switches any front door to).
 
 Both transports dispatch through the same route table
 (:mod:`repro.service.api`), so payloads are byte-identical across them.

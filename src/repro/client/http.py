@@ -1,11 +1,21 @@
-"""HTTP transport: stdlib ``http.client`` with reuse, retries, backoff.
+"""HTTP transport: HTTP/1.1 framed on a keep-alive socket's own reader.
 
 Design points:
 
 * **Connection reuse** — one persistent keep-alive connection per
-  thread (``http.client`` connections are not thread-safe; a
-  ``threading.local`` gives every caller thread its own), torn down
-  and re-dialled on failure.
+  thread (a ``threading.local`` gives every caller thread its own),
+  torn down and re-dialled on failure.  A connection is a socket plus
+  one buffered reader that lives as long as the socket: every reply
+  on it is framed from that reader, so bytes the kernel delivered
+  early are never lost between replies and no per-reply reader is
+  built.
+* **Framing** — a request is written with one ``sendall`` (head and
+  body together).  A reply is a status line, a header block (bounded
+  line length and header count), then a body sized by
+  ``Content-Length``, by ``chunked`` encoding, or by the server
+  closing the connection.  Any framing error, and any
+  ``Connection: close`` reply, drops the socket.  ``request``,
+  ``request_text`` and ``stream`` share this one framing path.
 * **Retries with backoff** — connection-refused and DNS failures are
   retried for every method (the server never saw the request); errors
   after the request was sent are retried for ``GET`` only, because
@@ -26,10 +36,10 @@ Design points:
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
+import ssl
 import threading
 import time
 from typing import Iterator
@@ -74,6 +84,22 @@ _RETRY_STATUSES = frozenset({429, 503})
 #: must not be parked for minutes by one overloaded reply.
 _MAX_RETRY_AFTER = 30.0
 
+#: Bounds on a reply head, so a hostile or broken peer cannot make the
+#: client buffer without limit (the same caps stdlib HTTP clients use).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: Methods that carry a body by definition: they always send a
+#: ``Content-Length``, zero when there is no body.
+_BODY_METHODS = frozenset({"PATCH", "POST", "PUT"})
+
+#: Replies that never carry a body, whatever their headers say.
+_NO_BODY_STATUSES = frozenset({204, 304})
+
+
+class _FramingError(Exception):
+    """The reply bytes are not a well-formed HTTP/1.x response."""
+
 
 def _parse_retry_after(value: str | None) -> float | None:
     """Seconds from a ``Retry-After`` header (delta form only)."""
@@ -86,6 +112,133 @@ def _parse_retry_after(value: str | None) -> float | None:
     if seconds < 0:
         return None
     return min(seconds, _MAX_RETRY_AFTER)
+
+
+class _Connection:
+    """One keep-alive socket and the reader that frames its replies."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def _line(self) -> bytes:
+        line = self.reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _FramingError(f"reply line longer than {_MAX_LINE} bytes")
+        return line
+
+    def read_head(self) -> tuple[int, dict[str, str], bool]:
+        """Status, lower-cased headers, and whether the server keeps
+        the connection open after this reply's body."""
+        while True:
+            line = self._line()
+            if not line:
+                raise _FramingError("connection closed before the status line")
+            parts = line.split(None, 2)
+            if (len(parts) < 2 or not parts[0].startswith(b"HTTP/1.")
+                    or len(parts[1]) != 3 or not parts[1].isdigit()):
+                raise _FramingError(f"malformed status line {line[:80]!r}")
+            status = int(parts[1])
+            headers = self._headers()
+            if status >= 200:
+                break
+            # 1xx interim replies (100 Continue) precede the real one.
+        connection = headers.get("connection", "").lower()
+        if parts[0] == b"HTTP/1.0":
+            keep_alive = "keep-alive" in connection
+        else:
+            keep_alive = "close" not in connection
+        if ("content-length" not in headers
+                and "chunked" not in headers.get("transfer-encoding",
+                                                  "").lower()
+                and status not in _NO_BODY_STATUSES):
+            keep_alive = False  # the body runs to EOF
+        return status, headers, keep_alive
+
+    def _headers(self) -> dict[str, str]:
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line()
+            if line in (b"\r\n", b"\n"):
+                return headers
+            if not line:
+                raise _FramingError("connection closed inside the reply head")
+            name, sep, value = line.decode("latin-1").partition(":")
+            if not sep:
+                raise _FramingError(f"malformed header line {line[:80]!r}")
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = (f"{headers[name]}, {value}" if name in headers
+                             else value)
+        raise _FramingError(f"more than {_MAX_HEADERS} reply headers")
+
+    def body(self, status: int, headers: dict[str, str]) -> Iterator[bytes]:
+        """The reply body after :meth:`read_head`, piece by piece."""
+        if status in _NO_BODY_STATUSES:
+            return
+        reader = self.reader
+        if "chunked" in headers.get("transfer-encoding", "").lower():
+            while True:
+                line = self._line()
+                try:
+                    size = int(line.split(b";", 1)[0], 16)
+                except ValueError:
+                    raise _FramingError(
+                        f"malformed chunk size {line[:80]!r}"
+                    ) from None
+                if size < 0:
+                    raise _FramingError(f"negative chunk size {size}")
+                if size == 0:
+                    self._headers()  # trailer block, up to the blank line
+                    return
+                data = reader.read(size)
+                if len(data) < size or reader.read(2) != b"\r\n":
+                    raise _FramingError("chunk truncated or not CRLF-terminated")
+                yield data
+        raw_length = headers.get("content-length")
+        if raw_length is None:
+            while True:
+                data = reader.read1(65536)
+                if not data:
+                    return
+                yield data
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise _FramingError(
+                f"Content-Length {raw_length!r} is not an integer"
+            ) from None
+        if length < 0:
+            raise _FramingError(f"negative Content-Length {length}")
+        data = reader.read(length)
+        if len(data) < length:
+            raise _FramingError(
+                f"reply body ended after {len(data)} of the declared "
+                f"{length} bytes"
+            )
+        yield data
+
+    def read_reply(self) -> tuple[int, dict[str, str], bool, bytes]:
+        """One whole reply: status, headers, keep-alive, body."""
+        status, headers, keep_alive = self.read_head()
+        return status, headers, keep_alive, b"".join(self.body(status, headers))
+
+    def shutdown(self) -> None:
+        # close() alone does not wake a peer thread blocked in recv()
+        # on this socket (the fd stays referenced until the read
+        # returns); shutdown() interrupts it immediately, so closing
+        # never waits out another thread's socket timeout.
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        # The reader holds a reference to the socket's fd: both must
+        # close before the fd is released.
+        self.reader.close()
+        self.sock.close()
 
 
 class HttpTransport(Transport):
@@ -120,40 +273,53 @@ class HttpTransport(Transport):
         self.timeout = float(timeout)
         self.retries = int(retries)
         self.backoff = float(backoff)
+        # An IPv6 literal is bracketed wherever it meets a port.
+        self._netloc_host = f"[{self.host}]" if ":" in self.host else self.host
+        default_port = 443 if self.scheme == "https" else 80
+        self._host_header = (
+            self._netloc_host if self.port == default_port
+            else f"{self._netloc_host}:{self.port}"
+        )
         self._local = threading.local()
         # Every live connection, whichever thread dialled it: a client
         # shared by several threads is closed by one of them, and must
         # still release every thread's socket.
         self._conn_lock = threading.Lock()
-        self._conns: set = set()
+        self._conns: set[_Connection] = set()
 
     @property
     def base_url(self) -> str:
-        return f"{self.scheme}://{self.host}:{self.port}{self.prefix}"
+        return f"{self.scheme}://{self._netloc_host}:{self.port}{self.prefix}"
 
     # ------------------------------------------------------------------
     # Connection pool (one keep-alive connection per thread)
     # ------------------------------------------------------------------
-    def _connect(self) -> http.client.HTTPConnection:
-        cls = (http.client.HTTPSConnection if self.scheme == "https"
-               else http.client.HTTPConnection)
-        conn = cls(self.host, self.port, timeout=self.timeout)
-        conn.connect()
-        # Nagle + delayed ACK costs ~40ms per small request/response
-        # pair; RPC-shaped traffic needs segments on the wire now.
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        try:
+            # Nagle + delayed ACK costs ~40ms per small request/response
+            # pair; RPC-shaped traffic needs segments on the wire now.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.scheme == "https":
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=self.host
+                )
+        except BaseException:
+            sock.close()
+            raise
+        conn = _Connection(sock)
         with self._conn_lock:
             self._conns.add(conn)
         return conn
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._connect()
             self._local.conn = conn
         return conn
 
-    def _release(self, conn) -> None:
+    def _release(self, conn: _Connection) -> None:
         conn.close()
         with self._conn_lock:
             self._conns.discard(conn)
@@ -170,16 +336,7 @@ class HttpTransport(Transport):
         with self._conn_lock:
             conns, self._conns = list(self._conns), set()
         for conn in conns:
-            # close() alone does not wake a peer thread blocked in
-            # recv() on this socket (the fd stays referenced until the
-            # read returns); shutdown() interrupts it immediately, so
-            # closing never waits out another thread's socket timeout.
-            sock = getattr(conn, "sock", None)
-            if sock is not None:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
+            conn.shutdown()
             conn.close()
 
     # ------------------------------------------------------------------
@@ -191,14 +348,22 @@ class HttpTransport(Transport):
             )
         return target
 
-    @staticmethod
-    def _headers() -> dict:
-        """Request headers, propagating the active span context if any."""
-        headers = {"Content-Type": "application/json"}
+    def _request_bytes(self, method: str, target: str,
+                       blob: bytes | None) -> bytes:
+        """The request head and body, propagating the active span
+        context (if any) as ``traceparent``."""
+        head = (f"{method} {target} HTTP/1.1\r\n"
+                f"Host: {self._host_header}\r\n"
+                "Accept-Encoding: identity\r\n"
+                "Content-Type: application/json\r\n")
         ctx = obs.current()
         if ctx is not None:
-            headers["traceparent"] = obs.to_traceparent(ctx)
-        return headers
+            head += f"traceparent: {obs.to_traceparent(ctx)}\r\n"
+        if blob is not None:
+            head += f"Content-Length: {len(blob)}\r\n"
+        elif method in _BODY_METHODS:
+            head += "Content-Length: 0\r\n"
+        return (head + "\r\n").encode("latin-1") + (blob or b"")
 
     def request(
         self,
@@ -210,8 +375,7 @@ class HttpTransport(Transport):
     ) -> tuple[int, dict]:
         blob = (json.dumps(body).encode("utf-8")
                 if body is not None else None)
-        target = self._target(path, query)
-        headers = self._headers()
+        data = self._request_bytes(method, self._target(path, query), blob)
         attempts = self.retries + 1
         last: Exception | None = None
         retry_after: float | None = None
@@ -232,10 +396,9 @@ class HttpTransport(Transport):
             sent = False
             try:
                 conn = self._connection()
-                conn.request(method, target, body=blob, headers=headers)
+                conn.sock.sendall(data)
                 sent = True
-                response = conn.getresponse()
-                raw = response.read()
+                status, headers, keep_alive, raw = conn.read_reply()
             except Exception as exc:
                 self._drop()
                 last = exc
@@ -251,27 +414,25 @@ class HttpTransport(Transport):
                     f"{attempt + 1} attempt(s): {exc}",
                     attempts=attempt + 1,
                 ) from exc
-            if response.will_close:
+            if not keep_alive:
                 self._drop()
-            if response.status in _RETRY_STATUSES and attempt + 1 < attempts:
+            if status in _RETRY_STATUSES and attempt + 1 < attempts:
                 # The handler refused before touching state (session
                 # cap / drain); the body is fully read, so the pooled
                 # connection stays clean for the replay.
-                retry_after = _parse_retry_after(
-                    response.getheader("Retry-After")
-                )
+                retry_after = _parse_retry_after(headers.get("retry-after"))
                 continue
             try:
                 payload = json.loads(raw.decode("utf-8")) if raw else {}
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise TransportError(
                     f"{method} {self.base_url}{path} returned status "
-                    f"{response.status} with a non-JSON body",
+                    f"{status} with a non-JSON body",
                     attempts=attempt + 1,
                 ) from exc
             if not isinstance(payload, dict):
                 payload = {"value": payload}
-            return response.status, payload
+            return status, payload
         raise TransportError(  # pragma: no cover - loop always returns/raises
             f"{method} {self.base_url}{path} failed: {last}",
             attempts=attempts,
@@ -287,18 +448,18 @@ class HttpTransport(Transport):
     ) -> tuple[int, str]:
         try:
             conn = self._connection()
-            conn.request(method, self._target(path, query),
-                         headers=self._headers())
-            response = conn.getresponse()
-            raw = response.read()
+            conn.sock.sendall(self._request_bytes(
+                method, self._target(path, query), None
+            ))
+            status, _, keep_alive, raw = conn.read_reply()
         except Exception as exc:
             self._drop()
             raise TransportError(
                 f"{method} {self.base_url}{path} (text) failed: {exc}"
             ) from exc
-        if response.will_close:
+        if not keep_alive:
             self._drop()
-        return response.status, raw.decode("utf-8")
+        return status, raw.decode("utf-8")
 
     # ------------------------------------------------------------------
     def stream(
@@ -314,34 +475,38 @@ class HttpTransport(Transport):
         conn = None  # dedicated connection: the pooled one stays clean
         try:
             conn = self._connect()
-            conn.request(
-                method, self._target(path, query), body=blob,
-                headers=self._headers(),
-            )
-            response = conn.getresponse()
+            conn.sock.sendall(self._request_bytes(
+                method, self._target(path, query), blob
+            ))
+            status, headers, _ = conn.read_head()
         except Exception as exc:
             if conn is not None:
                 self._release(conn)
             raise TransportError(
                 f"{method} {self.base_url}{path} (stream) failed: {exc}"
             ) from exc
-        if response.status != 200:
+        if status != 200:
             try:
-                raw = response.read()
+                raw = b"".join(conn.body(status, headers))
                 payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (UnicodeDecodeError, json.JSONDecodeError):
+            except (_FramingError, OSError, UnicodeDecodeError,
+                    json.JSONDecodeError):
                 payload = {}
             finally:
                 self._release(conn)
-            raise error_from_reply(response.status, payload)
+            raise error_from_reply(status, payload)
 
         def lines() -> Iterator[dict]:
+            pending = b""
             try:
-                for raw_line in response:  # chunked decoding is built in
-                    line = raw_line.strip()
-                    if line:
-                        yield json.loads(line.decode("utf-8"))
-            except (http.client.HTTPException, OSError) as exc:
+                for piece in conn.body(status, headers):
+                    *complete, pending = (pending + piece).split(b"\n")
+                    for line in complete:
+                        if line.strip():
+                            yield json.loads(line.decode("utf-8"))
+                if pending.strip():
+                    yield json.loads(pending.decode("utf-8"))
+            except (_FramingError, OSError) as exc:
                 raise TransportError(
                     f"stream from {self.base_url}{path} broke mid-read: "
                     f"{exc}"

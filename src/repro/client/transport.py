@@ -6,8 +6,8 @@ implementations ship:
 
 * :class:`~repro.client.local.LocalTransport` — in-process dispatch
   through :func:`repro.service.api.dispatch` (zero HTTP overhead);
-* :class:`~repro.client.http.HttpTransport` — stdlib ``http.client``
-  with connection reuse and retry/backoff.
+* :class:`~repro.client.http.HttpTransport` — HTTP/1.1 framed on
+  one keep-alive socket per thread, with retry/backoff.
 
 Because both return payloads that have passed through a JSON
 round-trip of the *same* route handlers, a client is byte-identical

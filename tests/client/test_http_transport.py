@@ -77,10 +77,18 @@ class TestConnectionReuse:
         transport = HttpTransport(service["url"])
         transport.request("GET", "/v1/health")
         first = transport._local.conn
+        sock, reader = first.sock, first.reader
+        local_addr = sock.getsockname()
         transport.request("GET", "/v1/health")
+        transport.request_text("GET", "/v1/metrics")
+        # The same socket, still dialled from the same local port, and
+        # the same reader framed every reply on it.
         assert transport._local.conn is first
+        assert first.sock is sock and first.reader is reader
+        assert sock.getsockname() == local_addr
         transport.close()
         assert transport._local.conn is None
+        assert sock.fileno() == -1
 
 
 class _MalformedHandler(BaseHTTPRequestHandler):
@@ -338,3 +346,214 @@ class TestRetryableStatuses:
         for attempt, delay in enumerate(recorded, start=1):
             step = 0.08 * (2 ** (attempt - 1))
             assert step / 2 <= delay <= step, (attempt, delay)
+
+
+class TestRequestHead:
+    """The request head is built directly; it must say what stdlib
+    HTTP clients say for the same request."""
+
+    @staticmethod
+    def _lines(data: bytes) -> tuple[list[bytes], bytes]:
+        head, _, body = data.partition(b"\r\n\r\n")
+        return head.split(b"\r\n"), body
+
+    def test_ipv6_literal_is_bracketed_in_host(self):
+        transport = HttpTransport("http://[::1]:8080")
+        lines, body = self._lines(
+            transport._request_bytes("POST", "/v1/sessions", b'{"a": 1}')
+        )
+        assert lines[0] == b"POST /v1/sessions HTTP/1.1"
+        assert b"Host: [::1]:8080" in lines
+        assert b"Content-Length: 8" in lines
+        assert body == b'{"a": 1}'
+        assert transport.base_url == "http://[::1]:8080"
+
+    def test_default_port_and_body_lengths(self):
+        transport = HttpTransport("example.org")
+        lines, body = self._lines(
+            transport._request_bytes("GET", "/v1/health", None)
+        )
+        assert b"Host: example.org" in lines
+        assert not any(line.startswith(b"Content-Length") for line in lines)
+        assert body == b""
+        lines, _ = self._lines(
+            transport._request_bytes("POST", "/v1/sessions/s0/step", None)
+        )
+        assert b"Content-Length: 0" in lines
+
+    def test_active_span_is_propagated(self):
+        from repro import obs
+        from repro.obs.trace import SpanContext
+
+        ctx = SpanContext("ab" * 16, "cd" * 8)
+        token = obs.attach(ctx)
+        try:
+            data = HttpTransport("example.org")._request_bytes(
+                "GET", "/v1/health", None
+            )
+        finally:
+            obs.detach(token)
+        lines, _ = self._lines(data)
+        assert f"traceparent: {obs.to_traceparent(ctx)}".encode() in lines
+
+
+class _QuietServer(ThreadingHTTPServer):
+    """Counts accepted connections; a client hanging up mid-reply is
+    expected here and must not print a traceback."""
+
+    daemon_threads = True
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.connections = 0
+        self.calls: list[str] = []
+
+    def get_request(self):
+        self.connections += 1
+        return super().get_request()
+
+    def handle_error(self, request, client_address):
+        pass
+
+
+class _serving:
+    """``with _serving(Handler) as (server, transport)``: a stdlib
+    server (an independent HTTP implementation) and a transport to it."""
+
+    def __init__(self, handler, **transport_options):
+        self.server = _QuietServer(handler)
+        transport_options.setdefault("timeout", 5.0)
+        transport_options.setdefault("backoff", 0.01)
+        self.transport = HttpTransport(
+            "http://127.0.0.1:%d" % self.server.server_address[1],
+            **transport_options,
+        )
+
+    def __enter__(self):
+        threading.Thread(target=self.server.serve_forever,
+                         daemon=True).start()
+        return self.server, self.transport
+
+    def __exit__(self, *exc_info):
+        self.transport.close()
+        self.server.shutdown()
+        self.server.server_close()
+
+
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def reply(self, blob: bytes, *headers: tuple[str, str],
+              length: int | None = None):
+        self.send_response(200)
+        for name, value in headers:
+            self.send_header(name, value)
+        if length is not None:
+            self.send_header("Content-Length", str(length))
+        self.end_headers()
+        self.wfile.write(blob)
+
+    def do_GET(self):  # noqa: N802
+        self.server.calls.append(self.command)
+        self.serve()
+
+    def do_POST(self):  # noqa: N802
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.do_GET()
+
+    def log_message(self, *args):
+        pass
+
+
+class TestFraming:
+    """Replies from stdlib ``http.server``, framed by the transport."""
+
+    def test_chunked_stream(self):
+        lines = [{"event": "progress", "done": i} for i in range(3)]
+        blob = b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+
+        class Handler(_Handler):
+            def serve(self):
+                self.send_response(200)
+                self.send_header("Transfer-Encoding", "chunked")
+                self.end_headers()
+                # Chunk boundaries fall mid-line and mid-number.
+                for start in range(0, len(blob), 7):
+                    piece = blob[start:start + 7]
+                    self.wfile.write(b"%x;ext=1\r\n%s\r\n" % (len(piece),
+                                                              piece))
+                self.wfile.write(b"0\r\nX-Trailer: done\r\n\r\n")
+
+        with _serving(Handler) as (_, transport):
+            assert list(transport.stream("GET", "/events")) == lines
+
+    def test_http10_body_delimited_by_close(self):
+        class Handler(_Handler):
+            protocol_version = "HTTP/1.0"
+
+            def serve(self):
+                self.reply(b'{"framed": "by close"}')
+
+        with _serving(Handler) as (server, transport):
+            assert transport.request("GET", "/x") == (
+                200, {"framed": "by close"}
+            )
+            assert transport._local.conn is None
+            assert transport.request_text("GET", "/x") == (
+                200, '{"framed": "by close"}'
+            )
+            assert server.connections == 2
+
+    @pytest.mark.parametrize("close, dials", [(True, 3), (False, 1)])
+    def test_connection_close_reply_drops_the_socket(self, close, dials):
+        class Handler(_Handler):
+            def serve(self):
+                headers = [("Connection", "close")] if close else []
+                self.reply(b"{}", *headers, length=2)
+
+        with _serving(Handler) as (server, transport):
+            for _ in range(3):
+                assert transport.request("POST", "/x", body={}) == (200, {})
+                assert (transport._local.conn is None) is close
+            assert server.connections == dials
+
+    @pytest.mark.parametrize("method, attempts", [("GET", 2), ("POST", 1)])
+    def test_eof_before_status_line(self, method, attempts):
+        class Handler(_Handler):
+            def serve(self):
+                if len(self.server.calls) == 1:
+                    self.close_connection = True  # hang up, no reply
+                else:
+                    self.reply(b'{"ok": true}', length=12)
+
+        with _serving(Handler, retries=2) as (server, transport):
+            if method == "GET":
+                assert transport.request("GET", "/x") == (200, {"ok": True})
+            else:
+                with pytest.raises(TransportError) as excinfo:
+                    transport.request("POST", "/x", body={"step": 1})
+                assert excinfo.value.attempts == 1
+            assert server.calls == [method] * attempts
+
+    @pytest.mark.parametrize("kind", ["truncated", "long-line", "headers"])
+    def test_malformed_reply_raises_without_hanging(self, kind):
+        class Handler(_Handler):
+            protocol_version = "HTTP/1.0"  # the server hangs up after
+
+            def serve(self):
+                if kind == "truncated":
+                    # Valid JSON, so only the length check can object.
+                    self.reply(b"{}", length=100)
+                elif kind == "long-line":
+                    self.reply(b"{}", ("X-Long", "a" * 70_000), length=2)
+                else:
+                    headers = [(f"X-H{i}", "v") for i in range(101)]
+                    self.reply(b"{}", *headers, length=2)
+
+        with _serving(Handler, retries=0, timeout=10.0) as (_, transport):
+            start = time.monotonic()
+            with pytest.raises(TransportError) as excinfo:
+                transport.request("GET", "/x")
+            assert time.monotonic() - start < 5.0
+            assert excinfo.value.attempts == 1
+            assert transport._local.conn is None
