@@ -25,12 +25,13 @@ quadratically with the number of rounds.
 The bundle buffer is kept directly in the packed form
 :class:`~repro.ml.nn.layers.EmbeddingBag` pools over
 (:class:`~repro.ml.nn.layers.PackedSets`): the concatenated feature
-ids, a zero-padded ``(n, K)`` id matrix with its mask, and the bundle
-sizes, all append-only with amortised growth (``K`` widens when a
-bundle wider than any before it arrives).  A gradient pass therefore
-costs one numpy call per column of the id matrix rather than one per
-replayed bundle; the pooled sums keep ``mean``'s sequential order
-instead of using ``np.add.reduceat``, which rounds differently.
+ids, a K-major ``(K, n)`` id matrix padded with the sentinel ``-1``
+(which the embedding gathers as a row of ``-0.0``, an exact additive
+identity), and the bundle sizes, all append-only with amortised growth
+(``K`` widens when a bundle wider than any before it arrives).  A
+gradient pass therefore costs one gather, one reduction and one
+``bincount`` over views of these buffers, not one numpy call per
+replayed bundle or per column.
 Training trajectories equal the rebuild-everything reference bit for
 bit (``tests/market/test_estimation.py``).
 """
@@ -154,8 +155,7 @@ class DataGainEstimator:
         # Bundles are validated and packed exactly once, on arrival;
         # every later round trains on views of the packed buffers.
         self._flat = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
-        self._idx = np.zeros((_INITIAL_CAPACITY, 1), dtype=np.int64)
-        self._mask = np.zeros((_INITIAL_CAPACITY, 1), dtype=bool)
+        self._idx = np.full((1, _INITIAL_CAPACITY), -1, dtype=np.int64)
         self._counts = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._y = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         self._n = 0
@@ -170,19 +170,16 @@ class DataGainEstimator:
     def _append(self, ids: np.ndarray, target: float) -> None:
         n, size = self._n, ids.size
         if n == self._counts.shape[0]:
-            self._idx = np.concatenate([self._idx, np.zeros_like(self._idx)])
-            self._mask = np.concatenate([self._mask, np.zeros_like(self._mask)])
+            self._idx = np.concatenate([self._idx, np.full_like(self._idx, -1)], axis=1)
             self._counts = np.concatenate([self._counts, np.empty_like(self._counts)])
             self._y = np.concatenate([self._y, np.empty_like(self._y)])
-        if size > self._idx.shape[1]:
-            pad = size - self._idx.shape[1]
-            self._idx = np.pad(self._idx, ((0, 0), (0, pad)))
-            self._mask = np.pad(self._mask, ((0, 0), (0, pad)))
+        if size > self._idx.shape[0]:
+            pad = size - self._idx.shape[0]
+            self._idx = np.pad(self._idx, ((0, pad), (0, 0)), constant_values=-1)
         while self._n_flat + size > self._flat.shape[0]:
             self._flat = np.concatenate([self._flat, np.empty_like(self._flat)])
         self._flat[self._n_flat : self._n_flat + size] = ids
-        self._idx[n, :size] = ids
-        self._mask[n, :size] = True
+        self._idx[:size, n] = ids
         self._counts[n] = size
         self._y[n] = target
         self._n += 1
@@ -193,7 +190,7 @@ class DataGainEstimator:
         self._append(self.model.validate_set(list(bundle)), float(delta_g))
         n = self._n
         packed = PackedSets(
-            self._flat[: self._n_flat], self._idx[:n], self._mask[:n], self._counts[:n]
+            self._flat[: self._n_flat], self._idx[:, :n], self._counts[:n]
         )
         y = self._y[:n]
         self.model.partial_fit(packed, y, steps=self.train_passes)

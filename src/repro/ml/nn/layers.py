@@ -99,31 +99,35 @@ class ReLU(Layer):
 class PackedSets(NamedTuple):
     """Variable-length index sets packed for vectorised pooling.
 
-    ``flat`` concatenates the sets in order; row ``i`` of ``idx`` holds
-    set ``i``'s ids left-aligned and zero-padded to the widest set's
-    size ``K``, ``mask`` marks the real entries and ``counts`` holds the
-    set sizes (all >= 1).
+    ``flat`` concatenates the sets in order.  ``idx`` is K-major: column
+    ``i`` of the ``(K, n)`` matrix holds set ``i``'s ids top-aligned,
+    padded with the sentinel ``-1`` down to the widest set's size ``K``.
+    ``counts`` holds the set sizes (all >= 1).
     """
 
     flat: np.ndarray
     idx: np.ndarray
-    mask: np.ndarray
     counts: np.ndarray
 
     @classmethod
     def pack(cls, index_sets: list[object]) -> "PackedSets":
-        """Pack index sets (each converted to ``int64``; none may be empty)."""
+        """Pack index sets (each converted to ``int64``; none may be empty).
+
+        Ids must be non-negative: ``-1`` is the padding sentinel.
+        """
+        require(len(index_sets) > 0, "EmbeddingBag received an empty batch")
         index_sets = [np.asarray(ix, dtype=np.int64) for ix in index_sets]
         for ix in index_sets:
             require(ix.size > 0, "EmbeddingBag received an empty index set")
         counts = np.fromiter(
             (ix.size for ix in index_sets), dtype=np.int64, count=len(index_sets)
         )
-        mask = np.arange(int(counts.max())) < counts[:, None]
         flat = np.concatenate(index_sets)
-        idx = np.zeros(mask.shape, dtype=np.int64)
-        idx[mask] = flat
-        return cls(flat, idx, mask, counts)
+        require(int(flat.min()) >= 0, "EmbeddingBag ids must be >= 0")
+        real = np.arange(int(counts.max()))[:, None] < counts
+        idx = np.full(real.shape, -1, dtype=np.int64)
+        idx.T[real.T] = flat  # the transpose's row-major order is set by set
+        return cls(flat, idx, counts)
 
 
 class EmbeddingBag(Layer):
@@ -135,17 +139,28 @@ class EmbeddingBag(Layer):
     (one set per sample), or the same sets already packed as
     :class:`PackedSets`, and returns the per-sample mean embedding.
 
-    Both passes cost a fixed number of numpy calls per batch (one per
-    column of the packed ``idx``), not one per set, and equal the
-    per-set ``table[ix].mean(axis=0)`` / row-by-row ``np.add.at``
-    formulation bit for bit.  Forward sums each set's rows in the same
-    sequential order ``mean(axis=0)`` does (column ``j`` is added to the
-    running sum only where ``mask[:, j]``), then divides by the count.
-    ``np.add.reduceat`` is deliberately not used: its inner reduction
-    groups the additions differently and differs from ``mean`` in the
-    last bit for sets of three or more ids.  With a one-wide table
-    ``mean(axis=0)`` itself switches to pairwise summation, so that
-    case keeps the per-set loop.
+    Both passes cost a fixed handful of numpy calls per batch, whatever
+    the widest set, and equal the per-set ``table[ix].mean(axis=0)`` and
+    ``add.at`` formulation bit for bit.
+
+    Forward appends one row of ``-0.0`` to the table, so the ``-1``
+    sentinel of the K-major ``idx`` gathers it, and one ``np.take``
+    yields a ``(K, n, dim)`` block.  Reducing over its outer axis adds
+    the K slices in order, the same sequential order ``mean(axis=0)``
+    adds a set's rows in.  ``x + (-0.0) == x`` for every ``x``, both
+    zeros included, so the padding is an exact identity however numpy
+    seeds the reduction (a ``+0.0`` pad would turn a ``-0.0`` running
+    sum into ``+0.0``).  ``np.add.reduceat`` is deliberately not used:
+    its inner reduction groups the additions differently and differs
+    from ``mean`` in the last bit for sets of three or more ids.  With
+    a one-wide table ``mean(axis=0)`` itself switches to pairwise
+    summation, so that case keeps the per-set loop.
+
+    Backward is one ``np.bincount`` over the concatenated ids, each
+    spread over its ``dim`` cells: ``bincount`` adds its weights in
+    input order from zero, so when ``weight.grad`` starts zeroed (as
+    every optimizer step leaves it) each gradient cell receives the
+    same additions in the same order as one ``add.at`` per set.
     """
 
     def __init__(self, num_embeddings: int, dim: int, *, rng: object = None):
@@ -155,20 +170,23 @@ class EmbeddingBag(Layer):
         self._packed: PackedSets | None = None
 
     def forward(self, index_sets: list[object] | PackedSets) -> np.ndarray:  # type: ignore[override]
+        table = self.weight.value
         if isinstance(index_sets, PackedSets):
-            packed = index_sets
+            packed = index_sets  # ids already known to lie in the table
         else:
             packed = PackedSets.pack(index_sets)
+            require(
+                int(packed.flat.max()) < table.shape[0],
+                f"EmbeddingBag ids must be < {table.shape[0]}",
+            )
         self._packed = packed
-        table = self.weight.value
         if table.shape[1] == 1:
             return np.stack([
-                table[packed.idx[i, :c]].mean(axis=0)
+                table[packed.idx[:c, i]].mean(axis=0)
                 for i, c in enumerate(packed.counts)
             ])
-        acc = table[packed.idx[:, 0]]
-        for j in range(1, packed.idx.shape[1]):
-            np.add(acc, table[packed.idx[:, j]], out=acc, where=packed.mask[:, j, None])
+        padded = np.concatenate([table, np.full((1, table.shape[1]), -0.0)])
+        acc = np.add.reduce(np.take(padded, packed.idx, axis=0), axis=0)
         acc /= packed.counts[:, None]
         return acc
 
@@ -176,10 +194,12 @@ class EmbeddingBag(Layer):
         require(self._packed is not None, "backward called before forward")
         assert self._packed is not None
         counts = self._packed.counts
-        # One sequential scatter over the concatenated ids: the same
-        # additions, in the same order, as one ``add.at`` per set.
+        n_items, dim = self.weight.grad.shape
         rows = np.repeat(grad_out / counts[:, None], counts, axis=0)
-        np.add.at(self.weight.grad, self._packed.flat, rows)
+        cells = self._packed.flat[:, None] * dim + np.arange(dim)
+        self.weight.grad += np.bincount(
+            cells.ravel(), weights=rows.ravel(), minlength=n_items * dim
+        ).reshape(n_items, dim)
         # Index inputs have no gradient; return zeros of matching length.
         return np.zeros((counts.shape[0], 0))
 

@@ -230,7 +230,8 @@ class TestIncrementalBufferEquivalence:
             fast.observe(bundle, g)
             ref.observe(bundle, g)
         assert fast.mse_history == ref.mse_history
-        assert fast._idx.shape[1] == 14
+        assert fast._idx.shape[0] == 14  # K-major: one row per bundle position
+        assert fast._idx[1:, 0].tolist() == [-1] * 13  # first bundle had one id
         probe = [FeatureBundle.of(range(k)) for k in (1, 5, 9, 14)]
         np.testing.assert_array_equal(fast.predict(probe), ref.model.predict(
             [list(b) for b in probe]))

@@ -3,9 +3,10 @@
 ``_ReferenceEmbeddingBag`` and ``_ReferenceAdam`` are verbatim copies of
 the per-set embedding pooling and per-parameter Adam update the packed
 ``EmbeddingBag`` and one-buffer ``Adam`` replaced.  Every comparison is
-exact (``np.array_equal`` / ``==``): the fast forms reorder no floating
-point operation, so the ΔG estimators' training trajectories and the
-``mlp`` base model's (and hence its GainCache entries) are unchanged.
+of bit patterns (``_same_bits``), so even ``-0.0`` against ``+0.0``
+fails: the fast forms reorder no floating point operation, so the ΔG
+estimators' training trajectories and the ``mlp`` base model's (and
+hence its GainCache entries) are unchanged.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ class _ReferenceEmbeddingBag(EmbeddingBag):
 
     def forward(self, index_sets):
         if isinstance(index_sets, PackedSets):  # as SetEmbeddingRegressor passes them
-            index_sets = [index_sets.idx[i, :c] for i, c in enumerate(index_sets.counts)]
+            index_sets = [index_sets.idx[:c, i] for i, c in enumerate(index_sets.counts)]
         batch = [np.asarray(ix, dtype=np.int64) for ix in index_sets]
         self._batch = batch
         table = self.weight.value
@@ -71,11 +72,31 @@ class _ReferenceAdam:
             p.zero_grad()
 
 
+def _same_bits(a, b):
+    """Equal shapes and bit patterns (``-0.0`` differs from ``+0.0``)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _random_sets(rng, n_items, n_sets, max_size):
     return [
         rng.integers(0, n_items, size=int(rng.integers(1, max_size + 1)))
         for _ in range(n_sets)
     ]
+
+
+def _check_against_reference(table, sets, grad_out, seed=0):
+    n_items, dim = table.shape
+    fast = EmbeddingBag(n_items, dim, rng=seed)
+    ref = _ReferenceEmbeddingBag(n_items, dim, rng=seed)
+    fast.weight.value[...] = table
+    ref.weight.value[...] = table
+    assert _same_bits(fast.forward(sets), ref.forward(sets))
+    fast.weight.grad[...] = 0.0
+    ref.weight.grad[...] = 0.0
+    fast.backward(grad_out)
+    ref.backward(grad_out)
+    assert _same_bits(fast.weight.grad, ref.weight.grad)
 
 
 class TestPackedEmbeddingBag:
@@ -87,37 +108,64 @@ class TestPackedEmbeddingBag:
         rng = np.random.default_rng(dim * 100 + max_size)
         for trial in range(10):
             n_items = int(rng.integers(1, 40))
-            fast = EmbeddingBag(n_items, dim, rng=trial)
-            ref = _ReferenceEmbeddingBag(n_items, dim, rng=trial)
             table = rng.normal(size=(n_items, dim)) * 10.0 ** rng.uniform(
                 -4, 4, size=(n_items, dim)
             )
-            fast.weight.value[...] = table
-            ref.weight.value[...] = table
             sets = _random_sets(rng, n_items, int(rng.integers(1, 30)), max_size)
-            out = fast.forward(sets)
-            assert np.array_equal(out, ref.forward(sets))
-            grad_out = rng.normal(size=out.shape)
-            fast.weight.grad[...] = 0.0
-            ref.weight.grad[...] = 0.0
-            fast.backward(grad_out)
-            ref.backward(grad_out)
-            assert np.array_equal(fast.weight.grad, ref.weight.grad)
+            grad_out = rng.normal(size=(len(sets), dim))
+            _check_against_reference(table, sets, grad_out, seed=trial)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_signed_zero_table(self, dim):
+        # Rows of exactly +-0.0: a set whose column is all -0.0 must pool
+        # to whatever ``mean`` gives, so the padding has to be an exact
+        # additive identity for -0.0 as well as +0.0.
+        rng = np.random.default_rng(11)
+        table = np.where(rng.random((6, dim)) < 0.5, -0.0, 0.0)
+        table[0] = -0.0
+        sets = [[0], [0, 0], [1], [0, 5, 0, 2], [3, 4], [5, 4, 3, 2, 1, 0]]
+        sets += _random_sets(rng, 6, 20, 9)
+        grad_out = np.where(rng.random((len(sets), dim)) < 0.5, -0.0, 0.0)
+        _check_against_reference(table, sets, grad_out)
+
+    def test_repeated_ids_within_a_set(self):
+        # Three ids, each repeated within sets of different sizes: every
+        # gradient cell sums many rows, so any scatter order other than
+        # add.at's (set by set, id by id) rounds differently.
+        rng = np.random.default_rng(12)
+        table = rng.normal(size=(3, 4))
+        sets = [[2, 2, 2], [0, 2, 0, 2, 0], [1], [1, 0, 1, 0, 1, 0, 1, 0, 1, 2]]
+        sets += [rng.integers(0, 3, size=int(rng.integers(2, 12))) for _ in range(20)]
+        grad_out = rng.normal(size=(len(sets), 4))
+        _check_against_reference(table, sets, grad_out)
 
     def test_packed_input_equals_list_input(self):
         rng = np.random.default_rng(4)
         sets = _random_sets(rng, 12, 20, 11)
         bag = EmbeddingBag(12, 5, rng=0)
-        assert np.array_equal(bag.forward(PackedSets.pack(sets)), bag.forward(sets))
+        assert _same_bits(bag.forward(PackedSets.pack(sets)), bag.forward(sets))
 
     def test_pack_layout(self):
         packed = PackedSets.pack([[3, 1], [2], [0, 4, 5]])
         assert packed.flat.tolist() == [3, 1, 2, 0, 4, 5]
-        assert packed.idx.tolist() == [[3, 1, 0], [2, 0, 0], [0, 4, 5]]
-        assert packed.mask.tolist() == [
-            [True, True, False], [True, False, False], [True, True, True],
-        ]
+        assert packed.idx.tolist() == [[3, 2, 0], [1, -1, 4], [-1, -1, 5]]
         assert packed.counts.tolist() == [2, 1, 3]
+
+    def test_empty_batch_rejected(self):
+        model = SetEmbeddingRegressor(4, embed_dim=2, hidden=(3,), rng=0)
+        for call in (lambda: PackedSets.pack([]), lambda: model.predict([]),
+                     lambda: model.partial_fit([], [])):
+            with pytest.raises(ValueError, match="EmbeddingBag received an empty batch"):
+                call()
+
+    def test_ids_outside_table_rejected(self):
+        # -1 is the padding sentinel and the table's own length would
+        # gather the -0.0 pad row: neither may pass as a real id.
+        bag = EmbeddingBag(4, 2, rng=0)
+        with pytest.raises(ValueError, match="ids must be >= 0"):
+            bag.forward([[0, -1]])
+        with pytest.raises(ValueError, match="ids must be < 4"):
+            bag.forward([[1], [4]])
 
 
 def _mlp_stack(seed):
@@ -180,10 +228,13 @@ class TestTrainingTrajectoriesUnchanged:
         sets = _random_sets(rng, 14, 30, 12)
         y = rng.normal(size=30)
         for n in range(1, 31):
-            assert fast.partial_fit(sets[:n], y[:n], steps=3) == ref.partial_fit(
-                sets[:n], y[:n], steps=3
+            assert _same_bits(
+                fast.partial_fit(sets[:n], y[:n], steps=3),
+                ref.partial_fit(sets[:n], y[:n], steps=3),
             )
-        assert np.array_equal(fast.predict(sets), ref.predict(sets))
+        assert _same_bits(fast.predict(sets), ref.predict(sets))
+        for p, q in zip(fast.optimizer.params, ref.optimizer.params):
+            assert _same_bits(p.value, q.value)
 
     def test_mlp_classifier_loss_curve(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -192,8 +243,8 @@ class TestTrainingTrajectoriesUnchanged:
         fast = MLPClassifier((8, 4), epochs=6, batch_size=32, rng=2).fit(X, y)
         monkeypatch.setattr("repro.ml.nn.mlp.Adam", _ReferenceAdam)
         ref = MLPClassifier((8, 4), epochs=6, batch_size=32, rng=2).fit(X, y)
-        assert fast.loss_curve_ == ref.loss_curve_
-        assert np.array_equal(fast.predict_proba(X), ref.predict_proba(X))
+        assert _same_bits(fast.loss_curve_, ref.loss_curve_)
+        assert _same_bits(fast.predict_proba(X), ref.predict_proba(X))
 
     def test_splitnn_trajectory(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -211,7 +262,7 @@ class TestTrainingTrajectoriesUnchanged:
         fast = fit()
         monkeypatch.setattr("repro.vfl.splitnn.Adam", _ReferenceAdam)
         ref = fit()
-        assert fast.loss_curve_ == ref.loss_curve_
-        assert np.array_equal(
+        assert _same_bits(fast.loss_curve_, ref.loss_curve_)
+        assert _same_bits(
             fast.predict_proba(test, Channel()), ref.predict_proba(test, Channel())
         )
