@@ -40,10 +40,52 @@ class TestMeanCI:
             hits += abs(mean) <= half
         assert 0.87 <= hits / 300 <= 0.99
 
+    def test_half_width_is_a_plain_float(self):
+        _, half = mean_ci([2.0, 4.0, 6.0])
+        assert type(half) is float
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -1.0])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci([1.0, 2.0, 3.0], confidence=confidence)
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci([1.0], confidence=confidence)
+
     def test_mean_std(self):
         m, s = mean_std([1.0, 3.0])
         assert m == 2.0
         assert s == pytest.approx(np.std([1, 3], ddof=1))
+
+
+# norm.ppf(0.5 + c / 2) from SciPy 1.17.1, the reference the z constant
+# replaced; NormalDist's inverse CDF agrees within a few ulp.
+REFERENCE_Z = {
+    0.8: 1.2815515655446004,
+    0.9: 1.6448536269514722,
+    0.95: 1.959963984540054,
+    0.99: 2.5758293035489004,
+}
+
+# Mean 0 and std(ddof=1) 2 over 4 points, so the half-width is z * 2 / 2:
+# exactly the z constant, with no rounding from the scaling.
+UNIT_SCALE = [-3.0, 1.0, 1.0, 1.0]
+
+
+def _ulps(a: float, b: float) -> float:
+    return abs(a - b) / np.spacing(b)
+
+
+class TestZConstant:
+    @pytest.mark.parametrize("confidence", sorted(REFERENCE_Z))
+    def test_mean_ci_z_matches_reference_within_4_ulp(self, confidence):
+        _, half = mean_ci(UNIT_SCALE, confidence=confidence)
+        assert _ulps(half, REFERENCE_Z[confidence]) <= 4
+
+    @pytest.mark.parametrize("confidence", sorted(REFERENCE_Z))
+    def test_nan_mean_ci_z_matches_reference_within_4_ulp(self, confidence):
+        matrix = np.array(UNIT_SCALE + [np.nan])[:, None]
+        _, half, _ = nan_mean_ci(matrix, confidence=confidence)
+        assert _ulps(float(half[0]), REFERENCE_Z[confidence]) <= 4
 
 
 class TestNanMeanCI:
@@ -58,6 +100,21 @@ class TestNanMeanCI:
         matrix = np.array([[1.0], [np.nan]])
         mean, _, _ = nan_mean_ci(matrix, min_alive=1)
         assert mean[0] == 1.0
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -1.0])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            nan_mean_ci(np.ones((3, 2)), confidence=confidence)
+
+
+# gaussian_kde(KDE_SAMPLE)(KDE_GRID) from SciPy 1.17.1, as hex floats.
+KDE_SAMPLE = np.array([0.3, 1.1, 1.7, 2.4, 4.0])
+KDE_GRID = np.linspace(-1.0, 5.0, 8)
+REFERENCE_KDE = np.array([float.fromhex(h) for h in (
+    "0x1.7e610f886d93ap-5", "0x1.04892880ee37fp-3", "0x1.b72191308063fp-3",
+    "0x1.f57bf31aa871ap-3", "0x1.a3f9fdd127b3bp-3", "0x1.2d5c866789b9ap-3",
+    "0x1.9dfc24cecfbbcp-4", "0x1.a8ceb2688b2b6p-5",
+)])
 
 
 class TestDensity:
@@ -81,6 +138,29 @@ class TestDensity:
         grid_in = np.linspace(-1, 1, 16)
         grid, _ = density([0.0, 0.1, -0.1, 0.2], grid_in)
         np.testing.assert_array_equal(grid, grid_in)
+
+    def test_matches_scott_rule_sum(self):
+        samples = np.random.default_rng(2).gamma(2.0, 1.5, 200)
+        grid, values = density(samples, n_grid=97)
+        n = samples.size
+        h = n ** (-1 / 5) * samples.std(ddof=1)
+        expected = np.array([
+            sum(np.exp(-0.5 * ((x - s) / h) ** 2) for s in samples)
+            for x in grid
+        ]) / (n * h * np.sqrt(2 * np.pi))
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+
+    def test_matches_reference_gaussian_kde_literal(self):
+        _, values = density(KDE_SAMPLE, KDE_GRID)
+        np.testing.assert_allclose(values, REFERENCE_KDE, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("samples", [[2.0, 2.0, 2.0], [0.0, 1.0, 3.0]],
+                             ids=["degenerate", "kde"])
+    def test_empty_grid_rejected(self, samples):
+        with pytest.raises(ValueError, match="n_grid"):
+            density(samples, n_grid=0)
+        with pytest.raises(ValueError, match="grid"):
+            density(samples, np.array([]))
 
 
 class TestFormatTable:
