@@ -9,60 +9,58 @@ acceptance) and the shared Case-4/5 task-party checks; the task party's
 escalation rule is per session, from the session's strategy mix:
 
 * **strategic** rows add the Eq. 7 acceptance and Algorithm 1's
-  escalated candidate sampling with min-cap selection.  They keep the
-  same sampling *distributions* as the engine but consume their RNG
-  stream in a different order (array draws instead of interleaved
-  scalar draws), so they are statistically, not bitwise, equivalent to
-  ``BargainingEngine.run()`` (``tests/simulate/test_pool.py`` pins the
-  aggregate agreement);
+  escalated candidate sampling with min-cap selection;
 * **Increase-Price** rows (§4.2's baseline,
   :class:`~repro.market.strategies.baselines.IncreasePriceTaskParty`)
   have no Eq. 7 and escalate by the strategy's multiplicative steps
   (the module-level ``RATE_STEP``/``BASE_STEP``/``CAP_STEP``), clipped
   to ``u/2`` and the budget, accepting once the price box saturates.
-  They read the engine's own stream, three doubles per continuation in
-  the engine's order (rate, base, cap), and compute exponential costs
-  with Python ``float ** int`` as the engine does (numpy's ``**`` can
-  round one ulp differently), so each such session is draw-for-draw
-  identical to ``population.build_engine(i).run()``
-  (``tests/simulate/test_kernel_baselines.py``).
 
-Determinism contract: every random draw comes from the session's own
-stream — ``spawn(seed, "session", i, "kernel")`` for strategic rows,
-``spawn(seed, "session", i, "task")`` for Increase-Price rows —
+The kernel is an exact vectorisation of the engine, not a second
+statement of the rules: every session's record equals
+``population.build_engine(i).run()`` bit for bit
+(``tests/simulate/test_kernel_reference.py``,
+``tests/simulate/test_kernel_baselines.py``).  Each row reads the
+engine's own stream ``spawn(seed, "session", i, "task")`` in the
+engine's order, does the engine's arithmetic in the engine's order,
+and computes costs as the engine's cost models do (Python
+``float ** int`` for exponential costs; numpy's ``**`` can round one
+ulp differently), once per round and cost-mix entry.
+
+Randomness.  Each session owns one flat tape of doubles and a cursor.
+A session's generator is built (from seed words derived for the whole
+batch in one pass, :func:`~repro.utils.rng.stream_seed_words`) the
+first time it reaches Case 6, so a session that ends before sampling
+never builds one.  A tape that runs short keeps its unread doubles and
+is topped up with one ``random`` call, in blocks that double up to
+``_TAPE_ROUNDS`` rounds' worth.  Drawing past a session's last round
+is unobservable: its generator lives only for one kernel call.  An
+Increase-Price continuation reads three doubles (rate, base, cap
+steps, each ``step * random()`` as the engine's ``uniform(0, step)``).
+A strategic continuation reads between ``W`` and ``2W`` doubles
+(``W = n_price_samples``), as
+:func:`~repro.market.strategies.task_party._min_cap_scan` does: a
+candidate's cap draw is followed by its rate draw only when the cap is
+usable (it raises the cap and leaves a rate ceiling above ``p0``).
+
+Usability is monotone in the drawn double: ``cl + span·d``, then
+``(cap − b0)/target``, then ``min(u, ·)`` are all non-decreasing for
+``span > 0`` and ``target > 0``.  So when the smallest cap among the
+even doubles ``0, 2, …, 2W−2`` is usable, all of them are, the
+engine's caps and rates alternate, ``2W`` doubles are used and a plain
+``argmin`` is the engine's strict-``<`` pick.  Nearly every row takes
+this path.  The rest replay the scan in array form (:func:`_scan`).
+
+Determinism contract: every draw comes from the session's own stream,
 consumed in round order, so results are independent of how sessions
-are grouped into batches (pinned by
-``tests/simulate/test_determinism.py`` and
-``tests/simulate/test_kernel_batches.py``).  Each call derives every
-stream's four PCG64 seed words for the whole batch in one pass
-(:func:`~repro.utils.rng.stream_seed_words`) and builds fresh
-generators from them, so running the same sessions again gives the
-same records.
+are grouped into batches (``tests/simulate/test_determinism.py``,
+``tests/simulate/test_kernel_batches.py``), and running the same
+sessions again gives the same records.
 
 One call runs sessions of one population: they share its catalogue
 (broadcast as a single ``(1, F)`` row, as the platform computes each
 bundle's ΔG once in §3.4) and its protocol constants
 ``spec.n_price_samples`` and ``spec.max_rounds``.
-
-Case-6 candidate sampling costs a fixed number of numpy calls per
-round plus a few calls per session per run:
-
-* a session's generator is built the first time it reaches Case 6,
-  so a session that ends before sampling never builds one;
-* each session reads its ``(2, n_price_samples)`` candidate draws
-  (an Increase-Price session: its three step draws) from a per-session
-  tape of up to ``_TAPE_ROUNDS`` rounds, refilled with one ``random``
-  call per block of 1, 2, 4, ... rounds.  ``random`` fills in C order,
-  so round ``r`` of the tape holds exactly the doubles of the ``r``-th
-  ``random((2, n_price_samples))`` call (of the ``r``-th continuation's
-  three ``uniform(0, step)`` calls, each ``step * random()``).  Drawing
-  past a session's last round is unobservable: its generator lives
-  only for one kernel call;
-* the min-cap pick takes the unmasked ``argmin`` of the candidate caps
-  and checks validity for the picked candidate only.  When the first
-  index of the global minimum is valid it is also the first index of
-  the masked minimum, so only rows whose pick is invalid fall back to
-  the masked ``where``/``argmin``.
 """
 
 from __future__ import annotations
@@ -92,45 +90,49 @@ BY_ENGINE = 3
 
 _COST_NONE, _COST_CONSTANT, _COST_LINEAR, _COST_EXPONENTIAL = 0, 1, 2, 3
 
-#: Longest candidate-tape block, in rounds, and the tape's size cap.
+#: Longest tape block, in rounds, and the tape's size cap.
 _TAPE_ROUNDS = 8
 _TAPE_BYTES = 64 << 20
 
 
-def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int,
-             scalar_pow: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative bargaining cost per session after ``round_number``.
+def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int) -> np.ndarray:
+    """Cumulative bargaining cost after ``round_number`` of each cost
+    schedule ``(kind[m], a[m])``, in the engine's cost-model arithmetic
+    (:mod:`repro.market.costs`)."""
+    return np.array([
+        a_m if k == _COST_CONSTANT
+        else a_m * round_number if k == _COST_LINEAR
+        else a_m**round_number if k == _COST_EXPONENTIAL
+        else 0.0
+        for k, a_m in zip(kind.tolist(), a.tolist())
+    ])
 
-    ``scalar_pow`` marks exponential rows computed as Python
-    ``float ** int``, the engine's :class:`~repro.market.costs.ExponentialCost`
-    arithmetic; numpy's ``**`` can round those one ulp differently.
+
+def _scan(d, cl, span, u, b0, p0, target, W):
+    """The engine's min-cap scan over each row of ``d``, ``(m, 2W)``
+    tape doubles of one continuation.
+
+    Returns ``(cap, rate, got, used)``: the min-cap candidate's cap and
+    rate, whether any candidate was usable, and how many doubles the
+    scan read.  A double is read as a cap unless it is the rate of a
+    usable cap just before it, so it is a cap exactly when its distance
+    from the last double that follows an unusable one (or from the
+    first double) is even.  Candidates are the first ``W`` caps.
     """
-    cost = np.zeros(len(kind))
-    mask = kind == _COST_CONSTANT
-    cost[mask] = a[mask]
-    mask = kind == _COST_LINEAR
-    cost[mask] = a[mask] * round_number
-    mask = kind == _COST_EXPONENTIAL
-    cost[mask] = a[mask] ** round_number
-    if scalar_pow is not None and scalar_pow.any():
-        cost[scalar_pow] = [x**round_number for x in a[scalar_pow].tolist()]
-    return cost
-
-
-def _masked_min_cap(caps, cl, u, b0, p0, target):
-    """Masked min-cap pick over whole candidate rows.
-
-    Returns ``(pick, got, cap, rate_high)``: the first index of the
-    smallest admissible cap, whether any candidate was admissible, and
-    that candidate's cap and rate ceiling.  A candidate is admissible
-    when it raises the cap and leaves a rate above the opening rate.
-    """
-    valid = caps > cl[:, None] + 1e-12
+    caps = d * span[:, None] + cl[:, None]
     rate_high = np.minimum(u[:, None], (caps - b0[:, None]) / target[:, None])
-    valid &= rate_high > p0[:, None]
-    pick = np.where(valid, caps, np.inf).argmin(axis=1)
-    at = np.arange(len(pick))
-    return pick, valid[at, pick], caps[at, pick], rate_high[at, pick]
+    usable = (caps > cl[:, None] + 1e-12) & (rate_high > p0[:, None])
+    k = np.arange(2 * W)
+    restart = np.zeros(d.shape, dtype=np.int64)
+    restart[:, 1:] = np.where(usable[:, :-1], 0, k[1:])
+    is_cap = (k - np.maximum.accumulate(restart, axis=1)) % 2 == 0
+    nth = np.cumsum(is_cap, axis=1)
+    cand = is_cap & usable & (nth <= W)
+    pick = np.where(cand, caps, np.inf).argmin(axis=1)
+    at = np.arange(len(d))
+    # A usable candidate's rate double follows it inside the 2W doubles.
+    rate = p0 + (rate_high[at, pick] - p0) * d[at, pick + 1]
+    return caps[at, pick], rate, cand[at, pick], np.count_nonzero(nth <= W, axis=1)
 
 
 def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.ndarray]:
@@ -160,7 +162,6 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
     eps_dc = pop.eps_dc[indices]
     eps_tc = pop.eps_tc[indices]
     cost_kind = pop.cost_kind[indices]
-    cost_a = pop.cost_a[indices]
     W = int(pop.spec.n_price_samples)
     max_rounds = int(pop.spec.max_rounds)
     has_cost = cost_kind != _COST_NONE
@@ -168,48 +169,57 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
     by_mix = np.array([task == "increase_price"
                        for task, _, _ in pop.spec.strategy_mix])
     inc = by_mix[pop.mix_idx[indices]]
-    seed_words = stream_seed_words(
-        pop.seed, indices, prefix=("session",), suffix=("kernel",)
-    )
     any_inc = bool(inc.any())
-    if any_inc:  # these rows read the engine's own stream
-        seed_words[inc] = stream_seed_words(
-            pop.seed, indices[inc], prefix=("session",), suffix=("task",)
-        )
     eq7 = has_cost & ~inc  # Increase Price has no Eq. 7 acceptance
-    scalar_pow = inc & (cost_kind == _COST_EXPONENTIAL)
-    if not scalar_pow.any():
-        scalar_pow = None
 
-    # Case-6 candidate tape: tape[s, r] holds the (2, W) draws of one
-    # round for session s, filled in blocks and read at pos[s].
-    win = int(np.clip(_TAPE_BYTES // (n * 2 * W * 8), 1, _TAPE_ROUNDS))
-    tape = np.zeros((n, win, 2, W))  # zero pages stay untouched until drawn
-    # Increase-Price rows keep their (rate, base, cap) draws per round
-    # in a tape of their own, behind the same positions and refills.
-    inc_tape = np.zeros((n, win, 3)) if any_inc else None
+    # One cost schedule per cost-mix entry, evaluated once per round.
+    schedule = pop.cost_idx[indices]
+    n_schedules = len(pop.spec.cost_mix)
+    sched_kind = np.zeros(n_schedules, dtype=cost_kind.dtype)
+    sched_a = np.zeros(n_schedules)
+    sched_kind[schedule] = cost_kind
+    sched_a[schedule] = pop.cost_a[indices]
+    cost_now = _cost_at(sched_kind, sched_a, 1)
+
+    # Per-session tapes of the engine's stream, read at pos[s].
+    seed_words = stream_seed_words(
+        pop.seed, indices, prefix=("session",), suffix=("task",)
+    )
+    round_width = max(2 * W, 3)
+    win = int(np.clip(_TAPE_BYTES // (n * round_width * 8), 1, _TAPE_ROUNDS))
+    L = win * round_width
+    tape = np.zeros((n, L))  # zero pages stay untouched until drawn
+    # Every width-long run of a tape, (n, L - width + 1, width), as views.
+    window = np.lib.stride_tricks.sliding_window_view
+    candidate_window = window(tape, 2 * W, axis=1)
+    step_window = window(tape, 3, axis=1)
     gens: list = [None] * n
     pos = np.zeros(n, dtype=np.int64)
     filled = np.zeros(n, dtype=np.int64)
-    block = np.ones(n, dtype=np.int64)
+    block = np.where(inc, 3, 2 * W)
 
-    def tape_positions(sess: np.ndarray) -> np.ndarray:
-        """This round's tape slot for each of ``sess``; used-up tapes
-        are refilled with one ``random`` call per session."""
-        used_up = sess[pos[sess] == filled[sess]]
-        if used_up.size:
-            k_up = block[used_up]
-            for s, k in zip(used_up.tolist(), k_up.tolist()):
+    def cursor(sess: np.ndarray, width: int) -> np.ndarray:
+        """The tape cursor of each of ``sess``, once its tape holds
+        ``width`` unread doubles; short tapes keep their unread doubles
+        and are topped up with one ``random`` call per session.
+        Advancing ``pos`` is the caller's."""
+        short = sess[filled[sess] - pos[sess] < width]
+        if short.size:
+            unread = filled[short] - pos[short]
+            top_up = np.minimum(block[short], L - unread)
+            for s, p, r, k in zip(short.tolist(), pos[short].tolist(),
+                                  unread.tolist(), top_up.tolist()):
+                row = tape[s]
+                if r:
+                    row[:r] = row[p:p + r]
                 gen = gens[s]
                 if gen is None:
                     gen = gens[s] = generator_from_seed_words(seed_words[s])
-                gen.random(out=inc_tape[s, :k] if inc[s] else tape[s, :k])
-            filled[used_up] = k_up
-            pos[used_up] = 0
-            block[used_up] = np.minimum(2 * k_up, win)
-        at_pos = pos[sess]
-        pos[sess] += 1
-        return at_pos
+                gen.random(out=row[r:r + k])
+            filled[short] = unread + top_up
+            pos[short] = 0
+            block[short] = np.minimum(2 * block[short], L)
+        return pos[sess]
 
     # Standing quote per session (opens Eq.5-consistent at the target).
     rate = p0.copy()
@@ -256,9 +266,10 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
             break
         rate_l, base_l, cap_l = rate[live], base[live], cap[live]
         tp = (cap_l - base_l) / rate_l  # turning point (== target up to fp)
-        pow_l = scalar_pow[live] if scalar_pow is not None else None
-        cost_r = _cost_at(cost_kind[live], cost_a[live], T, pow_l)
-        cost_r1 = _cost_at(cost_kind[live], cost_a[live], T + 1, pow_l)
+        sched_l = schedule[live]
+        cost_next = _cost_at(sched_kind, sched_a, T + 1)
+        cost_r, cost_r1 = cost_now[sched_l], cost_next[sched_l]
+        cost_now = cost_next  # round T+1's cost is computed once
 
         # --- Step 2: the data party reacts (Cases 1-3) -----------------
         afford = (res_rate[live] <= rate_l[:, None] + 1e-12) & (
@@ -349,26 +360,30 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
         rows = np.flatnonzero(sample)
         if rows.size:
             sess = live[rows]
-            at_pos = tape_positions(sess)
+            at_pos = cursor(sess, 2 * W)
             cl = cap_l[rows]
-            # cl + (budget - cl) * draw, in place on the gathered draws
-            caps = tape[sess, at_pos, 0]
-            caps *= (budget[sess] - cl)[:, None]
-            caps += cl[:, None]
+            span = budget[sess] - cl
             u_s, b0_s, p0_s, tg_s = u[sess], b0[sess], p0[sess], target[sess]
+            # Caps at the even doubles; the smallest usable means all are.
+            caps = candidate_window[sess, at_pos, ::2]
+            caps *= span[:, None]
+            caps += cl[:, None]
             at = np.arange(rows.size)
             pick = caps.argmin(axis=1)
             new_cap = caps[at, pick]
             rate_high = np.minimum(u_s, (new_cap - b0_s) / tg_s)
             got = (new_cap > cl + 1e-12) & (rate_high > p0_s)
+            rate_d = tape[sess, at_pos + 2 * pick + 1]
+            new_rate = p0_s + (rate_high - p0_s) * rate_d
+            used = np.full(rows.size, 2 * W)
             if not got.all():
                 bad = np.flatnonzero(~got)
-                pick[bad], got[bad], new_cap[bad], rate_high[bad] = _masked_min_cap(
-                    caps[bad], cl[bad], u_s[bad], b0_s[bad], p0_s[bad],
-                    tg_s[bad],
+                new_cap[bad], new_rate[bad], got[bad], used[bad] = _scan(
+                    candidate_window[sess[bad], at_pos[bad]], cl[bad],
+                    span[bad], u_s[bad], b0_s[bad], p0_s[bad], tg_s[bad], W,
                 )
-            new_rate = p0_s + (rate_high - p0_s) * tape[sess, at_pos, 1, pick]
-            # No admissible candidate left: accept the standing outcome
+            pos[sess] += used
+            # No usable candidate left: accept the standing outcome
             # rather than walk away from a profitable trade.
             exhausted[rows[~got]] = True
             ok = sess[got]
@@ -381,12 +396,13 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
         if any_inc and escalate.any():
             rows = np.flatnonzero(escalate)
             sess = live[rows]
-            draws = inc_tape[sess, tape_positions(sess)]  # rate, base, cap
+            d = step_window[sess, cursor(sess, 3)]  # rate, base, cap
+            pos[sess] += 3
             r_l, b_l, c_l = rate_l[rows], base_l[rows], cap_l[rows]
-            new_rate = np.minimum(r_l * (1.0 + RATE_STEP * draws[:, 0]),
+            new_rate = np.minimum(r_l * (1.0 + RATE_STEP * d[:, 0]),
                                   u[sess] * 0.5)
-            new_base = b_l * (1.0 + BASE_STEP * draws[:, 1])
-            new_cap = np.minimum(c_l * (1.0 + CAP_STEP * draws[:, 2]),
+            new_base = b_l * (1.0 + BASE_STEP * d[:, 1])
+            new_cap = np.minimum(c_l * (1.0 + CAP_STEP * d[:, 2]),
                                  budget[sess])
             new_base = np.minimum(new_base, new_cap)
             # A saturated price box has nothing left to concede: accept.

@@ -8,8 +8,9 @@ and advances every session round-by-round until termination:
   the ``increase_price`` task party, on a built-in cost schedule — go
   through the vectorised batch kernel (:mod:`repro.simulate.kernel`),
   which amortises the per-round Python costs across the whole batch
-  (Increase-Price sessions there are draw-for-draw identical to
-  :meth:`~repro.market.engine.BargainingEngine.run`);
+  and returns, for every session, the record
+  :meth:`~repro.market.engine.BargainingEngine.run` gives it, bit for
+  bit;
 * every other strategy mix (``random_bundle``, ``imperfect``,
   registered strategies or cost kinds) runs on the stepwise
   :meth:`~repro.market.engine.BargainingEngine.step` core, interleaved

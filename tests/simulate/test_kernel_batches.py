@@ -5,11 +5,13 @@ any index set.  Each session's record must be the same bits whichever
 other sessions share its call, in whatever order they come, and however
 often the call is repeated — for generated populations over catalogue
 widths, sampling depths, round caps, strategy mixes (with stepwise rows
-left out of the kernel's index set) and every built-in cost kind.
+left out of the kernel's index set) and every built-in cost kind.  And
+each record is the one the session's stepwise engine returns.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from engine_records import assert_kernel_equals_engine
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.simulate.kernel import STATUS_MAX_ROUNDS, simulate_strategic_batch
@@ -19,6 +21,7 @@ MIXES = (
     (("strategic", "strategic", 1.0),),
     (("strategic", "strategic", 0.6), ("increase_price", "strategic", 0.4)),
     (("increase_price", "strategic", 0.5), ("strategic", "random_bundle", 0.5)),
+    (("increase_price", "strategic", 1.0),),
 )
 COST_MIXES = (
     (("none", 0.0, 1.0),),
@@ -30,20 +33,25 @@ PROPERTY = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+def _world(n_sessions, seed, **spec):
+    """A population and its kernel-eligible indices."""
+    pop = sample_population(PopulationSpec(preset="synthetic", **spec),
+                            n_sessions, seed=seed)
+    return pop, np.flatnonzero(pop.kernel_eligible())
+
+
 @st.composite
 def populations(draw):
     """A small population and its kernel-eligible indices (two or more)."""
-    spec = PopulationSpec(
-        preset="synthetic",
+    pop, eligible = _world(
+        draw(st.integers(min_value=2, max_value=40)),
+        draw(st.integers(min_value=0, max_value=2**16)),
         n_bundles=draw(st.integers(min_value=2, max_value=30)),
         n_price_samples=draw(st.sampled_from((1, 3, 31, 120))),
         max_rounds=draw(st.sampled_from((1, 2, 25, 500))),
         strategy_mix=draw(st.sampled_from(MIXES)),
         cost_mix=draw(st.sampled_from(COST_MIXES)),
     )
-    pop = sample_population(spec, draw(st.integers(min_value=2, max_value=40)),
-                            seed=draw(st.integers(min_value=0, max_value=2**16)))
-    eligible = np.flatnonzero(pop.kernel_eligible())
     assume(eligible.size >= 2)
     return pop, eligible
 
@@ -101,3 +109,18 @@ def test_rounds_are_capped_at_the_spec_max_rounds(world):
     assert (out["n_rounds"] <= pop.spec.max_rounds).all()
     capped = out["status"] == STATUS_MAX_ROUNDS
     assert (out["n_rounds"][capped] == pop.spec.max_rounds).all()
+
+
+@PROPERTY
+@given(world=populations())
+# One candidate per round next to three-double Increase-Price rounds,
+# and batches with no strategic row at all.
+@example(world=_world(30, 1, n_price_samples=1, strategy_mix=MIXES[1],
+                      cost_mix=COST_MIXES[1]))
+@example(world=_world(30, 2, n_price_samples=1, strategy_mix=MIXES[3],
+                      cost_mix=COST_MIXES[1]))
+@example(world=_world(30, 3, n_price_samples=120, strategy_mix=MIXES[3]))
+def test_every_session_equals_its_engine(world):
+    pop, eligible = world
+    assert_kernel_equals_engine(simulate_strategic_batch(pop, eligible),
+                                pop, eligible)

@@ -146,7 +146,7 @@ class TestStreamSeedWords:
         # Roots past 2**32 and 2**64 enter SeedSequence as two and three
         # entropy words, which pushes the entropy past the 4-word pool.
         _assert_streams_match_spawn(root, np.arange(40),
-                                    ("session",), ("kernel",))
+                                    ("session",), ("task",))
 
     def test_string_and_numpy_roots(self):
         _assert_streams_match_spawn("titanic", np.arange(10), ("session",))
@@ -165,7 +165,7 @@ class TestStreamSeedWords:
         # spawn keeps an integer key's low 32 bits, negative ones too.
         indices = np.concatenate([np.arange(0, 50_000, 997),
                                   [2**32, 2**32 + 3, -1, -(2**31)]])
-        _assert_streams_match_spawn(5, indices, ("session",), ("kernel",))
+        _assert_streams_match_spawn(5, indices, ("session",), ("task",))
 
     def test_draws_equal_spawn_draws(self):
         words = stream_seed_words(9, [0, 1, 2], prefix=("session",))
