@@ -48,8 +48,10 @@ Usability is monotone in the drawn double: ``cl + span·d``, then
 ``span > 0`` and ``target > 0``.  So when the smallest cap among the
 even doubles ``0, 2, …, 2W−2`` is usable, all of them are, the
 engine's caps and rates alternate, ``2W`` doubles are used and a plain
-``argmin`` is the engine's strict-``<`` pick.  Nearly every row takes
-this path.  The rest replay the scan in array form (:func:`_scan`).
+``argmin`` is the engine's strict-``<`` pick.  A row whose smallest
+even cap is unusable (its cap lies within ``1e-12`` of the standing
+cap) is resolved by calling ``_min_cap_scan`` itself on its ``2W``
+doubles.
 
 Determinism contract: every draw comes from the session's own stream,
 consumed in round order, so results are independent of how sessions
@@ -68,6 +70,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.market.strategies.baselines import BASE_STEP, CAP_STEP, RATE_STEP
+from repro.market.strategies.task_party import _min_cap_scan
 from repro.utils.rng import generator_from_seed_words, stream_seed_words
 
 __all__ = [
@@ -106,33 +109,6 @@ def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int) -> np.ndarray:
         else 0.0
         for k, a_m in zip(kind.tolist(), a.tolist())
     ])
-
-
-def _scan(d, cl, span, u, b0, p0, target, W):
-    """The engine's min-cap scan over each row of ``d``, ``(m, 2W)``
-    tape doubles of one continuation.
-
-    Returns ``(cap, rate, got, used)``: the min-cap candidate's cap and
-    rate, whether any candidate was usable, and how many doubles the
-    scan read.  A double is read as a cap unless it is the rate of a
-    usable cap just before it, so it is a cap exactly when its distance
-    from the last double that follows an unusable one (or from the
-    first double) is even.  Candidates are the first ``W`` caps.
-    """
-    caps = d * span[:, None] + cl[:, None]
-    rate_high = np.minimum(u[:, None], (caps - b0[:, None]) / target[:, None])
-    usable = (caps > cl[:, None] + 1e-12) & (rate_high > p0[:, None])
-    k = np.arange(2 * W)
-    restart = np.zeros(d.shape, dtype=np.int64)
-    restart[:, 1:] = np.where(usable[:, :-1], 0, k[1:])
-    is_cap = (k - np.maximum.accumulate(restart, axis=1)) % 2 == 0
-    nth = np.cumsum(is_cap, axis=1)
-    cand = is_cap & usable & (nth <= W)
-    pick = np.where(cand, caps, np.inf).argmin(axis=1)
-    at = np.arange(len(d))
-    # A usable candidate's rate double follows it inside the 2W doubles.
-    rate = p0 + (rate_high[at, pick] - p0) * d[at, pick + 1]
-    return caps[at, pick], rate, cand[at, pick], np.count_nonzero(nth <= W, axis=1)
 
 
 def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.ndarray]:
@@ -376,12 +352,14 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
             rate_d = tape[sess, at_pos + 2 * pick + 1]
             new_rate = p0_s + (rate_high - p0_s) * rate_d
             used = np.full(rows.size, 2 * W)
-            if not got.all():
-                bad = np.flatnonzero(~got)
-                new_cap[bad], new_rate[bad], got[bad], used[bad] = _scan(
-                    candidate_window[sess[bad], at_pos[bad]], cl[bad],
-                    span[bad], u_s[bad], b0_s[bad], p0_s[bad], tg_s[bad], W,
+            for j in np.flatnonzero(~got).tolist():  # the engine's own scan
+                s, p = int(sess[j]), int(at_pos[j])
+                (c, r), used[j] = _min_cap_scan(
+                    tape[s, p:p + 2 * W].tolist(), W, float(cl[j]),
+                    float(span[j]), float(p0_s[j]), float(b0_s[j]),
+                    float(u_s[j]), float(tg_s[j]),
                 )
+                new_cap[j], new_rate[j], got[j] = c, r, c != float("inf")
             pos[sess] += used
             # No usable candidate left: accept the standing outcome
             # rather than walk away from a profitable trade.

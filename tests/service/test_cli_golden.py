@@ -5,9 +5,7 @@ built directly through ``bargain_many`` / ad-hoc ``get_market`` calls).
 The rebuilt commands construct specs and run through
 ``SessionManager``/``run_simulation``; for pinned seeds every
 outcome-derived byte must match.  Only wall-clock lines (throughput,
-oracle-build timings) are filtered on both sides.  The two ``simulate``
-goldens were re-captured once, when the kernel's strategic rows began
-replaying the engine's own RNG stream.
+oracle-build timings) are filtered on both sides.
 """
 
 import pathlib

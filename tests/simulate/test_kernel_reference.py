@@ -4,8 +4,8 @@ Every kernel session must return exactly the record of
 ``population.build_engine(i).run()``, NaNs included: on pool batches,
 strided index sets, every cost kind the kernel implements, every
 ``(n_price_samples, max_rounds)`` shape below, rows whose smallest
-candidate cap is unusable (the kernel's array form of the engine's
-scan), and games long enough to grow the offer trail and refill the
+candidate cap is unusable (resolved by the engine's own scan), and
+games long enough to grow the offer trail and refill the
 tape many times.
 """
 
@@ -53,15 +53,15 @@ def _check(pop, indices=None):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Count the rows the array form of the engine's scan resolved."""
+    """Count the rows the kernel handed to the engine's own scan."""
     calls = []
-    real = kernel._scan
+    real = kernel._min_cap_scan
 
-    def spy(d, *args):
-        calls.append(len(d))
-        return real(d, *args)
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
 
-    monkeypatch.setattr(kernel, "_scan", spy)
+    monkeypatch.setattr(kernel, "_min_cap_scan", spy)
     return calls
 
 
