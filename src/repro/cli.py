@@ -579,14 +579,10 @@ def _print_job(record) -> None:
 
 
 def _print_job_report(record) -> None:
-    """The stored report of a finished job, rendered per kind."""
-    if record.kind == "simulation":
-        from repro.simulate.report import report_from_dict
+    """The stored report of a finished simulation job."""
+    from repro.simulate.report import report_from_dict
 
-        print(report_from_dict(record.report).to_text())
-    else:
-        print(f"batch: {record.report['accepted']}/{record.report['runs']} "
-              f"accepted")
+    print(report_from_dict(record.report).to_text())
 
 
 def _finish_job_command(record, expect_digest: str | None,

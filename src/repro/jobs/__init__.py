@@ -27,9 +27,7 @@ from repro.jobs.executor import (
     CHUNK_RUNNERS,
     ShardedExecutor,
     chunk_layout,
-    merge_batch_chunks,
     merge_simulation_chunks,
-    submit_batch,
     submit_simulation,
 )
 from repro.jobs.store import JobRecord, JobStore, default_store_path
@@ -41,8 +39,6 @@ __all__ = [
     "ShardedExecutor",
     "chunk_layout",
     "default_store_path",
-    "merge_batch_chunks",
     "merge_simulation_chunks",
-    "submit_batch",
     "submit_simulation",
 ]

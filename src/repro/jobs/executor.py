@@ -25,25 +25,21 @@ as they land, so a crashed run resumes from its last finished chunk.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 import numpy as np
 
 from repro import obs
 from repro.jobs.store import JobRecord, JobStore
-from repro.service.specs import BatchSpec, SimulationSpec
+from repro.service.specs import SimulationSpec
 from repro.simulate.pool import session_record_arrays
-from repro.utils.canonical import content_digest
 from repro.utils.validation import require
 
 __all__ = [
     "CHUNK_RUNNERS",
     "ShardedExecutor",
     "chunk_layout",
-    "merge_batch_chunks",
     "merge_simulation_chunks",
-    "submit_batch",
     "submit_simulation",
 ]
 
@@ -97,14 +93,6 @@ def submit_simulation(
     """Record a population-simulation job (idempotent per content)."""
     layout = chunk_layout(spec.sessions, chunks or _default_chunks(spec.sessions))
     return store.submit("simulation", spec.to_dict(), layout)
-
-
-def submit_batch(
-    store: JobStore, spec: BatchSpec, *, chunks: int | None = None
-) -> JobRecord:
-    """Record a repeated-session batch job (idempotent per content)."""
-    layout = chunk_layout(spec.runs, chunks or _default_chunks(spec.runs))
-    return store.submit("batch", spec.to_dict(), layout)
 
 
 def _default_chunks(n_items: int) -> int:
@@ -179,29 +167,6 @@ def run_simulation_chunk(spec_dict: dict, start: int, stop: int) -> dict:
     return payload
 
 
-def run_batch_chunk(spec_dict: dict, start: int, stop: int) -> dict:
-    """Play runs ``[start, stop)`` of a batch job to termination."""
-    from dataclasses import replace
-
-    from repro.service.manager import SessionManager
-
-    spec = BatchSpec.from_dict(spec_dict)
-    manager = SessionManager()  # worker-local broker over the shared pool
-    t0 = time.perf_counter()
-    outcomes = []
-    for run in range(start, stop):
-        session_id = manager.open_session(replace(spec.session, run=run))
-        summary = manager.run(session_id)
-        outcomes.append(summary["outcome"])
-        manager.close(session_id)
-    return {
-        "start": int(start),
-        "stop": int(stop),
-        "outcomes": outcomes,
-        "elapsed": time.perf_counter() - t0,
-    }
-
-
 # ----------------------------------------------------------------------
 # Merging (parent-side, deterministic)
 # ----------------------------------------------------------------------
@@ -252,39 +217,13 @@ def merge_simulation_chunks(spec: SimulationSpec, results: dict[int, dict]):
     return population, result, report
 
 
-def merge_batch_chunks(spec: BatchSpec, results: dict[int, dict]) -> dict:
-    """Assemble batch chunk payloads into the ordered outcome report."""
-    outcomes: list[dict | None] = [None] * spec.runs
-    elapsed = 0.0
-    for payload in results.values():
-        start = int(payload["start"])
-        for offset, outcome in enumerate(payload["outcomes"]):
-            require(outcomes[start + offset] is None,
-                    "overlapping chunk results (corrupt job store?)")
-            outcomes[start + offset] = outcome
-        elapsed += float(payload["elapsed"])
-    require(all(o is not None for o in outcomes),
-            "merge needs every run covered")
-    accepted = sum(1 for o in outcomes if o and o["status"] == "accepted")
-    return {
-        "runs": spec.runs,
-        "accepted": accepted,
-        "outcomes": outcomes,
-        "elapsed": elapsed,
-        "digest": content_digest(outcomes),
-    }
-
-
 # ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
 #: Job kind -> worker-side chunk runner.  Shared by the process-pool
 #: executor, fleet agents (a leased chunk's kind resolves here), and
 #: job-kind validation.
-CHUNK_RUNNERS = {
-    "simulation": run_simulation_chunk,
-    "batch": run_batch_chunk,
-}
+CHUNK_RUNNERS = {"simulation": run_simulation_chunk}
 
 
 class ShardedExecutor:
@@ -324,13 +263,11 @@ class ShardedExecutor:
         self.max_chunks = max_chunks
 
     # ------------------------------------------------------------------
-    def submit(self, spec: SimulationSpec | BatchSpec,
+    def submit(self, spec: SimulationSpec,
                *, chunks: int | None = None) -> JobRecord:
         """Record ``spec`` as a job (without running it)."""
         if isinstance(spec, SimulationSpec):
             return submit_simulation(self.store, spec, chunks=chunks)
-        if isinstance(spec, BatchSpec):
-            return submit_batch(self.store, spec, chunks=chunks)
         raise TypeError(f"cannot submit {type(spec).__name__} as a job")
 
     def run(self, job_id: str) -> JobRecord:
@@ -403,13 +340,7 @@ class ShardedExecutor:
         from dataclasses import asdict
 
         record = self.store.get(job_id)
-        results = self.store.chunk_results(job_id)
-        if record.kind == "simulation":
-            spec = SimulationSpec.from_dict(record.spec)
-            _, _, report = merge_simulation_chunks(spec, results)
-            self.store.finish(job_id, asdict(report), report.digest())
-        else:
-            spec = BatchSpec.from_dict(record.spec)
-            report = merge_batch_chunks(spec, results)
-            self.store.finish(job_id, report, report["digest"])
+        spec = SimulationSpec.from_dict(record.spec)
+        _, _, report = merge_simulation_chunks(spec, self.store.chunk_results(job_id))
+        self.store.finish(job_id, asdict(report), report.digest())
         return self.store.get(job_id)

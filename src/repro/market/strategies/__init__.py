@@ -10,7 +10,7 @@ from repro.market.strategies.baselines import (
     IncreasePriceTaskParty,
     RandomBundleDataParty,
 )
-from repro.market.strategies.data_party import StrategicDataParty, select_offer
+from repro.market.strategies.data_party import StrategicDataParty
 from repro.market.strategies.imperfect import ImperfectDataParty, ImperfectTaskParty
 from repro.market.strategies.learned import LearnedTaskParty
 from repro.market.strategies.task_party import StrategicTaskParty
@@ -27,5 +27,4 @@ __all__ = [
     "StrategicTaskParty",
     "TaskDecision",
     "TaskStrategy",
-    "select_offer",
 ]

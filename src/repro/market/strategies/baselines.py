@@ -26,8 +26,10 @@ from repro.market.strategies.base import (
     TaskDecision,
     TaskStrategy,
 )
+from repro.market.strategies.data_party import affordable_bundles, floor_rows
 from repro.market.termination import (
     Decision,
+    OfferTrail,
     data_accepts,
     no_affordable_bundle,
     task_accepts,
@@ -85,26 +87,11 @@ class IncreasePriceTaskParty(TaskStrategy):
             self.target = float(config.target_gain)
         else:
             self.target = float(np.quantile(known_gains, config.target_quantile))
-        self._offer_trail: list[tuple[float, float, float]] = []
+        self._trail = OfferTrail()
 
     def observe(self, quote: QuotedPrice, bundle: object, delta_g: float) -> None:
         """Track the (quote, gain) trail for the Case-4 regression test."""
-        self._offer_trail.append((quote.rate, quote.base, float(delta_g)))
-
-    def _best_dominated_previous(self, quote: QuotedPrice) -> float:
-        """Best gain among earlier rounds whose quote the current one dominates.
-
-        If the standing quote is component-wise at least as generous as
-        the quote that obtained some earlier gain, a rational seller's
-        affordable set can only have grown — so offering less than that
-        gain now is genuine regression, not an artefact of the buyer's
-        own price path.
-        """
-        best = float("-inf")
-        for rate, base, gain in self._offer_trail[:-1]:
-            if quote.rate >= rate - 1e-12 and quote.base >= base - 1e-12:
-                best = max(best, gain)
-        return best
+        self._trail.observe(quote, delta_g)
 
     def initial_quote(self) -> QuotedPrice:
         """Same opening quote as the strategic variant (same initial state)."""
@@ -124,7 +111,7 @@ class IncreasePriceTaskParty(TaskStrategy):
         if task_fails_regression(
             self.initial_quote(),
             delta_g,
-            self._best_dominated_previous(quote),
+            self._trail.best_dominated_previous(quote),
             cfg.utility_rate,
         ):
             return TaskDecision(Decision.FAIL)
@@ -164,14 +151,12 @@ class RandomBundleDataParty(DataStrategy):
         self.reserved_prices = dict(reserved_prices)
         self.config = config
         self.rng = as_generator(rng)
+        self._bundles = list(self.gains)
+        self._floors = floor_rows([self.reserved_prices[b] for b in self._bundles])
 
     def respond(self, quote: QuotedPrice, round_number: int) -> DataResponse:
         """Case 1 filter, then a uniformly random affordable bundle."""
-        affordable = [
-            b
-            for b in self.gains
-            if self.reserved_prices[b].satisfied_by(quote)
-        ]
+        affordable = affordable_bundles(self._bundles, self._floors, quote)
         if no_affordable_bundle(len(affordable)):
             return DataResponse(Decision.FAIL)
         bundle = affordable[int(self.rng.integers(0, len(affordable)))]

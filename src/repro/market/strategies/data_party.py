@@ -6,9 +6,16 @@ closest to — without exceeding — the quote's turning point, which
 maximises its payment under the cap (Eq. 4).  Acceptance (Case 2)
 fires when that gap is within ``ε_d``; with bargaining costs, Eq. 6's
 look-ahead rule can accept earlier.
+
+Steps (1) and (2) and Eq. 6's target bundle are stated once, over
+``(n, F)`` arrays, in :func:`offer_rows`: :meth:`StrategicDataParty.respond`
+calls it on one row, and the population kernel
+(:mod:`repro.simulate.kernel`) on every live session of a batch.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.market.bundle import FeatureBundle
 from repro.market.config import MarketConfig
@@ -19,28 +26,97 @@ from repro.market.termination import (
     Decision,
     data_accepts,
     data_accepts_with_cost,
-    no_affordable_bundle,
 )
 from repro.utils.validation import require
 
-__all__ = ["StrategicDataParty", "select_offer"]
+__all__ = [
+    "StrategicDataParty",
+    "affordable_bundles",
+    "affordable_rows",
+    "floor_rows",
+    "offer_rows",
+    "purchase_floor",
+]
 
 
-def select_offer(
-    candidates: dict[FeatureBundle, float], turning_point: float
-) -> tuple[FeatureBundle, float]:
-    """The Eq. 4 offer rule.
+def purchase_floor(reserved: np.ndarray) -> np.ndarray:
+    """The least quote component that meets each reserved component:
+    the reserved value less
+    :meth:`~repro.market.pricing.ReservedPrice.satisfied_by`'s ``1e-12``
+    slack (the same float subtraction, done once per catalogue)."""
+    return reserved - 1e-12
 
-    Among ``candidates`` (bundle -> ΔG), pick the gain closest to but
-    not beyond the turning point; if every candidate overshoots, pick
-    the smallest overshoot (payment saturates at the cap either way, so
-    the cheapest sufficient bundle is offered).
+
+def affordable_rows(
+    rate: np.ndarray,
+    base: np.ndarray,
+    floor_rate: np.ndarray,
+    floor_base: np.ndarray,
+) -> np.ndarray:
+    """Case 1's filter: ``(n, F)`` mask of the bundles each row's quote
+    can buy, ``rate >= p_l - 1e-12 and base >= P_l - 1e-12`` as in
+    :meth:`~repro.market.pricing.ReservedPrice.satisfied_by`.
+
+    ``rate`` and ``base`` are ``(n, 1)`` quote columns; the floors are
+    :func:`purchase_floor` of the reserved prices, ``(n, F)`` or
+    ``(1, F)``.
     """
-    require(bool(candidates), "need at least one candidate bundle")
-    below = {b: g for b, g in candidates.items() if g <= turning_point}
-    pool = below if below else candidates
-    bundle = min(pool, key=lambda b: abs(turning_point - pool[b]))
-    return bundle, candidates[bundle]
+    return (rate >= floor_rate) & (base >= floor_base)
+
+
+def offer_rows(
+    gains: np.ndarray,
+    rate: np.ndarray,
+    base: np.ndarray,
+    turning_point: np.ndarray,
+    floor_rate: np.ndarray,
+    floor_base: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Case 1, the Eq. 4 offer and Eq. 6's target over ``(n, F)`` rows.
+
+    ``gains`` is the catalogue's ΔG, ``(F,)``; the quote is given as
+    ``(n, 1)`` columns and the reserved prices as floors, as in
+    :func:`affordable_rows`.  Returns ``(offer, target)``, catalogue
+    indices of shape ``(n,)``:
+
+    * ``offer[i]`` is ``-1`` when row ``i`` can afford no bundle
+      (Case 1); otherwise the largest affordable ΔG not beyond the
+      turning point (payment grows with ΔG up to the cap) or, when
+      every affordable gain overshoots, the smallest one (payment
+      saturates at the cap, so the cheapest sufficient bundle) — at the
+      first catalogue index holding that gain;
+    * ``target[i]`` is the bundle ``F_j`` of Eq. 6, the first index of
+      the smallest ``|ΔG − turning point|`` over the whole catalogue.
+    """
+    afford = affordable_rows(rate, base, floor_rate, floor_base)
+    below = afford & (gains <= turning_point)
+    offer = np.where(below, gains, -np.inf).argmax(axis=1)
+    over = np.flatnonzero(~below.any(axis=1))
+    if over.size:  # every affordable gain overshoots, or none is affordable
+        afford_over = afford[over]
+        offer[over] = np.where(afford_over, gains, np.inf).argmin(axis=1)
+        offer[over[~afford_over.any(axis=1)]] = -1
+    target = np.abs(gains - turning_point).argmin(axis=1)
+    return offer, target
+
+
+def floor_rows(prices: list[ReservedPrice]) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`purchase_floor` of a catalogue's reserved rates and
+    bases, as two ``(1, F)`` rows."""
+    return (purchase_floor(np.array([[p.rate for p in prices]])),
+            purchase_floor(np.array([[p.base for p in prices]])))
+
+
+def affordable_bundles(
+    bundles: list[FeatureBundle],
+    floors: tuple[np.ndarray, np.ndarray],
+    quote: QuotedPrice,
+) -> list[FeatureBundle]:
+    """The bundles ``quote`` can buy, in catalogue order (``floors``
+    from :func:`floor_rows`)."""
+    mask = affordable_rows(np.array(quote.rate, ndmin=2),
+                           np.array(quote.base, ndmin=2), *floors)
+    return [b for b, ok in zip(bundles, mask[0].tolist()) if ok]
 
 
 class StrategicDataParty(DataStrategy):
@@ -68,41 +144,37 @@ class StrategicDataParty(DataStrategy):
         cost_model: CostModel | None = None,
     ):
         require(bool(gains), "data party needs a non-empty catalogue")
-        missing = [b for b in gains if b not in reserved_prices]
-        require(not missing, f"reserved price missing for {missing[:3]}")
         self.gains = dict(gains)
         self.reserved_prices = dict(reserved_prices)
         self.config = config
         self.cost_model = cost_model
-
-    def affordable(self, quote: QuotedPrice) -> dict[FeatureBundle, float]:
-        """Bundles whose reserved price the quote satisfies."""
-        return {
-            b: g
-            for b, g in self.gains.items()
-            if self.reserved_prices[b].satisfied_by(quote)
-        }
-
-    def _target_reserved(self, quote: QuotedPrice) -> ReservedPrice:
-        """Reserved price of the bundle nearest the turning point (F_j in Eq. 6)."""
-        target = min(
-            self.gains, key=lambda b: abs(quote.turning_point - self.gains[b])
-        )
-        return self.reserved_prices[target]
+        self._bundles = list(self.gains)
+        prices = [self.reserved_prices.get(b) for b in self._bundles]
+        missing = [b for b, p in zip(self._bundles, prices) if p is None]
+        require(not missing, f"reserved price missing for {missing[:3]}")
+        self._gains = np.fromiter(self.gains.values(), float, len(self._bundles))
+        self._floors = floor_rows(prices)
 
     def respond(self, quote: QuotedPrice, round_number: int) -> DataResponse:
         """Cases 1-3 of §3.4.3 (plus Eq. 6 when costs are modelled)."""
-        candidates = self.affordable(quote)
-        if no_affordable_bundle(len(candidates)):
+        offer, target = offer_rows(
+            self._gains,
+            np.array(quote.rate, ndmin=2),
+            np.array(quote.base, ndmin=2),
+            np.array(quote.turning_point, ndmin=2),
+            *self._floors,
+        )
+        i = int(offer[0])
+        if i < 0:  # Case 1
             return DataResponse(Decision.FAIL)
-        bundle, gain = select_offer(candidates, quote.turning_point)
+        bundle, gain = self._bundles[i], float(self._gains[i])
         if data_accepts(quote, gain, self.config.eps_d):
             return DataResponse(Decision.ACCEPT, bundle)
         if self.cost_model is not None and not isinstance(self.cost_model, NoCost):
             if data_accepts_with_cost(
                 quote,
                 gain,
-                self._target_reserved(quote),
+                self.reserved_prices[self._bundles[int(target[0])]],
                 self.cost_model,
                 round_number,
                 self.config.eps_dc,

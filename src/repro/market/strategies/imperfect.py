@@ -36,8 +36,10 @@ from repro.market.strategies.base import (
     TaskDecision,
     TaskStrategy,
 )
+from repro.market.strategies.data_party import affordable_bundles, floor_rows
 from repro.market.termination import (
     Decision,
+    OfferTrail,
     data_accepts,
     no_affordable_bundle,
     task_accepts,
@@ -71,7 +73,7 @@ class ImperfectTaskParty(TaskStrategy):
         self.estimator = estimator or TaskGainEstimator(rng=spawn(self.rng, "f"))
         opening_cap = config.initial_base + config.initial_rate * self.target
         require(opening_cap <= config.budget, "opening cap exceeds budget")
-        self._offer_trail: list[tuple[float, float, float]] = []
+        self._trail = OfferTrail()
 
     def exploring(self, round_number: int) -> bool:
         """Case VII window: first N rounds never terminate."""
@@ -89,15 +91,7 @@ class ImperfectTaskParty(TaskStrategy):
     def observe(self, quote: QuotedPrice, bundle: FeatureBundle, delta_g: float) -> None:
         """Train ``f`` on the realised (quote, ΔG) pair."""
         self.estimator.observe(quote, delta_g)
-        self._offer_trail.append((quote.rate, quote.base, float(delta_g)))
-
-    def _best_dominated_previous(self, quote: QuotedPrice) -> float:
-        """Best earlier gain under a quote the current one dominates."""
-        best = float("-inf")
-        for rate, base, gain in self._offer_trail[:-1]:
-            if quote.rate >= rate - 1e-12 and quote.base >= base - 1e-12:
-                best = max(best, gain)
-        return best
+        self._trail.observe(quote, delta_g)
 
     def _sample_box(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eq.5-consistent quotes across the admissible price box.
@@ -189,7 +183,7 @@ class ImperfectTaskParty(TaskStrategy):
             if task_fails_regression(
                 self.initial_quote(),
                 delta_g,
-                self._best_dominated_previous(quote),
+                self._trail.best_dominated_previous(quote),
                 cfg.utility_rate,
             ):
                 return TaskDecision(Decision.FAIL)
@@ -245,6 +239,7 @@ class ImperfectDataParty(DataStrategy):
         self.reserved_prices = dict(reserved_prices)
         self.config = config
         self.rng = as_generator(rng)
+        self._floors = floor_rows([self.reserved_prices[b] for b in self.bundles])
         self.estimator = estimator or DataGainEstimator(
             n_features, rng=spawn(self.rng, "g")
         )
@@ -259,9 +254,7 @@ class ImperfectDataParty(DataStrategy):
 
     def respond(self, quote: QuotedPrice, round_number: int) -> DataResponse:
         """Cases I-III on predicted gains (relaxed during exploration)."""
-        affordable = [
-            b for b in self.bundles if self.reserved_prices[b].satisfied_by(quote)
-        ]
+        affordable = affordable_bundles(self.bundles, self._floors, quote)
         if no_affordable_bundle(len(affordable)):
             if self.exploring(round_number):
                 # Case VII: keep the game alive with the cheapest bundle.

@@ -27,6 +27,7 @@ from repro.market.pricing import QuotedPrice
 from repro.market.strategies.base import TaskDecision, TaskStrategy
 from repro.market.termination import (
     Decision,
+    OfferTrail,
     task_accepts,
     task_fails_regression,
 )
@@ -87,7 +88,7 @@ class LearnedTaskParty(TaskStrategy):
         self._last_arm: int | None = None
         self._last_gain: float | None = None
         self._last_cap: float | None = None
-        self._offer_trail: list[tuple[float, float, float]] = []
+        self._trail = OfferTrail()
 
     def initial_quote(self) -> QuotedPrice:
         """Same Eq.5-consistent opening as the strategic buyer."""
@@ -96,7 +97,7 @@ class LearnedTaskParty(TaskStrategy):
     # ------------------------------------------------------------------
     def observe(self, quote: QuotedPrice, bundle: object, delta_g: float) -> None:
         """Credit the previous concession with its gain-per-cap reward."""
-        self._offer_trail.append((quote.rate, quote.base, float(delta_g)))
+        self._trail.observe(quote, delta_g)
         if (
             self._last_arm is not None
             and self._last_gain is not None
@@ -109,13 +110,6 @@ class LearnedTaskParty(TaskStrategy):
             self._arm_value[i] += (reward - self._arm_value[i]) / self._arm_count[i]
         self._last_gain = float(delta_g)
         self._last_cap = quote.cap
-
-    def _best_dominated_previous(self, quote: QuotedPrice) -> float:
-        best = float("-inf")
-        for rate, base, gain in self._offer_trail[:-1]:
-            if quote.rate >= rate - 1e-12 and quote.base >= base - 1e-12:
-                best = max(best, gain)
-        return best
 
     def _pick_arm(self) -> int:
         unexplored = np.flatnonzero(self._arm_count == 0)
@@ -131,7 +125,10 @@ class LearnedTaskParty(TaskStrategy):
         """Cases 4-6 with bandit-paced escalation in Case 6."""
         cfg = self.config
         if task_fails_regression(
-            self._opening, delta_g, self._best_dominated_previous(quote), cfg.utility_rate
+            self._opening,
+            delta_g,
+            self._trail.best_dominated_previous(quote),
+            cfg.utility_rate,
         ):
             return TaskDecision(Decision.FAIL)
         if task_accepts(quote, delta_g, cfg.eps_t):

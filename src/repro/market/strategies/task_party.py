@@ -23,6 +23,7 @@ from repro.market.pricing import QuotedPrice
 from repro.market.strategies.base import TaskDecision, TaskStrategy
 from repro.market.termination import (
     Decision,
+    OfferTrail,
     task_accepts,
     task_accepts_with_cost,
     task_fails_regression,
@@ -115,7 +116,7 @@ class StrategicTaskParty(TaskStrategy):
         # opening quote anchors the break-even bar and offers only kill
         # the game when they fall below the best gain seen so far.
         self._opening = self._current
-        self._offer_trail: list[tuple[float, float, float]] = []
+        self._trail = OfferTrail()
 
     def initial_quote(self) -> QuotedPrice:
         """Opening quote satisfying Eq. 5 for the target gain."""
@@ -197,22 +198,7 @@ class StrategicTaskParty(TaskStrategy):
 
     def observe(self, quote: QuotedPrice, bundle: object, delta_g: float) -> None:
         """Track the (quote, gain) trail for the Case-4 regression test."""
-        self._offer_trail.append((quote.rate, quote.base, float(delta_g)))
-
-    def _best_dominated_previous(self, quote: QuotedPrice) -> float:
-        """Best gain among earlier rounds whose quote the current one dominates.
-
-        If the standing quote is component-wise at least as generous as
-        the quote that obtained some earlier gain, a rational seller's
-        affordable set can only have grown — so offering less than that
-        gain now is genuine regression, not an artefact of the buyer's
-        own price path.
-        """
-        best = float("-inf")
-        for rate, base, gain in self._offer_trail[:-1]:
-            if quote.rate >= rate - 1e-12 and quote.base >= base - 1e-12:
-                best = max(best, gain)
-        return best
+        self._trail.observe(quote, delta_g)
 
     def decide(
         self, quote: QuotedPrice, delta_g: float, round_number: int
@@ -221,7 +207,7 @@ class StrategicTaskParty(TaskStrategy):
         if task_fails_regression(
             self._opening,
             delta_g,
-            self._best_dominated_previous(quote),
+            self._trail.best_dominated_previous(quote),
             self.config.utility_rate,
         ):
             return TaskDecision(Decision.FAIL)

@@ -17,6 +17,7 @@ from repro.market.pricing import QuotedPrice, ReservedPrice
 
 __all__ = [
     "Decision",
+    "OfferTrail",
     "data_accepts",
     "data_accepts_with_cost",
     "no_affordable_bundle",
@@ -73,6 +74,34 @@ def task_fails_regression(
     """
     below_break_even = delta_g < break_even_gain(opening_quote, utility_rate)
     return below_break_even and delta_g < best_previous
+
+
+class OfferTrail:
+    """The ``(rate, base, ΔG)`` of every observed round, for
+    :func:`task_fails_regression`'s ``best_previous``."""
+
+    def __init__(self) -> None:
+        self._rounds: list[tuple[float, float, float]] = []
+
+    def observe(self, quote: QuotedPrice, delta_g: float) -> None:
+        """Record the round ``quote`` obtained ``delta_g`` in."""
+        self._rounds.append((quote.rate, quote.base, float(delta_g)))
+
+    def best_dominated_previous(self, quote: QuotedPrice) -> float:
+        """Best gain among earlier rounds whose quote the current one dominates.
+
+        If the standing quote is component-wise at least as generous as
+        the quote that obtained some earlier gain, a rational seller's
+        affordable set can only have grown — so offering less than that
+        gain now is genuine regression, not an artefact of the buyer's
+        own price path.  The latest round (the offer under test) is
+        left out.
+        """
+        best = float("-inf")
+        for rate, base, gain in self._rounds[:-1]:
+            if quote.rate >= rate - 1e-12 and quote.base >= base - 1e-12:
+                best = max(best, gain)
+        return best
 
 
 def task_accepts(quote: QuotedPrice, delta_g: float, eps_t: float) -> bool:

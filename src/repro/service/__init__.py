@@ -56,10 +56,9 @@ from repro.service.registry import (
     register_task_strategy,
 )
 from repro.service.simulation import run_simulation
-from repro.service.specs import BatchSpec, MarketSpec, SessionSpec, SimulationSpec
+from repro.service.specs import MarketSpec, SessionSpec, SimulationSpec
 
 __all__ = [
-    "BatchSpec",
     "JobService",
     "MarketPool",
     "MarketSpec",

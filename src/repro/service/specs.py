@@ -16,8 +16,6 @@ shared by concurrent sessions, and (via the same
   pair, information setting, per-session seed, cost schedules).
 * :class:`SimulationSpec` — one population-simulation job
   (:mod:`repro.simulate` over a preset- or oracle-anchored catalogue).
-* :class:`BatchSpec` — one repeated-session job (``bargain_many`` as a
-  declarative spec the :mod:`repro.jobs` executor can shard).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ if TYPE_CHECKING:
     from repro.oracle_factory.cache import GainCache
     from repro.simulate.population import PopulationSpec
 
-__all__ = ["BatchSpec", "MarketSpec", "SessionSpec", "SimulationSpec"]
+__all__ = ["MarketSpec", "SessionSpec", "SimulationSpec"]
 
 _INFORMATION = ("perfect", "imperfect")
 
@@ -424,57 +422,6 @@ class SimulationSpec:
     def from_dict(cls, payload: dict[str, Any]) -> "SimulationSpec":
         """Inverse of :meth:`to_dict`; unknown keys are hard errors."""
         _reject_unknown_keys(cls, payload)
-        return cls(**payload)
-
-    def digest(self) -> str:
-        """Content digest over the full spec."""
-        return content_digest(self.to_dict())
-
-
-@dataclass(frozen=True)
-class BatchSpec:
-    """One repeated-session job: ``runs`` independently seeded games.
-
-    The declarative twin of
-    :meth:`repro.market.market.Market.bargain_many`: the ``session``
-    template is replayed with ``run=0..runs-1`` (the same per-run seed
-    derivation), so a batch job's outcomes are bit-identical to the
-    sequential loop.  The template's ``market`` must be a full
-    :class:`MarketSpec` — batch jobs ship to worker processes whose
-    pools have never seen the parent's digests — and its ``run`` must
-    be unset (the batch owns the run axis).
-    """
-
-    session: SessionSpec
-    runs: int = 100
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        require(isinstance(self.session, SessionSpec),
-                "session must be a SessionSpec")
-        require(isinstance(self.runs, int) and self.runs >= 1,
-                "runs must be an int >= 1")
-        require(isinstance(self.session.market, MarketSpec),
-                "batch jobs need a full MarketSpec (not a pool digest): "
-                "worker processes rebuild the market from it")
-        require(self.session.run is None,
-                "the session template's run must be None (the batch "
-                "derives run=0..runs-1 itself)")
-
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical plain-dict form."""
-        return {"session": self.session.to_dict(), "runs": self.runs}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "BatchSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are hard errors."""
-        _reject_unknown_keys(cls, payload)
-        payload = dict(payload)
-        session = payload.get("session")
-        if isinstance(session, dict):
-            payload["session"] = SessionSpec.from_dict(session)
         return cls(**payload)
 
     def digest(self) -> str:

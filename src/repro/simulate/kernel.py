@@ -22,10 +22,17 @@ statement of the rules: every session's record equals
 (``tests/simulate/test_kernel_reference.py``,
 ``tests/simulate/test_kernel_baselines.py``).  Each row reads the
 engine's own stream ``spawn(seed, "session", i, "task")`` in the
-engine's order, does the engine's arithmetic in the engine's order,
-and computes costs as the engine's cost models do (Python
-``float ** int`` for exponential costs; numpy's ``**`` can round one
-ulp differently), once per round and cost-mix entry.
+engine's order and does the engine's arithmetic in the engine's order.
+The data party's half of a round is the strategy's own code: Case 1,
+the Eq. 4 offer and Eq. 6's target bundle come from
+:func:`~repro.market.strategies.data_party.offer_rows`, the array rule
+:meth:`StrategicDataParty.respond
+<repro.market.strategies.data_party.StrategicDataParty.respond>` calls
+on one row.  Costs are the engine's too: each cost-mix entry's
+registered model (:meth:`Population.cost_model
+<repro.simulate.population.Population.cost_model>`) is called once per
+round while the entry has a live session, so any registered cost kind
+runs here.
 
 Randomness.  Each session owns one flat tape of doubles and a cursor.
 A session's generator is built (from seed words derived for the whole
@@ -69,8 +76,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.market.costs import NoCost
 from repro.market.strategies.baselines import BASE_STEP, CAP_STEP, RATE_STEP
+from repro.market.strategies.data_party import offer_rows, purchase_floor
 from repro.market.strategies.task_party import _min_cap_scan
+from repro.service import registry
 from repro.utils.rng import generator_from_seed_words, stream_seed_words
 
 __all__ = [
@@ -91,24 +101,9 @@ BY_DATA = 1
 BY_TASK = 2
 BY_ENGINE = 3
 
-_COST_NONE, _COST_CONSTANT, _COST_LINEAR, _COST_EXPONENTIAL = 0, 1, 2, 3
-
 #: Longest tape block, in rounds, and the tape's size cap.
 _TAPE_ROUNDS = 8
 _TAPE_BYTES = 64 << 20
-
-
-def _cost_at(kind: np.ndarray, a: np.ndarray, round_number: int) -> np.ndarray:
-    """Cumulative bargaining cost after ``round_number`` of each cost
-    schedule ``(kind[m], a[m])``, in the engine's cost-model arithmetic
-    (:mod:`repro.market.costs`)."""
-    return np.array([
-        a_m if k == _COST_CONSTANT
-        else a_m * round_number if k == _COST_LINEAR
-        else a_m**round_number if k == _COST_EXPONENTIAL
-        else 0.0
-        for k, a_m in zip(kind.tolist(), a.tolist())
-    ])
 
 
 def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.ndarray]:
@@ -125,9 +120,10 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
     pop = population
     indices = np.asarray(indices, dtype=int)
     n = len(indices)
-    G = pop.gains[None, :]  # (1, F): one catalogue, broadcast over rows
+    G = pop.gains  # (F,): one catalogue, broadcast over rows
     res_rate = pop.reserved_rate[indices]
     res_base = pop.reserved_base[indices]
+    floor_rate, floor_base = purchase_floor(res_rate), purchase_floor(res_base)
     u = pop.utility_rate[indices]
     budget = pop.budget[indices]
     p0 = pop.initial_rate[indices]
@@ -137,32 +133,30 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
     eps_t = pop.eps_t[indices]
     eps_dc = pop.eps_dc[indices]
     eps_tc = pop.eps_tc[indices]
-    cost_kind = pop.cost_kind[indices]
     W = int(pop.spec.n_price_samples)
     max_rounds = int(pop.spec.max_rounds)
-    has_cost = cost_kind != _COST_NONE
     break_even = b0 / (u - p0)  # Case-4 bar, anchored to the opening quote
     by_mix = np.array([task == "increase_price"
                        for task, _, _ in pop.spec.strategy_mix])
     inc = by_mix[pop.mix_idx[indices]]
     any_inc = bool(inc.any())
-    eq7 = has_cost & ~inc  # Increase Price has no Eq. 7 acceptance
 
-    # One cost schedule per cost-mix entry, evaluated once per round.
+    # Each cost-mix entry's registered model (the engine's cost_task
+    # and cost_data), evaluated once per round.
+    models = [registry.build_cost(kind, a) or NoCost()
+              for kind, a, _ in pop.spec.cost_mix]
     schedule = pop.cost_idx[indices]
-    n_schedules = len(pop.spec.cost_mix)
-    sched_kind = np.zeros(n_schedules, dtype=cost_kind.dtype)
-    sched_a = np.zeros(n_schedules)
-    sched_kind[schedule] = cost_kind
-    sched_a[schedule] = pop.cost_a[indices]
-    cost_now = _cost_at(sched_kind, sched_a, 1)
+    has_cost = np.array([not isinstance(m, NoCost) for m in models])[schedule]
+    eq7 = has_cost & ~inc  # Increase Price has no Eq. 7 acceptance
+    cost_now = np.array([m(1) for m in models])
 
     # Per-session tapes of the engine's stream, read at pos[s].
     seed_words = stream_seed_words(
         pop.seed, indices, prefix=("session",), suffix=("task",)
     )
     round_width = max(2 * W, 3)
-    win = int(np.clip(_TAPE_BYTES // (n * round_width * 8), 1, _TAPE_ROUNDS))
+    win = int(np.clip(_TAPE_BYTES // (max(n, 1) * round_width * 8), 1,
+                      _TAPE_ROUNDS))
     L = win * round_width
     tape = np.zeros((n, L))  # zero pages stay untouched until drawn
     # Every width-long run of a tape, (n, L - width + 1, width), as views.
@@ -243,38 +237,36 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
         rate_l, base_l, cap_l = rate[live], base[live], cap[live]
         tp = (cap_l - base_l) / rate_l  # turning point (== target up to fp)
         sched_l = schedule[live]
-        cost_next = _cost_at(sched_kind, sched_a, T + 1)
+        # Only entries with a live row: a schedule can overflow in
+        # rounds its own sessions never reach.
+        due = np.zeros(len(models), dtype=bool)
+        due[sched_l] = True
+        cost_next = np.array([m(T + 1) if d else 0.0
+                              for m, d in zip(models, due.tolist())])
         cost_r, cost_r1 = cost_now[sched_l], cost_next[sched_l]
         cost_now = cost_next  # round T+1's cost is computed once
 
         # --- Step 2: the data party reacts (Cases 1-3) -----------------
-        afford = (res_rate[live] <= rate_l[:, None] + 1e-12) & (
-            res_base[live] <= base_l[:, None] + 1e-12
-        )
-        any_aff = afford.any(axis=1)
-        if not any_aff.all():  # Case 1: no affordable bundle -> fail
-            dead = ~any_aff
+        offer, tgt = offer_rows(G, rate_l[:, None], base_l[:, None],
+                                tp[:, None], floor_rate[live], floor_base[live])
+        dead = offer < 0
+        if dead.any():  # Case 1: no affordable bundle -> fail
             finalise(live[dead], st=STATUS_FAILED, by=BY_DATA, T=T,
                      ct=cost_r[dead], cd=cost_r[dead],
                      q_rate=rate_l[dead], q_base=base_l[dead], q_cap=cap_l[dead])
-            keep = any_aff
+            keep = ~dead
             live, rate_l, base_l, cap_l, tp = (
                 live[keep], rate_l[keep], base_l[keep], cap_l[keep], tp[keep])
-            afford, cost_r, cost_r1 = afford[keep], cost_r[keep], cost_r1[keep]
+            offer, tgt = offer[keep], tgt[keep]
+            cost_r, cost_r1 = cost_r[keep], cost_r1[keep]
 
-        # Eq. 4 offer: the affordable gain closest to the turning point
-        # from below; if everything overshoots, the smallest overshoot.
-        below = afford & (G <= tp[:, None])
-        g_below = np.where(below, G, -np.inf).max(axis=1)
-        g_over = np.where(afford, G, np.inf).min(axis=1)
-        gain = np.where(np.isfinite(g_below), g_below, g_over)
+        gain = G[offer]
         payment = np.minimum(np.maximum(base_l, base_l + rate_l * gain), cap_l)
         net = u[live] * gain - payment
 
         accept_d = (tp - gain) <= eps_d[live]  # Case 2
         costly = has_cost[live]
         if costly.any():  # Eq. 6 look-ahead acceptance
-            tgt = np.abs(G - tp[:, None]).argmin(axis=1)
             rows_l = np.arange(live.size)
             rrt = res_rate[live][rows_l, tgt]
             rbt = res_base[live][rows_l, tgt]

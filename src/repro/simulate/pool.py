@@ -5,14 +5,14 @@ splits a :class:`~repro.simulate.population.Population` into batches
 and advances every session round-by-round until termination:
 
 * sessions against the strategic data party — with the strategic or
-  the ``increase_price`` task party, on a built-in cost schedule — go
+  the ``increase_price`` task party, on any registered cost kind — go
   through the vectorised batch kernel (:mod:`repro.simulate.kernel`),
   which amortises the per-round Python costs across the whole batch
   and returns, for every session, the record
   :meth:`~repro.market.engine.BargainingEngine.run` gives it, bit for
   bit;
 * every other strategy mix (``random_bundle``, ``imperfect``,
-  registered strategies or cost kinds) runs on the stepwise
+  registered strategies) runs on the stepwise
   :meth:`~repro.market.engine.BargainingEngine.step` core, interleaved
   round-by-round within its batch, with platform queries deduplicated
   through a shared :class:`~repro.market.oracle.MemoisedOracle`.

@@ -34,12 +34,6 @@ from repro.utils.validation import require
 
 __all__ = ["Population", "PopulationSpec", "sample_population"]
 
-# Cost kinds the vectorised batch kernel implements, in its int8 code
-# order.  Registered kinds beyond these are valid in a ``cost_mix`` but
-# route their sessions through the stepwise engine path (code -1).
-_COST_KINDS = ("none", "constant", "linear", "exponential")
-
-
 @dataclass(frozen=True)
 class PopulationSpec:
     """Distributional description of a session population.
@@ -105,9 +99,7 @@ class PopulationSpec:
         for kind, a, weight in self.cost_mix:
             require(kind in registry.COSTS, f"unknown cost kind {kind!r}")
             # Enforce each kind's parameter constraints here so an
-            # invalid schedule fails at spec construction — not
-            # mid-run on the stepwise path while the vectorised
-            # kernel silently simulates it.
+            # invalid schedule fails at spec construction, not mid-run.
             registry.COSTS.get(kind).validate(a)
             require(weight > 0, "cost weights must be > 0")
         lo, hi = self.target_quantile_range
@@ -197,8 +189,6 @@ class Population:
     eps_tc: np.ndarray
     mix_idx: np.ndarray  # (N,) index into spec.strategy_mix
     cost_idx: np.ndarray  # (N,) index into spec.cost_mix
-    cost_kind: np.ndarray  # (N,) int8 code into _COST_KINDS
-    cost_a: np.ndarray  # (N,)
     oracle: PerformanceOracle = field(repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -219,17 +209,17 @@ class Population:
         """Boolean mask of sessions the vectorised kernel can advance.
 
         The kernel plays the strategic data party against either the
-        strategic or the ``increase_price`` task party, over the
-        built-in cost schedules; every other strategy combination
-        (``random_bundle``, ``imperfect``, registered strategies) — and
-        any session whose registered cost kind the kernel has no code
-        for — runs through the stepwise engine.
+        strategic or the ``increase_price`` task party, under any
+        registered cost kind (it evaluates each cost-mix entry's model,
+        :meth:`cost_model`); every other strategy combination
+        (``random_bundle``, ``imperfect``, registered strategies) runs
+        through the stepwise engine.
         """
         eligible = np.zeros(self.n_sessions, dtype=bool)
         for m, (task, data, _) in enumerate(self.spec.strategy_mix):
             if task in ("strategic", "increase_price") and data == "strategic":
                 eligible |= self.mix_idx == m
-        return eligible & (self.cost_kind >= 0)
+        return eligible
 
     def config(self, i: int) -> MarketConfig:
         """The validated :class:`MarketConfig` of session ``i``."""
@@ -425,16 +415,6 @@ def sample_population(
     cost_w = np.array([w for _, _, w in spec.cost_mix], dtype=float)
     cost_idx = mix_rng.choice(len(spec.cost_mix), size=n_sessions,
                               p=cost_w / cost_w.sum())
-    # Kernel code per session; registered kinds the kernel does not
-    # implement get -1 and run through the stepwise engine path.
-    cost_kind = np.array(
-        [
-            _COST_KINDS.index(kind) if kind in _COST_KINDS else -1
-            for kind in (spec.cost_mix[m][0] for m in cost_idx)
-        ],
-        dtype=np.int8,
-    )
-    cost_a = np.array([spec.cost_mix[m][1] for m in cost_idx], dtype=float)
 
     return Population(
         spec=spec,
@@ -455,7 +435,5 @@ def sample_population(
         eps_tc=eps_tc,
         mix_idx=mix_idx,
         cost_idx=cost_idx,
-        cost_kind=cost_kind,
-        cost_a=cost_a,
         oracle=oracle,
     )

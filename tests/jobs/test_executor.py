@@ -1,4 +1,4 @@
-"""ShardedExecutor: bit-identical merges, kill/resume, batch jobs.
+"""ShardedExecutor: bit-identical merges, kill/resume.
 
 The acceptance contract of the jobs subsystem: for a fixed
 ``SimulationSpec``, the merged report digest from the sharded executor
@@ -12,19 +12,11 @@ import threading
 import pytest
 
 from repro.jobs import JobStore, ShardedExecutor
-from repro.service import (
-    BatchSpec,
-    MarketSpec,
-    SessionSpec,
-    SimulationSpec,
-    run_simulation,
-)
-from repro.service.manager import shared_pool
-from repro.utils.canonical import content_digest
+from repro.service import SimulationSpec, run_simulation
 
-# A mixed population: strategic/strategic rides the vectorised kernel,
-# the other pairs (and the linear-cost sessions) run stepwise through
-# the memoised oracle — exercising every merge path, including the
+# A mixed population: the strategic data party's pairs ride the
+# vectorised kernel, the random-bundle pair runs stepwise through the
+# memoised oracle — exercising every merge path, including the
 # cross-shard oracle hit accounting.
 MIXED = SimulationSpec(
     sessions=120,
@@ -140,42 +132,3 @@ class TestInterruptionAndResume:
         assert stopped.done_chunks == 0
         resumed = ShardedExecutor(store, shards=2).run(record.job_id)
         assert resumed.digest == reference_digest
-
-
-class TestBatchJobs:
-    SPEC = BatchSpec(
-        session=SessionSpec(
-            market=MarketSpec(dataset="synthetic", seed=5), seed=0
-        ),
-        runs=12,
-    )
-
-    def test_batch_matches_bargain_many(self, store):
-        from repro.service.manager import _outcome_dict
-
-        executor = ShardedExecutor(store, shards=2)
-        record = executor.submit(self.SPEC, chunks=3)
-        done = executor.run(record.job_id)
-        assert done.finished
-
-        market = shared_pool().get(self.SPEC.session.market)
-        expected = [
-            _outcome_dict(o)
-            for o in market.bargain_many(self.SPEC.runs, base_seed=0)
-        ]
-        assert done.report["outcomes"] == expected
-        assert done.report["digest"] == content_digest(expected)
-        assert done.report["accepted"] == sum(
-            1 for o in expected if o["status"] == "accepted"
-        )
-
-    def test_batch_spec_validation(self):
-        with pytest.raises(ValueError, match="run must be None"):
-            BatchSpec(
-                session=SessionSpec(
-                    market=MarketSpec(dataset="synthetic"), run=3
-                ),
-                runs=4,
-            )
-        with pytest.raises(ValueError, match="full MarketSpec"):
-            BatchSpec(session=SessionSpec(market="abc123"), runs=4)

@@ -199,7 +199,7 @@ class _ScalarTaskParty(ImperfectTaskParty):
         if not self.exploring(round_number):
             if task_fails_regression(
                 self.initial_quote(), delta_g,
-                self._best_dominated_previous(quote), cfg.utility_rate,
+                self._trail.best_dominated_previous(quote), cfg.utility_rate,
             ):
                 return TaskDecision(Decision.FAIL)
             if task_accepts(quote, delta_g, cfg.eps_t):

@@ -15,7 +15,7 @@ from repro.market.strategies.baselines import (
     IncreasePriceTaskParty,
     RandomBundleDataParty,
 )
-from repro.market.strategies.data_party import select_offer
+from repro.market.strategies.data_party import affordable_bundles, floor_rows
 from repro.market.termination import Decision
 from repro.utils import spawn
 
@@ -53,34 +53,20 @@ def toy_market():
     return gains, reserved, config
 
 
-class TestSelectOffer:
-    def test_picks_closest_below_turning_point(self):
-        gains, _, _ = toy_market()
-        bundle, gain = select_offer(gains, turning_point=0.15)
-        assert gain == 0.12
-
-    def test_all_overshoot_picks_smallest(self):
-        gains, _, _ = toy_market()
-        bundle, gain = select_offer(gains, turning_point=0.01)
-        assert gain == 0.05
-
-    def test_exact_match_preferred(self):
-        gains, _, _ = toy_market()
-        bundle, gain = select_offer(gains, turning_point=0.12)
-        assert gain == 0.12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_offer({}, 0.1)
-
-
 class TestStrategicDataParty:
+    def test_empty_catalogue_rejected(self):
+        _, reserved, config = toy_market()
+        with pytest.raises(ValueError):
+            StrategicDataParty({}, reserved, config)
+
     def test_affordability_filter(self):
-        gains, reserved, config = toy_market()
-        party = StrategicDataParty(gains, reserved, config)
+        gains, reserved, _ = toy_market()
+        bundles = list(gains)
         cheap_quote = QuotedPrice(rate=5.5, base=0.9, cap=2.0)
-        affordable = party.affordable(cheap_quote)
-        assert set(affordable.values()) == {0.05}
+        affordable = affordable_bundles(
+            bundles, floor_rows([reserved[b] for b in bundles]), cheap_quote
+        )
+        assert [gains[b] for b in affordable] == [0.05]
 
     def test_case1_fail(self):
         gains, reserved, config = toy_market()

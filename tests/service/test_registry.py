@@ -1,5 +1,6 @@
 """Registry semantics: collisions, and extensions propagating everywhere."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser
@@ -174,15 +175,23 @@ class TestExtensionsPropagate:
         assert result.status_names() == [o.status for o in naive]
         assert list(result.payment) == [o.payment for o in naive]
 
-    def test_registered_cost_kind_routes_to_stepwise(self, tiny_cost):
+    def test_registered_cost_kind_runs_on_the_kernel(self, tiny_cost):
         from repro.simulate import PopulationSpec, SessionPool, sample_population
+        from repro.simulate.pool import session_record_arrays
 
         spec = PopulationSpec(
             preset="synthetic", cost_mix=((tiny_cost, 0.01, 1.0),)
         )
         population = sample_population(spec, 5, seed=0)
-        assert (population.cost_kind == -1).all()
-        assert not population.kernel_eligible().any()
+        assert population.kernel_eligible().all()
         result = SessionPool(population, batch_size=4).run()
-        assert result.stepped_sessions == 5
+        assert result.kernel_sessions == 5
         assert population.cost_model(0)(3) == pytest.approx(0.01)
+        # The kernel calls the registered model: every session equals
+        # its factory-built engine on all eleven record fields.
+        naive = session_record_arrays(5)
+        for i in range(5):
+            SessionPool._record(naive, i, population.build_engine(i).run())
+        for key, values in naive.items():
+            assert np.array_equal(getattr(result, key), values, equal_nan=True), key
+        assert (result.cost_task == 0.01).all()

@@ -63,9 +63,9 @@ class TestEveryCostKind:
         the scalar power path."""
         pop = _population(11, 40, cost_mix=(ALL_COSTS[3],))
         result = SessionPool(pop, batch_size=16).run()
-        a = float(pop.cost_a[0])
+        a = pop.spec.cost_mix[0][1]
         assert any(
-            (pop.cost_a**T != a**T).any()
+            (np.full(pop.n_sessions, a)**T != a**T).any()
             for T in range(1, int(result.n_rounds.max()) + 2)
         )
 

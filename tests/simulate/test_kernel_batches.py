@@ -84,6 +84,13 @@ def test_any_permutation_equals_one_call(world, data):
                       {key: values[order] for key, values in full.items()})
 
 
+def test_an_empty_index_set_returns_empty_records():
+    pop, eligible = _world(8, 0)
+    empty = simulate_strategic_batch(pop, np.arange(0))
+    full = simulate_strategic_batch(pop, eligible)
+    _assert_same_bits(empty, {key: values[:0] for key, values in full.items()})
+
+
 @PROPERTY
 @given(world=populations())
 def test_a_second_call_returns_the_same_bits(world):

@@ -2,7 +2,7 @@
 
 Every kernel session must return exactly the record of
 ``population.build_engine(i).run()``, NaNs included: on pool batches,
-strided index sets, every cost kind the kernel implements, every
+strided index sets, every built-in cost kind, every
 ``(n_price_samples, max_rounds)`` shape below, rows whose smallest
 candidate cap is unusable (resolved by the engine's own scan), and
 games long enough to grow the offer trail and refill the
@@ -79,6 +79,15 @@ class TestAgainstEngine:
     def test_every_cost_kind(self):
         out = _check(_population(7, n_sessions=160, cost_mix=ALL_COSTS))
         assert set(np.unique(out["status"])) >= {STATUS_ACCEPTED, STATUS_FAILED}
+
+    def test_a_cost_is_only_evaluated_while_its_sessions_run(self):
+        """``1e10 ** T`` overflows a float from round 31; the exponential
+        sessions end sooner, the frictionless ones bargain on, and none
+        of their engines evaluates that cost — nor may the kernel."""
+        pop = _population(1, cost_mix=(("none", 0.0, 1.0),
+                                       ("exponential", 1e10, 1.0)))
+        out = _check(pop)
+        assert out["n_rounds"].max() > 31
 
     def test_strided_indices(self):
         pop = _population(8, n_sessions=160, cost_mix=ALL_COSTS)
