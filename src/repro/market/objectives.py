@@ -9,8 +9,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.market.pricing import QuotedPrice
-from repro.utils.validation import require
 
 __all__ = [
     "break_even_gain",
@@ -33,15 +34,16 @@ def data_revenue_gap(quote: QuotedPrice, delta_g: float) -> float:
     return abs(quote.cap - max(quote.base, quote.base + quote.rate * delta_g))
 
 
-def break_even_gain(quote: QuotedPrice, utility_rate: float) -> float:
+def break_even_gain(rate, base, utility_rate):
     """Minimum ΔG for non-negative task-party profit: ``P0/(u − p)``.
 
     Below this gain the task party loses money (Case 4 / Case IV
-    failure threshold).  Requires individual rationality ``u > p``
-    (§3.4.2).
+    failure threshold, :func:`~repro.market.termination.task_fails_regression`).
+    Takes numbers or numpy rows.  Requires individual rationality
+    ``u > p`` (§3.4.2).
     """
-    require(
-        utility_rate > quote.rate,
-        f"individual rationality requires u > p (u={utility_rate}, p={quote.rate})",
-    )
-    return quote.base / (utility_rate - quote.rate)
+    if not np.all(utility_rate > rate):  # the message is formatted on failure only
+        raise ValueError(
+            f"individual rationality requires u > p (u={utility_rate}, p={rate})"
+        )
+    return base / (utility_rate - rate)

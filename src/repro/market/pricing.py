@@ -21,7 +21,26 @@ from repro.market.bundle import FeatureBundle
 from repro.utils.rng import as_generator
 from repro.utils.validation import require
 
-__all__ = ["QuotedPrice", "ReservedPrice", "cost_based_reserved_prices"]
+__all__ = ["QuotedPrice", "ReservedPrice", "cost_based_reserved_prices",
+           "meets_floors", "purchase_floor"]
+
+
+def purchase_floor(component):
+    """The least quote component that meets ``component`` as a floor:
+    ``component`` less the ``1e-12`` slack (a number or an array)."""
+    return component - 1e-12
+
+
+def meets_floors(rate, base, floor_rate, floor_base):
+    """True where a quote's rate and base both reach their floors.
+
+    The floors are the :func:`purchase_floor` of a reserved price (Case
+    1's affordability, :meth:`ReservedPrice.satisfied_by`) or of an
+    earlier round's quote (the Case-4 trail's dominance test,
+    :class:`~repro.market.termination.OfferTrail`).  Takes numbers or
+    broadcastable numpy arrays.
+    """
+    return (rate >= floor_rate) & (base >= floor_base)
 
 
 @dataclass(frozen=True)
@@ -101,7 +120,8 @@ class ReservedPrice:
 
     def satisfied_by(self, quote: QuotedPrice) -> bool:
         """True when the quote meets both floors (``p >= p_l`` and ``P0 >= P_l``)."""
-        return quote.rate >= self.rate - 1e-12 and quote.base >= self.base - 1e-12
+        return meets_floors(quote.rate, quote.base,
+                            purchase_floor(self.rate), purchase_floor(self.base))
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form (checkpoint wire format)."""

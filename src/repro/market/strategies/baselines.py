@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.market.bundle import FeatureBundle
 from repro.market.config import MarketConfig
+from repro.market.objectives import break_even_gain
 from repro.market.pricing import QuotedPrice, ReservedPrice
 from repro.market.strategies.base import (
     DataResponse,
@@ -44,27 +45,48 @@ __all__ = [
     "RATE_STEP",
     "IncreasePriceTaskParty",
     "RandomBundleDataParty",
+    "increase_price_step",
 ]
 
 #: Increase Price's per-round multiplicative step bounds: each
 #: continuation scales ``p`` by ``1 + U(0, RATE_STEP)``, ``P0`` by
-#: ``1 + U(0, BASE_STEP)`` and ``Ph`` by ``1 + U(0, CAP_STEP)``.  The
-#: population kernel (:mod:`repro.simulate.kernel`) reads the same
-#: constants for the sessions it plays with this rule.
+#: ``1 + U(0, BASE_STEP)`` and ``Ph`` by ``1 + U(0, CAP_STEP)``
+#: (:func:`increase_price_step`).
 RATE_STEP = 0.020
 BASE_STEP = 0.006
 CAP_STEP = 0.007
 
 
+def increase_price_step(rate, base, cap, draw_rate, draw_base, draw_cap,
+                        utility_rate, budget):
+    """Increase Price's Case-6 escalation of the quote ``(rate, base, cap)``.
+
+    ``draw_*`` are uniform doubles in ``[0, 1)``: ``p`` grows by
+    ``1 + RATE_STEP·draw_rate`` up to ``u/2``, ``Ph`` by
+    ``1 + CAP_STEP·draw_cap`` up to the budget and ``P0`` by
+    ``1 + BASE_STEP·draw_base`` up to the new cap.  Returns
+    ``(rate, base, cap, saturated)``; ``saturated`` is true where no
+    component rose — the price box has nothing left to concede.
+
+    Takes numbers or numpy rows: :class:`IncreasePriceTaskParty` calls
+    it once per round, the population kernel
+    (:mod:`repro.simulate.kernel`) on every escalating row.
+    """
+    new_rate = np.minimum(rate * (1.0 + RATE_STEP * draw_rate), utility_rate * 0.5)
+    new_cap = np.minimum(cap * (1.0 + CAP_STEP * draw_cap), budget)
+    new_base = np.minimum(base * (1.0 + BASE_STEP * draw_base), new_cap)
+    saturated = (new_rate <= rate) & (new_base <= base) & (new_cap <= cap)
+    return new_rate, new_base, new_cap, saturated
+
+
 class IncreasePriceTaskParty(TaskStrategy):
     """Arbitrary price escalation without the Eq. 5 structure.
 
-    Each continuation multiplies ``p`` by ``1 + U(0, rate_step)``,
-    ``P0`` by ``1 + U(0, base_step)`` and ``Ph`` by ``1 + U(0, cap_step)``
-    (three draws, in that order), clipped to half the utility rate and
-    the budget.  The rate grows relatively faster than the cap, so the
-    turning point drifts downward and the game does terminate — just
-    later and at a worse price than the strategic variant.
+    Each continuation draws three uniforms (rate, base, cap, in that
+    order) and applies :func:`increase_price_step`.  The rate grows
+    relatively faster than the cap, so the turning point drifts
+    downward and the game does terminate — just later and at a worse
+    price than the strategic variant.
     """
 
     def __init__(
@@ -72,21 +94,18 @@ class IncreasePriceTaskParty(TaskStrategy):
         config: MarketConfig,
         known_gains: list[float],
         *,
-        rate_step: float = RATE_STEP,
-        cap_step: float = CAP_STEP,
-        base_step: float = BASE_STEP,
         rng: object = None,
     ):
         require(bool(known_gains), "perfect information requires the gain catalogue")
         self.config = config
         self.rng = as_generator(rng)
-        self.rate_step = float(rate_step)
-        self.cap_step = float(cap_step)
-        self.base_step = float(base_step)
         if config.target_gain is not None:
             self.target = float(config.target_gain)
         else:
             self.target = float(np.quantile(known_gains, config.target_quantile))
+        p0, b0 = config.initial_rate, config.initial_base
+        self._opening = QuotedPrice(rate=p0, base=b0, cap=b0 + p0 * self.target)
+        self._break_even = break_even_gain(p0, b0, config.utility_rate)
         self._trail = OfferTrail()
 
     def observe(self, quote: QuotedPrice, bundle: object, delta_g: float) -> None:
@@ -95,12 +114,7 @@ class IncreasePriceTaskParty(TaskStrategy):
 
     def initial_quote(self) -> QuotedPrice:
         """Same opening quote as the strategic variant (same initial state)."""
-        cfg = self.config
-        return QuotedPrice(
-            rate=cfg.initial_rate,
-            base=cfg.initial_base,
-            cap=cfg.initial_base + cfg.initial_rate * self.target,
-        )
+        return self._opening
 
     def decide(
         self, quote: QuotedPrice, delta_g: float, round_number: int
@@ -109,30 +123,20 @@ class IncreasePriceTaskParty(TaskStrategy):
         cfg = self.config
         # Case 4's regression reading, matching the strategic variant.
         if task_fails_regression(
-            self.initial_quote(),
-            delta_g,
-            self._trail.best_dominated_previous(quote),
-            cfg.utility_rate,
+            delta_g, self._break_even, self._trail.best_dominated_previous(quote)
         ):
             return TaskDecision(Decision.FAIL)
-        if task_accepts(quote, delta_g, cfg.eps_t):
+        if task_accepts(quote.turning_point, delta_g, cfg.eps_t):
             return TaskDecision(Decision.ACCEPT)
-        rate = min(
-            quote.rate * (1.0 + float(self.rng.uniform(0.0, self.rate_step))),
-            cfg.utility_rate * 0.5,
+        draw = self.rng.random
+        rate, base, cap, saturated = increase_price_step(
+            quote.rate, quote.base, quote.cap, draw(), draw(), draw(),
+            cfg.utility_rate, cfg.budget,
         )
-        base = quote.base * (1.0 + float(self.rng.uniform(0.0, self.base_step)))
-        cap = min(
-            quote.cap * (1.0 + float(self.rng.uniform(0.0, self.cap_step))),
-            cfg.budget,
-        )
-        base = min(base, cap)
-        if rate <= quote.rate and base <= quote.base and cap <= quote.cap:
-            # Fully saturated price box: nothing left to concede.
+        if saturated:
             return TaskDecision(Decision.ACCEPT)
-        return TaskDecision(
-            Decision.CONTINUE, QuotedPrice(rate=rate, base=base, cap=cap)
-        )
+        quote = QuotedPrice(rate=float(rate), base=float(base), cap=float(cap))
+        return TaskDecision(Decision.CONTINUE, quote)
 
 
 class RandomBundleDataParty(DataStrategy):
@@ -160,6 +164,6 @@ class RandomBundleDataParty(DataStrategy):
         if no_affordable_bundle(len(affordable)):
             return DataResponse(Decision.FAIL)
         bundle = affordable[int(self.rng.integers(0, len(affordable)))]
-        if data_accepts(quote, self.gains[bundle], self.config.eps_d):
+        if data_accepts(quote.turning_point, self.gains[bundle], self.config.eps_d):
             return DataResponse(Decision.ACCEPT, bundle)
         return DataResponse(Decision.CONTINUE, bundle)

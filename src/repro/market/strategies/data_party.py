@@ -20,7 +20,12 @@ import numpy as np
 from repro.market.bundle import FeatureBundle
 from repro.market.config import MarketConfig
 from repro.market.costs import CostModel, NoCost
-from repro.market.pricing import QuotedPrice, ReservedPrice
+from repro.market.pricing import (
+    QuotedPrice,
+    ReservedPrice,
+    meets_floors,
+    purchase_floor,
+)
 from repro.market.strategies.base import DataResponse, DataStrategy
 from repro.market.termination import (
     Decision,
@@ -32,36 +37,9 @@ from repro.utils.validation import require
 __all__ = [
     "StrategicDataParty",
     "affordable_bundles",
-    "affordable_rows",
     "floor_rows",
     "offer_rows",
-    "purchase_floor",
 ]
-
-
-def purchase_floor(reserved: np.ndarray) -> np.ndarray:
-    """The least quote component that meets each reserved component:
-    the reserved value less
-    :meth:`~repro.market.pricing.ReservedPrice.satisfied_by`'s ``1e-12``
-    slack (the same float subtraction, done once per catalogue)."""
-    return reserved - 1e-12
-
-
-def affordable_rows(
-    rate: np.ndarray,
-    base: np.ndarray,
-    floor_rate: np.ndarray,
-    floor_base: np.ndarray,
-) -> np.ndarray:
-    """Case 1's filter: ``(n, F)`` mask of the bundles each row's quote
-    can buy, ``rate >= p_l - 1e-12 and base >= P_l - 1e-12`` as in
-    :meth:`~repro.market.pricing.ReservedPrice.satisfied_by`.
-
-    ``rate`` and ``base`` are ``(n, 1)`` quote columns; the floors are
-    :func:`purchase_floor` of the reserved prices, ``(n, F)`` or
-    ``(1, F)``.
-    """
-    return (rate >= floor_rate) & (base >= floor_base)
 
 
 def offer_rows(
@@ -75,9 +53,10 @@ def offer_rows(
     """Case 1, the Eq. 4 offer and Eq. 6's target over ``(n, F)`` rows.
 
     ``gains`` is the catalogue's ΔG, ``(F,)``; the quote is given as
-    ``(n, 1)`` columns and the reserved prices as floors, as in
-    :func:`affordable_rows`.  Returns ``(offer, target)``, catalogue
-    indices of shape ``(n,)``:
+    ``(n, 1)`` columns and the reserved prices as floors, ``(n, F)``
+    or ``(1, F)`` (:func:`~repro.market.pricing.purchase_floor`,
+    compared by :func:`~repro.market.pricing.meets_floors`).  Returns
+    ``(offer, target)``, catalogue indices of shape ``(n,)``:
 
     * ``offer[i]`` is ``-1`` when row ``i`` can afford no bundle
       (Case 1); otherwise the largest affordable ΔG not beyond the
@@ -88,7 +67,7 @@ def offer_rows(
     * ``target[i]`` is the bundle ``F_j`` of Eq. 6, the first index of
       the smallest ``|ΔG − turning point|`` over the whole catalogue.
     """
-    afford = affordable_rows(rate, base, floor_rate, floor_base)
+    afford = meets_floors(rate, base, floor_rate, floor_base)
     below = afford & (gains <= turning_point)
     offer = np.where(below, gains, -np.inf).argmax(axis=1)
     over = np.flatnonzero(~below.any(axis=1))
@@ -101,8 +80,8 @@ def offer_rows(
 
 
 def floor_rows(prices: list[ReservedPrice]) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`purchase_floor` of a catalogue's reserved rates and
-    bases, as two ``(1, F)`` rows."""
+    """The :func:`~repro.market.pricing.purchase_floor` of a catalogue's
+    reserved rates and bases, as two ``(1, F)`` rows."""
     return (purchase_floor(np.array([[p.rate for p in prices]])),
             purchase_floor(np.array([[p.base for p in prices]])))
 
@@ -114,8 +93,8 @@ def affordable_bundles(
 ) -> list[FeatureBundle]:
     """The bundles ``quote`` can buy, in catalogue order (``floors``
     from :func:`floor_rows`)."""
-    mask = affordable_rows(np.array(quote.rate, ndmin=2),
-                           np.array(quote.base, ndmin=2), *floors)
+    mask = meets_floors(np.array(quote.rate, ndmin=2),
+                        np.array(quote.base, ndmin=2), *floors)
     return [b for b, ok in zip(bundles, mask[0].tolist()) if ok]
 
 
@@ -154,30 +133,30 @@ class StrategicDataParty(DataStrategy):
         require(not missing, f"reserved price missing for {missing[:3]}")
         self._gains = np.fromiter(self.gains.values(), float, len(self._bundles))
         self._floors = floor_rows(prices)
+        self._costly = cost_model is not None and not isinstance(cost_model, NoCost)
 
     def respond(self, quote: QuotedPrice, round_number: int) -> DataResponse:
         """Cases 1-3 of §3.4.3 (plus Eq. 6 when costs are modelled)."""
+        turning_point = quote.turning_point
         offer, target = offer_rows(
             self._gains,
             np.array(quote.rate, ndmin=2),
             np.array(quote.base, ndmin=2),
-            np.array(quote.turning_point, ndmin=2),
+            np.array(turning_point, ndmin=2),
             *self._floors,
         )
         i = int(offer[0])
         if i < 0:  # Case 1
             return DataResponse(Decision.FAIL)
         bundle, gain = self._bundles[i], float(self._gains[i])
-        if data_accepts(quote, gain, self.config.eps_d):
+        if data_accepts(turning_point, gain, self.config.eps_d):
             return DataResponse(Decision.ACCEPT, bundle)
-        if self.cost_model is not None and not isinstance(self.cost_model, NoCost):
+        if self._costly:
+            reserved = self.reserved_prices[self._bundles[int(target[0])]]
             if data_accepts_with_cost(
-                quote,
-                gain,
-                self.reserved_prices[self._bundles[int(target[0])]],
-                self.cost_model,
-                round_number,
-                self.config.eps_dc,
+                quote.rate, quote.base, turning_point, gain,
+                reserved.rate, reserved.base, self.cost_model(round_number),
+                self.cost_model(round_number + 1), self.config.eps_dc,
             ):
                 return DataResponse(Decision.ACCEPT, bundle)
         return DataResponse(Decision.CONTINUE, bundle)

@@ -29,6 +29,7 @@ import numpy as np
 from repro.market.bundle import FeatureBundle
 from repro.market.config import MarketConfig
 from repro.market.estimation import DataGainEstimator, TaskGainEstimator
+from repro.market.objectives import break_even_gain
 from repro.market.pricing import QuotedPrice, ReservedPrice
 from repro.market.strategies.base import (
     DataResponse,
@@ -73,6 +74,9 @@ class ImperfectTaskParty(TaskStrategy):
         self.estimator = estimator or TaskGainEstimator(rng=spawn(self.rng, "f"))
         opening_cap = config.initial_base + config.initial_rate * self.target
         require(opening_cap <= config.budget, "opening cap exceeds budget")
+        self._opening = QuotedPrice(config.initial_rate, config.initial_base, opening_cap)
+        self._break_even = break_even_gain(config.initial_rate, config.initial_base,
+                                           config.utility_rate)
         self._trail = OfferTrail()
 
     def exploring(self, round_number: int) -> bool:
@@ -81,12 +85,7 @@ class ImperfectTaskParty(TaskStrategy):
 
     def initial_quote(self) -> QuotedPrice:
         """Same Eq.5-consistent opening as the perfect-info strategy."""
-        cfg = self.config
-        return QuotedPrice(
-            rate=cfg.initial_rate,
-            base=cfg.initial_base,
-            cap=cfg.initial_base + cfg.initial_rate * self.target,
-        )
+        return self._opening
 
     def observe(self, quote: QuotedPrice, bundle: FeatureBundle, delta_g: float) -> None:
         """Train ``f`` on the realised (quote, ΔG) pair."""
@@ -181,13 +180,10 @@ class ImperfectTaskParty(TaskStrategy):
         if not self.exploring(round_number):
             # Case IV under the regression reading (see termination module).
             if task_fails_regression(
-                self.initial_quote(),
-                delta_g,
-                self._trail.best_dominated_previous(quote),
-                cfg.utility_rate,
+                delta_g, self._break_even, self._trail.best_dominated_previous(quote)
             ):
                 return TaskDecision(Decision.FAIL)
-            if task_accepts(quote, delta_g, cfg.eps_t):
+            if task_accepts(quote.turning_point, delta_g, cfg.eps_t):
                 return TaskDecision(Decision.ACCEPT)
         rates, bases, caps = self._sample_box(cfg.n_price_samples)
         if not rates.size:
@@ -202,7 +198,8 @@ class ImperfectTaskParty(TaskStrategy):
             predicted = self.estimator.predict_features(
                 np.column_stack([rates, bases, caps, turning])
             )
-            pool = np.flatnonzero(predicted >= turning - cfg.eps_t)
+            # Candidates predicted to pass Case V at their own turning point.
+            pool = np.flatnonzero(task_accepts(turning, predicted, cfg.eps_t))
             if not pool.size:
                 pool = np.arange(rates.size)
             # Predicted net profit u*g - payment(g) at g = max(prediction, 0).
@@ -292,7 +289,7 @@ class ImperfectDataParty(DataStrategy):
             bundle = affordable[int(predicted.argmin())]
             return DataResponse(Decision.CONTINUE, bundle)
         bundle, gain_hat = min(below, key=lambda pair: tp - pair[1])
-        if data_accepts(quote, gain_hat, self.config.eps_d):
+        if data_accepts(tp, gain_hat, self.config.eps_d):
             # Case II-1: predicted gain within eps_d of the turning point.
             return DataResponse(Decision.ACCEPT, bundle)
         return DataResponse(Decision.CONTINUE, bundle)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.market.config import MarketConfig
+from repro.market.objectives import break_even_gain
 from repro.market.pricing import QuotedPrice
 from repro.market.strategies.base import TaskDecision, TaskStrategy
 from repro.market.termination import (
@@ -82,6 +83,8 @@ class LearnedTaskParty(TaskStrategy):
         self._opening = QuotedPrice(
             rate=config.initial_rate, base=config.initial_base, cap=opening_cap
         )
+        self._break_even = break_even_gain(config.initial_rate, config.initial_base,
+                                           config.utility_rate)
         # Bandit state: average reward (ΔG gained per unit cap) per arm.
         self._arm_value = np.zeros(len(self.arms))
         self._arm_count = np.zeros(len(self.arms))
@@ -125,13 +128,10 @@ class LearnedTaskParty(TaskStrategy):
         """Cases 4-6 with bandit-paced escalation in Case 6."""
         cfg = self.config
         if task_fails_regression(
-            self._opening,
-            delta_g,
-            self._trail.best_dominated_previous(quote),
-            cfg.utility_rate,
+            delta_g, self._break_even, self._trail.best_dominated_previous(quote)
         ):
             return TaskDecision(Decision.FAIL)
-        if task_accepts(quote, delta_g, cfg.eps_t):
+        if task_accepts(quote.turning_point, delta_g, cfg.eps_t):
             return TaskDecision(Decision.ACCEPT)
         headroom = cfg.budget - quote.cap
         if headroom <= 1e-9:

@@ -19,11 +19,13 @@ import numpy as np
 
 from repro.market.config import MarketConfig
 from repro.market.costs import CostModel, NoCost
+from repro.market.objectives import break_even_gain
 from repro.market.pricing import QuotedPrice
 from repro.market.strategies.base import TaskDecision, TaskStrategy
 from repro.market.termination import (
     Decision,
     OfferTrail,
+    budget_exhausted,
     task_accepts,
     task_accepts_with_cost,
     task_fails_regression,
@@ -115,8 +117,10 @@ class StrategicTaskParty(TaskStrategy):
         # :func:`repro.market.termination.task_fails_regression`): the
         # opening quote anchors the break-even bar and offers only kill
         # the game when they fall below the best gain seen so far.
-        self._opening = self._current
+        self._break_even = break_even_gain(config.initial_rate, config.initial_base,
+                                           config.utility_rate)
         self._trail = OfferTrail()
+        self._costly = cost_model is not None and not isinstance(cost_model, NoCost)
 
     def initial_quote(self) -> QuotedPrice:
         """Opening quote satisfying Eq. 5 for the target gain."""
@@ -151,7 +155,7 @@ class StrategicTaskParty(TaskStrategy):
         """
         cfg = self.config
         cap_low = current.cap
-        if cap_low >= cfg.budget - 1e-12:
+        if budget_exhausted(cap_low, cfg.budget):
             return None
         if not can_replay_block(self.rng):  # e.g. MT19937
             return self._best_escalation_scalar(current)
@@ -204,25 +208,20 @@ class StrategicTaskParty(TaskStrategy):
         self, quote: QuotedPrice, delta_g: float, round_number: int
     ) -> TaskDecision:
         """Cases 4-6 of §3.4.3 (plus Eq. 7 when costs are modelled)."""
+        cfg = self.config
         if task_fails_regression(
-            self._opening,
-            delta_g,
-            self._trail.best_dominated_previous(quote),
-            self.config.utility_rate,
+            delta_g, self._break_even, self._trail.best_dominated_previous(quote)
         ):
             return TaskDecision(Decision.FAIL)
-        if task_accepts(quote, delta_g, self.config.eps_t):
+        turning_point = quote.turning_point
+        if task_accepts(turning_point, delta_g, cfg.eps_t):
             return TaskDecision(Decision.ACCEPT)
-        if self.cost_model is not None and not isinstance(self.cost_model, NoCost):
-            if task_accepts_with_cost(
-                quote,
-                delta_g,
-                self.config.utility_rate,
-                self.cost_model,
-                round_number,
-                self.config.eps_tc,
-            ):
-                return TaskDecision(Decision.ACCEPT)
+        if self._costly and task_accepts_with_cost(
+            quote.rate, quote.base, quote.cap, turning_point, delta_g,
+            cfg.utility_rate, self.cost_model(round_number),
+            self.cost_model(round_number + 1), cfg.eps_tc,
+        ):
+            return TaskDecision(Decision.ACCEPT)
         best = self._best_escalation(quote)
         if best is None:
             # Budget exhausted: accept the standing outcome rather than

@@ -7,14 +7,11 @@ operations, instead of paying the per-round Python costs of
 the strategic data party (Eq. 4 offers, Cases 1-3, the Eq. 6 cost-aware
 acceptance) and the shared Case-4/5 task-party checks; the task party's
 escalation rule is per session, from the session's strategy mix:
-
-* **strategic** rows add the Eq. 7 acceptance and Algorithm 1's
-  escalated candidate sampling with min-cap selection;
-* **Increase-Price** rows (§4.2's baseline,
-  :class:`~repro.market.strategies.baselines.IncreasePriceTaskParty`)
-  have no Eq. 7 and escalate by the strategy's multiplicative steps
-  (the module-level ``RATE_STEP``/``BASE_STEP``/``CAP_STEP``), clipped
-  to ``u/2`` and the budget, accepting once the price box saturates.
+**strategic** rows add the Eq. 7 acceptance and Algorithm 1's
+escalated candidate sampling with min-cap selection;
+**Increase-Price** rows (§4.2's baseline) have no Eq. 7 and escalate
+by the strategy's multiplicative step, accepting once the price box
+saturates.
 
 The kernel is an exact vectorisation of the engine, not a second
 statement of the rules: every session's record equals
@@ -22,17 +19,20 @@ statement of the rules: every session's record equals
 (``tests/simulate/test_kernel_reference.py``,
 ``tests/simulate/test_kernel_baselines.py``).  Each row reads the
 engine's own stream ``spawn(seed, "session", i, "task")`` in the
-engine's order and does the engine's arithmetic in the engine's order.
-The data party's half of a round is the strategy's own code: Case 1,
-the Eq. 4 offer and Eq. 6's target bundle come from
-:func:`~repro.market.strategies.data_party.offer_rows`, the array rule
-:meth:`StrategicDataParty.respond
-<repro.market.strategies.data_party.StrategicDataParty.respond>` calls
-on one row.  Costs are the engine's too: each cost-mix entry's
-registered model (:meth:`Population.cost_model
-<repro.simulate.population.Population.cost_model>`) is called once per
-round while the entry has a live session, so any registered cost kind
-runs here.
+engine's order, and every rule is the function the engine's parties
+call, applied to the live rows: Case 1, the Eq. 4 offer and Eq. 6's
+target are :func:`~repro.market.strategies.data_party.offer_rows`;
+Cases 2, 4 and 5, Eqs. 6-7 and the budget stop are
+:mod:`repro.market.termination` (with
+:func:`~repro.market.objectives.break_even_gain` and the trail's
+:func:`~repro.market.pricing.meets_floors`); Increase Price's step is
+:func:`~repro.market.strategies.baselines.increase_price_step`.  The
+kernel owns the batch machinery (tapes, trail storage, each cost-mix
+entry's registered model called once per round while the entry has a
+live session) and two pieces kept inline on the engine's hottest
+paths: Def. 2.3's payment and Algorithm 1's candidate scan (the
+``argmin`` shortcut below, falling back to
+:func:`~repro.market.strategies.task_party._min_cap_scan`).
 
 Randomness.  Each session owns one flat tape of doubles and a cursor.
 A session's generator is built (from seed words derived for the whole
@@ -77,9 +77,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.market.costs import NoCost
-from repro.market.strategies.baselines import BASE_STEP, CAP_STEP, RATE_STEP
-from repro.market.strategies.data_party import offer_rows, purchase_floor
+from repro.market.objectives import break_even_gain
+from repro.market.pricing import meets_floors, purchase_floor
+from repro.market.strategies.baselines import increase_price_step
+from repro.market.strategies.data_party import offer_rows
 from repro.market.strategies.task_party import _min_cap_scan
+from repro.market.termination import (
+    budget_exhausted, data_accepts, data_accepts_with_cost, task_accepts,
+    task_accepts_with_cost, task_fails_regression,
+)
 from repro.service import registry
 from repro.utils.rng import generator_from_seed_words, stream_seed_words
 
@@ -135,7 +141,7 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
     eps_tc = pop.eps_tc[indices]
     W = int(pop.spec.n_price_samples)
     max_rounds = int(pop.spec.max_rounds)
-    break_even = b0 / (u - p0)  # Case-4 bar, anchored to the opening quote
+    break_even = break_even_gain(p0, b0, u)  # anchored to the opening quote
     by_mix = np.array([task == "increase_price"
                        for task, _, _ in pop.spec.strategy_mix])
     inc = by_mix[pop.mix_idx[indices]]
@@ -209,7 +215,8 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
     out_base = np.full(n, np.nan)
     out_cap = np.full(n, np.nan)
 
-    # Offer trail for the Case-4 regression test (grown on demand).
+    # Offer trail for the Case-4 regression test (grown on demand): each
+    # round's rate and base kept as floors, as OfferTrail keeps them.
     trail_width = min(64, max_rounds)
     tr_rate = np.empty((n, trail_width))
     tr_base = np.empty((n, trail_width))
@@ -264,16 +271,14 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
         payment = np.minimum(np.maximum(base_l, base_l + rate_l * gain), cap_l)
         net = u[live] * gain - payment
 
-        accept_d = (tp - gain) <= eps_d[live]  # Case 2
+        accept_d = data_accepts(tp, gain, eps_d[live])  # Case 2
         costly = has_cost[live]
         if costly.any():  # Eq. 6 look-ahead acceptance
             rows_l = np.arange(live.size)
-            rrt = res_rate[live][rows_l, tgt]
-            rbt = res_base[live][rows_l, tgt]
-            lhs = base_l + rate_l * gain - cost_r
-            nxt = np.maximum(rbt, base_l) + np.maximum(rrt, rate_l) * tp
-            rhs = nxt - cost_r1 - eps_dc[live]
-            accept_d |= costly & (lhs >= rhs)
+            accept_d |= costly & data_accepts_with_cost(
+                rate_l, base_l, tp, gain, res_rate[live][rows_l, tgt],
+                res_base[live][rows_l, tgt], cost_r, cost_r1, eps_dc[live],
+            )
         if accept_d.any():
             acc = accept_d
             finalise(live[acc], st=STATUS_ACCEPTED, by=BY_DATA, T=T,
@@ -291,9 +296,8 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
         # --- Step 1 of the next round: the task party reacts (4-6) -----
         k = T - 1
         if k > 0:
-            dom = (rate_l[:, None] >= tr_rate[live, :k] - 1e-12) & (
-                base_l[:, None] >= tr_base[live, :k] - 1e-12
-            )
+            dom = meets_floors(rate_l[:, None], base_l[:, None],
+                               tr_rate[live, :k], tr_base[live, :k])
             best_dom = np.where(dom, tr_gain[live, :k], -np.inf).max(axis=1)
         else:
             best_dom = np.full(live.size, -np.inf)
@@ -304,17 +308,18 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
             tr_base = np.concatenate([tr_base, pad], axis=1)
             tr_gain = np.concatenate([tr_gain, pad], axis=1)
             trail_width += grow
-        tr_rate[live, k] = rate_l
-        tr_base[live, k] = base_l
+        tr_rate[live, k] = purchase_floor(rate_l)
+        tr_base[live, k] = purchase_floor(base_l)
         tr_gain[live, k] = gain
 
-        fail_t = (gain < break_even[live]) & (gain < best_dom)  # Case 4
-        accept_t = gain >= tp - eps_t[live]  # Case 5
+        fail_t = task_fails_regression(gain, break_even[live], best_dom)  # Case 4
+        accept_t = task_accepts(tp, gain, eps_t[live])  # Case 5
         costly = eq7[live]
         if costly.any():  # Eq. 7 look-ahead acceptance
-            lhs = u[live] * gain - (base_l + rate_l * gain) - cost_r
-            rhs = u[live] * tp - cap_l - cost_r1 - eps_tc[live]
-            accept_t |= costly & (lhs >= rhs)
+            accept_t |= costly & task_accepts_with_cost(
+                rate_l, base_l, cap_l, tp, gain, u[live], cost_r, cost_r1,
+                eps_tc[live],
+            )
         accept_t &= ~fail_t  # failure checked first, as in the engine
 
         # Case 6, strategic rows: escalated Eq.5-consistent candidates,
@@ -323,7 +328,7 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
         if any_inc:
             escalate = running & inc[live]
             running &= ~escalate
-        exhausted = running & (cap_l >= budget[live] - 1e-12)
+        exhausted = running & budget_exhausted(cap_l, budget[live])
         sample = running & ~exhausted
         rows = np.flatnonzero(sample)
         if rows.size:
@@ -368,15 +373,11 @@ def simulate_strategic_batch(population, indices: np.ndarray) -> dict[str, np.nd
             sess = live[rows]
             d = step_window[sess, cursor(sess, 3)]  # rate, base, cap
             pos[sess] += 3
-            r_l, b_l, c_l = rate_l[rows], base_l[rows], cap_l[rows]
-            new_rate = np.minimum(r_l * (1.0 + RATE_STEP * d[:, 0]),
-                                  u[sess] * 0.5)
-            new_base = b_l * (1.0 + BASE_STEP * d[:, 1])
-            new_cap = np.minimum(c_l * (1.0 + CAP_STEP * d[:, 2]),
-                                 budget[sess])
-            new_base = np.minimum(new_base, new_cap)
+            new_rate, new_base, new_cap, stuck = increase_price_step(
+                rate_l[rows], base_l[rows], cap_l[rows], d[:, 0], d[:, 1],
+                d[:, 2], u[sess], budget[sess],
+            )
             # A saturated price box has nothing left to concede: accept.
-            stuck = (new_rate <= r_l) & (new_base <= b_l) & (new_cap <= c_l)
             exhausted[rows[stuck]] = True
             moved = ~stuck
             ok = sess[moved]

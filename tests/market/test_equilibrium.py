@@ -109,9 +109,11 @@ class TestProposition32:
         dg = frac * q.turning_point
         cost = ConstantCost(1.7)
         eps_t = epsilon_t_from_cost_tolerance(eps_tc, u, rate)
-        assert task_accepts_with_cost(q, dg, u, cost, round_number, eps_tc) == (
-            task_accepts(q, dg, eps_t)
-        )
+        tp = q.turning_point
+        assert task_accepts_with_cost(
+            q.rate, q.base, q.cap, tp, dg, u,
+            cost(round_number), cost(round_number + 1), eps_tc,
+        ) == task_accepts(tp, dg, eps_t)
 
 
 class TestProposition31:
@@ -146,9 +148,11 @@ class TestProposition31:
             - eps_dc
         )
         assume(abs(margin) > 1e-7)
-        assert data_accepts_with_cost(q, dg, reserved, cost, round_number, eps_dc) == (
-            data_accepts(q, dg, eps_d)
-        )
+        tp = q.turning_point
+        assert data_accepts_with_cost(
+            q.rate, q.base, tp, dg, reserved.rate, reserved.base,
+            cost(round_number), cost(round_number + 1), eps_dc,
+        ) == data_accepts(tp, dg, eps_d)
 
 
 class TestEquilibriumPredicate:

@@ -133,9 +133,12 @@ class TestProposition32RoundTrip:
         # the two forms are algebraically identical, not bitwise.
         margin = (u - quote.rate) * (dg - quote.turning_point) + eps_tc
         assume(abs(margin) > 1e-9)
+        model = ConstantCost(cost)
+        tp = quote.turning_point
         assert task_accepts_with_cost(
-            quote, dg, u, ConstantCost(cost), round_number, eps_tc
-        ) == task_accepts(quote, dg, eps_t)
+            quote.rate, quote.base, quote.cap, tp, dg, u,
+            model(round_number), model(round_number + 1), eps_tc,
+        ) == task_accepts(tp, dg, eps_t)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -175,9 +178,12 @@ class TestProposition31RoundTrip:
             - eps_dc
         )
         assume(abs(margin) > 1e-9)
+        model = ConstantCost(cost)
+        tp = quote.turning_point
         assert data_accepts_with_cost(
-            quote, dg, reserved, ConstantCost(cost), round_number, eps_dc
-        ) == data_accepts(quote, dg, eps_d)
+            quote.rate, quote.base, tp, dg, reserved.rate, reserved.base,
+            model(round_number), model(round_number + 1), eps_dc,
+        ) == data_accepts(tp, dg, eps_d)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -198,11 +198,11 @@ class _ScalarTaskParty(ImperfectTaskParty):
         cfg = self.config
         if not self.exploring(round_number):
             if task_fails_regression(
-                self.initial_quote(), delta_g,
-                self._trail.best_dominated_previous(quote), cfg.utility_rate,
+                delta_g, self._break_even,
+                self._trail.best_dominated_previous(quote),
             ):
                 return TaskDecision(Decision.FAIL)
-            if task_accepts(quote, delta_g, cfg.eps_t):
+            if task_accepts(quote.turning_point, delta_g, cfg.eps_t):
                 return TaskDecision(Decision.ACCEPT)
         candidates = self._sample_box(cfg.n_price_samples)
         if not candidates:

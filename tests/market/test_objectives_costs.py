@@ -22,7 +22,7 @@ class TestObjectives:
 
     def test_net_profit_at_break_even_is_zero(self):
         q = self.quote()
-        be = break_even_gain(q, utility_rate=100.0)
+        be = break_even_gain(q.rate, q.base, utility_rate=100.0)
         assert task_net_profit(q, be, 100.0) == pytest.approx(0.0)
 
     def test_net_profit_monotone_in_gain(self):
@@ -32,11 +32,11 @@ class TestObjectives:
 
     def test_break_even_formula(self):
         q = self.quote()
-        assert break_even_gain(q, 101.0) == pytest.approx(1.0 / 91.0)
+        assert break_even_gain(q.rate, q.base, 101.0) == pytest.approx(1.0 / 91.0)
 
     def test_break_even_requires_rationality(self):
         with pytest.raises(ValueError, match="u > p"):
-            break_even_gain(self.quote(), utility_rate=5.0)
+            break_even_gain(10.0, 1.0, utility_rate=5.0)
 
     def test_revenue_gap_zero_at_turning_point(self):
         q = self.quote()

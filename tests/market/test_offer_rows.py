@@ -22,12 +22,9 @@ from repro.market import (
     ReservedPrice,
     StrategicDataParty,
 )
+from repro.market.pricing import meets_floors, purchase_floor
 from repro.market.strategies.baselines import RandomBundleDataParty
-from repro.market.strategies.data_party import (
-    affordable_rows,
-    offer_rows,
-    purchase_floor,
-)
+from repro.market.strategies.data_party import offer_rows
 from repro.market.strategies.imperfect import ImperfectDataParty
 from repro.market.termination import Decision
 
@@ -99,9 +96,9 @@ class TestAffordability:
         floor = ReservedPrice(rate=7.0, base=1.0)
         for rate in (7.0 - 1e-12, math.nextafter(7.0 - 1e-12, 0.0)):
             quote = QuotedPrice(rate=rate, base=1.0, cap=3.0)
-            mask = affordable_rows(np.array([[rate]]), np.array([[1.0]]),
-                                   purchase_floor(np.array([[7.0]])),
-                                   purchase_floor(np.array([[1.0]])))
+            mask = meets_floors(np.array([[rate]]), np.array([[1.0]]),
+                                purchase_floor(np.array([[7.0]])),
+                                purchase_floor(np.array([[1.0]])))
             assert bool(mask[0, 0]) is floor.satisfied_by(quote)
 
 

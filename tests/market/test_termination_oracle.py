@@ -5,14 +5,14 @@ import pytest
 
 from repro.market import FeatureBundle, PerformanceOracle, QuotedPrice
 from repro.market.costs import LinearCost
+from repro.market.objectives import break_even_gain
 from repro.market.termination import (
     data_accepts,
     data_accepts_with_cost,
     no_affordable_bundle,
     task_accepts,
-    task_fails,
+    task_fails_regression,
 )
-from repro.market.pricing import ReservedPrice
 
 
 class TestPerfectInfoCases:
@@ -24,30 +24,40 @@ class TestPerfectInfoCases:
         assert not no_affordable_bundle(3)
 
     def test_case2_within_tolerance(self):
-        assert data_accepts(self.quote(), 0.1995, eps_d=1e-3)
-        assert not data_accepts(self.quote(), 0.19, eps_d=1e-3)
+        tp = self.quote().turning_point
+        assert data_accepts(tp, 0.1995, eps_d=1e-3)
+        assert not data_accepts(tp, 0.19, eps_d=1e-3)
 
     def test_case2_overshoot_accepts(self):
         # Gain beyond the turning point saturates the payment -> accept.
-        assert data_accepts(self.quote(), 0.25, eps_d=1e-3)
+        assert data_accepts(self.quote().turning_point, 0.25, eps_d=1e-3)
 
     def test_case4_break_even(self):
-        # u=101 -> break-even = 1/91 ~ 0.011.
-        assert task_fails(self.quote(), 0.005, utility_rate=101.0)
-        assert not task_fails(self.quote(), 0.02, utility_rate=101.0)
+        # u=101 -> break-even = 1/91 ~ 0.011; with no earlier offer to
+        # regress from (best_previous = inf) Case 4 is the literal bar.
+        q = self.quote()
+        bar = break_even_gain(q.rate, q.base, utility_rate=101.0)
+        assert task_fails_regression(0.005, bar, float("inf"))
+        assert not task_fails_regression(0.02, bar, float("inf"))
 
     def test_case5(self):
-        assert task_accepts(self.quote(), 0.1995, eps_t=1e-3)
-        assert not task_accepts(self.quote(), 0.18, eps_t=1e-3)
+        tp = self.quote().turning_point
+        assert task_accepts(tp, 0.1995, eps_t=1e-3)
+        assert not task_accepts(tp, 0.18, eps_t=1e-3)
 
     def test_cost_aware_acceptance_tightens_with_round(self):
         """Eq. 6: growing costs make the data party accept earlier."""
         q = self.quote()
-        reserved = ReservedPrice(rate=10.0, base=1.0)
         cost = LinearCost(0.05)
         gain = 0.15  # below the turning point
-        late = data_accepts_with_cost(q, gain, reserved, cost, 200, eps_dc=0.0)
-        early = data_accepts_with_cost(q, gain, reserved, cost, 1, eps_dc=0.0)
+
+        def accepts(round_number):
+            return data_accepts_with_cost(
+                q.rate, q.base, q.turning_point, gain, 10.0, 1.0,
+                cost(round_number), cost(round_number + 1), eps_dc=0.0,
+            )
+
+        late, early = accepts(200), accepts(1)
         # The LHS-RHS margin is round-independent for linear cost (the
         # differences cancel), so this asserts consistency instead.
         assert late == early
