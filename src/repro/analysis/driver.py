@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from repro.analysis.core import (
     Finding,
@@ -329,8 +329,3 @@ def main(argv: Sequence[str] | None = None, *, stdout: TextIO | None = None,
     out.write(render_text(result) if args.format == "text"
               else render_json(result))
     return 1 if result.findings else 0
-
-
-def iter_findings(result: LintResult) -> Iterator[Finding]:
-    """Convenience iterator (kept for symmetry with other subsystems)."""
-    return iter(result.findings)

@@ -3,7 +3,6 @@
 from repro.experiments.aggregate import (
     density,
     histogram,
-    mean_ci,
     mean_std,
     nan_mean_ci,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "get_market",
     "market_is_cached",
     "histogram",
-    "mean_ci",
     "mean_std",
     "nan_mean_ci",
     "round_matrix",

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.utils.validation import require
 
-__all__ = ["density", "histogram", "mean_ci", "mean_std", "nan_mean_ci"]
+__all__ = ["density", "histogram", "mean_std", "nan_mean_ci"]
 
 
 def histogram(
@@ -42,17 +42,6 @@ def _z(confidence: float) -> float:
     """Two-sided standard-normal quantile for a ``confidence`` level."""
     require(0 < confidence < 1, f"confidence must be in (0, 1), got {confidence}")
     return NormalDist().inv_cdf(0.5 + confidence / 2)
-
-
-def mean_ci(values: object, *, confidence: float = 0.95) -> tuple[float, float]:
-    """Mean and half-width of the normal-approximation CI."""
-    z = _z(confidence)
-    arr = np.asarray(values, dtype=float)
-    require(arr.size >= 1, "need at least one value")
-    mean = float(arr.mean())
-    if arr.size == 1:
-        return mean, 0.0
-    return mean, z * float(arr.std(ddof=1)) / math.sqrt(arr.size)
 
 
 def mean_std(values: object) -> tuple[float, float]:

@@ -31,11 +31,6 @@ class ExperimentScale:
     trace_rounds: int
     oracle_repeats: int
 
-    @property
-    def max_rounds(self) -> int:
-        """Bargaining cap (the paper uses 500)."""
-        return 500
-
 
 _QUICK = ExperimentScale(
     name="quick",

@@ -19,8 +19,9 @@ from repro.data.synthetic import load_dataset
 from repro.experiments.aggregate import mean_std
 from repro.experiments.config import scale
 from repro.experiments.runner import get_market
-from repro.market.costs import CostModel, ScaledCost, make_cost
+from repro.market.costs import ScaledCost
 from repro.market.engine import BargainOutcome
+from repro.service import registry
 
 __all__ = [
     "ablation_epsilon_rows",
@@ -40,8 +41,8 @@ TABLE3_EPSILONS = {
 }
 
 #: Cost schedules of Table 3: label -> (kind, a).
-TABLE3_COSTS: list[tuple[str, str, float | None]] = [
-    ("No cost", "none", None),
+TABLE3_COSTS: list[tuple[str, str, float]] = [
+    ("No cost", "none", 0.0),
     ("C(T)=aT, a=0.1", "linear", 0.1),
     ("C(T)=aT, a=1", "linear", 1.0),
     ("C(T)=a^T, a=1.01", "exponential", 1.01),
@@ -105,9 +106,9 @@ def table3_rows(dataset: str, *, seed: int = 0) -> tuple[list[str], list[list[ob
     rows: list[list[object]] = []
     for eps in TABLE3_EPSILONS[dataset]:
         for label, kind, a in TABLE3_COSTS:
-            raw_cost: CostModel = make_cost(kind, a)
+            raw_cost = registry.build_cost(kind, a)
             party_cost = (
-                ScaledCost(raw_cost, party_scale) if party_scale != 1.0 else raw_cost
+                None if raw_cost is None else ScaledCost(raw_cost, party_scale)
             )
             outcomes = market.bargain_many(
                 tier.n_runs,
@@ -124,7 +125,10 @@ def table3_rows(dataset: str, *, seed: int = 0) -> tuple[list[str], list[list[ob
             net_m, net_s = mean_std([o.net_profit_after_cost for o in accepted])
             pay_m, pay_s = mean_std([o.payment_after_cost for o in accepted])
             dg_m, dg_s = mean_std([o.delta_g * 100 for o in accepted])
-            c_m, c_s = mean_std([raw_cost(o.n_rounds) for o in accepted])
+            cost_cell = "-"
+            if raw_cost is not None:
+                c_m, c_s = mean_std([raw_cost(o.n_rounds) for o in accepted])
+                cost_cell = f"{c_m:.2f}±{c_s:.2f}"
             rows.append(
                 [
                     label,
@@ -132,7 +136,7 @@ def table3_rows(dataset: str, *, seed: int = 0) -> tuple[list[str], list[list[ob
                     f"{net_m:.2f}±{net_s:.2f}",
                     f"{pay_m:.2f}±{pay_s:.2f}",
                     f"{dg_m:.2f}±{dg_s:.2f}",
-                    f"{c_m:.2f}±{c_s:.2f}" if kind != "none" else "-",
+                    cost_cell,
                     f"{100 * len(accepted) / len(outcomes):.0f}%",
                 ]
             )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -263,11 +262,10 @@ class FleetExecutor:
         Longest wait between store reads: how late a stop, an expired
         lease or another process's completion is seen (a completion
         reported to ``fleet`` wakes the executor at once).
-    idle_timeout:
-        Give up (leaving the job resumable) after this many seconds
-        without progress while no live worker holds a lease.  ``None``
-        waits indefinitely — the queue is valid before any worker has
-        joined, and late joiners pick it up.
+
+    With no live worker the run waits: the queue is valid before any
+    worker has joined, and late joiners pick it up.  ``stop_event``
+    ends the wait and leaves the job resumable.
     """
 
     def __init__(
@@ -278,7 +276,6 @@ class FleetExecutor:
         stop_event: threading.Event | None = None,
         max_chunks: int | None = None,
         poll: float = 0.1,
-        idle_timeout: float | None = None,
     ) -> None:
         from repro.fleet import FleetManager
 
@@ -288,7 +285,6 @@ class FleetExecutor:
         self.stop_event = stop_event
         self.max_chunks = max_chunks
         self.poll = float(poll)
-        self.idle_timeout = idle_timeout
 
     # ------------------------------------------------------------------
     def submit(self, spec: SimulationSpec,
@@ -339,25 +335,17 @@ class FleetExecutor:
         return contextlib.nullcontext()  # joined workers pull the chunks
 
     def _drain(self, job_id: str, initial: int) -> None:
-        """Until the queue is empty, a chunk failed, the run stopped or
-        spent its ``max_chunks``, or the queue starved."""
+        """Until the queue is empty, a chunk failed, or the run stopped or
+        spent its ``max_chunks``."""
         budget = initial if self.max_chunks is None else self.max_chunks
         remaining = initial
-        last_progress = time.monotonic()
         while True:
             seen = self.fleet.reports
             current = self.store.get(job_id)
             if current.status == "failed":
                 return
-            now_pending = current.n_chunks - current.done_chunks
-            if now_pending < remaining:
-                remaining = now_pending
-                last_progress = time.monotonic()
+            remaining = min(remaining, current.n_chunks - current.done_chunks)
             if remaining == 0 or self._stopped() or initial - remaining >= budget:
-                return
-            if self.idle_timeout is not None and self._starved(
-                time.monotonic() - last_progress
-            ):
                 return
             if not self.fleet.wait(seen, self.poll):
                 # Nothing reported: sweep liveness, so the chunks of a
@@ -366,19 +354,6 @@ class FleetExecutor:
 
     def _stopped(self) -> bool:
         return self.stop_event is not None and self.stop_event.is_set()
-
-    def _starved(self, stalled_for: float) -> bool:
-        """No progress past the deadline with nobody working the queue."""
-        assert self.idle_timeout is not None
-        if stalled_for < self.idle_timeout:
-            return False
-        status = self.fleet.status()
-        workers = status["workers"]
-        assert isinstance(workers, list)
-        live = sum(1 for row in workers if row["status"] == "live")
-        leases = status["leases"]
-        assert isinstance(leases, list)
-        return live == 0 and not leases
 
     def _finish(self, job_id: str) -> JobRecord:
         """Merge all chunk results and persist the final report."""

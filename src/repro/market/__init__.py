@@ -2,17 +2,19 @@
 
 Layered as: goods (:mod:`~repro.market.bundle`), prices and the payment
 function (:mod:`~repro.market.pricing`), participant objectives
-(:mod:`~repro.market.objectives`), bargaining costs
-(:mod:`~repro.market.costs`), the trusted-platform ΔG oracle
-(:mod:`~repro.market.oracle`), equilibrium theory
-(:mod:`~repro.market.equilibrium`), termination rules
-(:mod:`~repro.market.termination`), strategies
+(:mod:`~repro.market.objectives`), bargaining cost models
+(:mod:`~repro.market.costs`; the cost *kinds* a session names are
+built by :func:`repro.service.registry.build_cost`), the
+trusted-platform ΔG oracle (:mod:`~repro.market.oracle`), termination
+rules (:mod:`~repro.market.termination`), strategies
 (:mod:`~repro.market.strategies`), the round-loop engine
 (:mod:`~repro.market.engine`), and the :class:`~repro.market.market.Market`
-facade tying a dataset's market together.
+facade tying a dataset's market together.  Thm 3.1, Props 3.1-3.2
+(:mod:`~repro.market.equilibrium`) and §6's trusted evaluation
+(:mod:`~repro.market.verification`) are made executable alongside.
 """
 
-from repro.market.bundle import FeatureBundle, enumerate_bundles, sample_bundles
+from repro.market.bundle import FeatureBundle, sample_bundles
 from repro.market.config import MarketConfig
 from repro.market.costs import (
     ConstantCost,
@@ -21,7 +23,6 @@ from repro.market.costs import (
     LinearCost,
     NoCost,
     ScaledCost,
-    make_cost,
 )
 from repro.market.engine import (
     BargainingEngine,
@@ -38,9 +39,9 @@ from repro.market.equilibrium import (
 )
 from repro.market.estimation import DataGainEstimator, TaskGainEstimator
 from repro.market.market import Market
-from repro.market.objectives import break_even_gain, data_revenue_gap, task_net_profit
+from repro.market.objectives import break_even_gain, task_net_profit
 from repro.market.oracle import MemoisedOracle, PerformanceOracle
-from repro.market.presets import MARKET_PRESETS, MarketPreset, preset_for
+from repro.market.presets import MARKET_PRESETS, MarketPreset
 from repro.market.pricing import (
     QuotedPrice,
     ReservedPrice,
@@ -92,14 +93,10 @@ __all__ = [
     "TrustedEvaluator",
     "break_even_gain",
     "cost_based_reserved_prices",
-    "data_revenue_gap",
-    "enumerate_bundles",
     "epsilon_d_from_cost_tolerance",
     "epsilon_t_from_cost_tolerance",
     "equivalent_quote",
     "is_equilibrium_price",
-    "make_cost",
-    "preset_for",
     "sample_bundles",
     "select_dominant_quote",
     "task_net_profit",

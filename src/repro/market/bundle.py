@@ -1,24 +1,19 @@
 """Feature bundles: the goods traded on the VFL market (Def. 2.1).
 
 A bundle is a subset of the data party's (encoded) features.  The set
-of bundles on sale ``F`` is configurable: exhaustive enumeration for
-small feature spaces, or a size-stratified random sample for realistic
-ones (the data party curates its catalogue — enumerating all ``2^d``
-subsets of e.g. 36 features is neither tractable nor commercially
-sensible).
+of bundles on sale ``F`` is a size-stratified random sample (the data
+party curates its catalogue — enumerating all ``2^d`` subsets of e.g.
+36 features is neither tractable nor commercially sensible).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.utils.rng import as_generator
 from repro.utils.validation import require
 
-__all__ = ["FeatureBundle", "enumerate_bundles", "sample_bundles"]
+__all__ = ["FeatureBundle", "sample_bundles"]
 
 
 @dataclass(frozen=True, order=True)
@@ -62,26 +57,6 @@ class FeatureBundle:
     def label(self) -> str:
         """Compact display label, e.g. ``{0,3,7}``."""
         return "{" + ",".join(str(i) for i in self.indices) + "}"
-
-
-def enumerate_bundles(
-    n_features: int, *, max_size: int | None = None
-) -> list[FeatureBundle]:
-    """All non-empty subsets of ``range(n_features)`` up to ``max_size``.
-
-    Guarded to small feature spaces — the count grows as ``2^d``.
-    """
-    require(n_features >= 1, "n_features must be >= 1")
-    top = n_features if max_size is None else min(max_size, n_features)
-    require(
-        n_features <= 16 or top <= 3,
-        "exhaustive enumeration is limited to <= 16 features (use sample_bundles)",
-    )
-    bundles = []
-    for k in range(1, top + 1):
-        for combo in itertools.combinations(range(n_features), k):
-            bundles.append(FeatureBundle(combo))
-    return bundles
 
 
 def sample_bundles(

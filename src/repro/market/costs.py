@@ -17,7 +17,6 @@ __all__ = [
     "LinearCost",
     "NoCost",
     "ScaledCost",
-    "make_cost",
 ]
 
 
@@ -82,28 +81,3 @@ class ScaledCost(CostModel):
     def cost(self, round_number: int) -> float:
         return self.scale * self.inner.cost(round_number)
 
-
-def make_cost(kind: str, a: float | None = None, *, scale: float = 1.0) -> CostModel:
-    """Factory used by experiment configs.
-
-    ``kind`` is one of ``"none"``, ``"constant"``, ``"linear"``,
-    ``"exponential"``; ``scale`` wraps the result in :class:`ScaledCost`
-    when it differs from 1.
-    """
-    kind = kind.lower()
-    if kind == "none":
-        model: CostModel = NoCost()
-    elif kind == "constant":
-        require(a is not None, "constant cost needs a value")
-        model = ConstantCost(float(a))
-    elif kind == "linear":
-        require(a is not None, "linear cost needs a")
-        model = LinearCost(float(a))
-    elif kind == "exponential":
-        require(a is not None, "exponential cost needs a")
-        model = ExponentialCost(float(a))
-    else:
-        raise ValueError(f"unknown cost kind {kind!r}")
-    if scale != 1.0:
-        model = ScaledCost(model, scale)
-    return model

@@ -15,7 +15,6 @@ from repro.market.pricing import QuotedPrice
 
 __all__ = [
     "break_even_gain",
-    "data_revenue_gap",
     "task_net_profit",
 ]
 
@@ -23,15 +22,6 @@ __all__ = [
 def task_net_profit(quote: QuotedPrice, delta_g: float, utility_rate: float) -> float:
     """Realised net profit of the task party (Eq. 3 for a fixed quote)."""
     return utility_rate * delta_g - quote.payment(delta_g)
-
-
-def data_revenue_gap(quote: QuotedPrice, delta_g: float) -> float:
-    """The data party's objective value ``|Ph − max{P0, P0 + p·ΔG}|`` (Eq. 4).
-
-    Zero exactly when the bundle's gain reaches the turning point —
-    i.e. when the payment saturates at ``Ph``.
-    """
-    return abs(quote.cap - max(quote.base, quote.base + quote.rate * delta_g))
 
 
 def break_even_gain(rate, base, utility_rate):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.market.config import MarketConfig
 
-__all__ = ["MARKET_PRESETS", "MarketPreset", "preset_for"]
+__all__ = ["MARKET_PRESETS", "MarketPreset"]
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,3 @@ MARKET_PRESETS: dict[str, MarketPreset] = {
     ),
 }
 
-
-def preset_for(dataset: str) -> MarketPreset:
-    """Look up a dataset's preset, with a helpful error."""
-    try:
-        return MARKET_PRESETS[dataset.lower()]
-    except KeyError:
-        raise ValueError(
-            f"no market preset for {dataset!r}; known: {sorted(MARKET_PRESETS)}"
-        ) from None

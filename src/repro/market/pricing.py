@@ -78,10 +78,6 @@ class QuotedPrice:
         """Payment to the data party for a realised gain (Def. 2.3)."""
         return float(min(max(self.base, self.base + self.rate * delta_g), self.cap))
 
-    def with_cap(self, cap: float) -> "QuotedPrice":
-        """Same rate/base with a new cap."""
-        return QuotedPrice(self.rate, self.base, cap)
-
     def as_tuple(self) -> tuple[float, float, float]:
         """``(p, P0, Ph)`` for feature vectors / reports."""
         return (self.rate, self.base, self.cap)

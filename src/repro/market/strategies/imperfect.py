@@ -22,8 +22,6 @@ DESIGN.md).
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.market.bundle import FeatureBundle
@@ -46,7 +44,7 @@ from repro.market.termination import (
     task_accepts,
     task_fails_regression,
 )
-from repro.utils.rng import as_generator, can_replay_block, replay_block, spawn
+from repro.utils.rng import as_generator, replay_block, spawn
 from repro.utils.validation import require
 
 __all__ = ["ImperfectDataParty", "ImperfectTaskParty"]
@@ -115,12 +113,9 @@ class ImperfectTaskParty(TaskStrategy):
         cap_high = min(cfg.budget, 0.95 * cfg.utility_rate * self.target)
         if cap_high <= cap_low:
             cap_high = min(cfg.budget, cap_low * 1.25)
-        if can_replay_block(self.rng):
-            rates, caps = replay_block(
-                self.rng, 2 * n, lambda tape: self._candidates(tape, n, cap_low, cap_high)
-            )
-        else:  # e.g. MT19937: the same draws, one scalar call at a time
-            (rates, caps), _ = self._scan(self.rng.random, n, cap_low, cap_high)
+        rates, caps = replay_block(
+            self.rng, 2 * n, lambda tape: self._candidates(tape, n, cap_low, cap_high)
+        )
         bases = caps - rates * self.target
         invalid = ~((rates > 0) & (bases >= 0) & (caps >= bases - 1e-12))
         if invalid.any():
@@ -141,13 +136,14 @@ class ImperfectTaskParty(TaskStrategy):
         if (rate_high > cfg.initial_rate).all():
             rates = cfg.initial_rate + (rate_high - cfg.initial_rate) * tape[1::2]
             return (rates, caps), 2 * n
-        return self._scan(iter(tape.tolist()).__next__, n, cap_low, cap_high)
+        return self._scan(tape.tolist(), n, cap_low, cap_high)
 
     def _scan(
-        self, draw: Callable[[], float], n: int, cap_low: float, cap_high: float
+        self, tape: list[float], n: int, cap_low: float, cap_high: float
     ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-        """The scalar sampling loop over ``draw()`` uniforms in [0, 1):
+        """The scalar sampling loop over ``tape``'s uniforms in [0, 1):
         ``uniform(a, b)`` is ``a + (b - a) * random()`` draw for draw."""
+        draw = iter(tape).__next__
         cfg = self.config
         span = cap_high - cap_low
         rate_low = cfg.initial_rate

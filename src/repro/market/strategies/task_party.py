@@ -30,7 +30,7 @@ from repro.market.termination import (
     task_accepts_with_cost,
     task_fails_regression,
 )
-from repro.utils.rng import as_generator, can_replay_block, replay_block
+from repro.utils.rng import as_generator, replay_block
 from repro.utils.validation import require
 
 __all__ = ["StrategicTaskParty"]
@@ -157,8 +157,6 @@ class StrategicTaskParty(TaskStrategy):
         cap_low = current.cap
         if budget_exhausted(cap_low, cfg.budget):
             return None
-        if not can_replay_block(self.rng):  # e.g. MT19937
-            return self._best_escalation_scalar(current)
         n = cfg.n_price_samples
         span = cfg.budget - cap_low
         target = self.target
@@ -175,30 +173,6 @@ class StrategicTaskParty(TaskStrategy):
         return QuotedPrice(
             rate=best_rate, base=best_cap - best_rate * target, cap=best_cap
         )
-
-    def _best_escalation_scalar(
-        self, current: QuotedPrice
-    ) -> QuotedPrice | None:
-        """Draw-for-draw scalar fallback for bit generators that cannot
-        replay a block (identical stream consumption to the block path)."""
-        cfg = self.config
-        cap_low = current.cap
-        best: QuotedPrice | None = None
-        for _ in range(cfg.n_price_samples):
-            cap = float(self.rng.uniform(cap_low, cfg.budget))
-            if cap <= cap_low + 1e-12:
-                continue
-            rate_high = min(cfg.utility_rate,
-                            (cap - cfg.initial_base) / self.target)
-            if rate_high <= cfg.initial_rate:
-                continue
-            rate = float(self.rng.uniform(cfg.initial_rate, rate_high))
-            if best is None or cap < best.cap:
-                best = QuotedPrice(
-                    rate=rate, base=cap - rate * self.target, cap=cap
-                )
-        return best
-
 
     def observe(self, quote: QuotedPrice, bundle: object, delta_g: float) -> None:
         """Track the (quote, gain) trail for the Case-4 regression test."""

@@ -1,30 +1,26 @@
-"""Machine-learning substrate: the paper's two base models plus support.
+"""Machine-learning substrate: what the paper trains, and nothing else.
 
-* :class:`~repro.ml.forest.RandomForestClassifier` — tree-based base model.
+* :class:`~repro.ml.forest.RandomForestClassifier` (over
+  :class:`~repro.ml.tree.DecisionTreeClassifier` and the shared
+  :func:`~repro.ml.tree.quantile_bin` designs) — the tree base model.
 * :class:`~repro.ml.nn.mlp.MLPClassifier` — the 3-layer MLP base model.
 * :class:`~repro.ml.nn.regressor.MLPRegressor` /
   :class:`~repro.ml.nn.regressor.SetEmbeddingRegressor` — the ΔG
-  estimation networks of the imperfect-information setting.
+  estimation networks of the imperfect-information setting, trained
+  with :class:`~repro.ml.nn.optim.Adam`.
 
 Everything is implemented from scratch on numpy (no sklearn/torch).
 """
 
-from repro.ml import metrics
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.linear import LogisticRegression
-from repro.ml.model_selection import KFold, cross_val_score
 from repro.ml.nn import MLPClassifier, MLPRegressor, SetEmbeddingRegressor
 from repro.ml.tree import DecisionTreeClassifier, quantile_bin
 
 __all__ = [
     "DecisionTreeClassifier",
-    "KFold",
-    "LogisticRegression",
     "MLPClassifier",
     "MLPRegressor",
     "RandomForestClassifier",
     "SetEmbeddingRegressor",
-    "cross_val_score",
-    "metrics",
     "quantile_bin",
 ]

@@ -3,7 +3,7 @@
 from repro.ml.nn.layers import Dense, EmbeddingBag, Parameter, ReLU, Sequential
 from repro.ml.nn.losses import bce_with_logits, mse_loss, sigmoid
 from repro.ml.nn.mlp import MLPClassifier
-from repro.ml.nn.optim import SGD, Adam
+from repro.ml.nn.optim import Adam
 from repro.ml.nn.regressor import MLPRegressor, SetEmbeddingRegressor
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "MLPRegressor",
     "Parameter",
     "ReLU",
-    "SGD",
     "Sequential",
     "SetEmbeddingRegressor",
     "bce_with_logits",

@@ -7,34 +7,7 @@ import numpy as np
 from repro.ml.nn.layers import Parameter
 from repro.utils.validation import check_positive, require
 
-__all__ = ["SGD", "Adam"]
-
-
-class SGD:
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float = 1e-2, momentum: float = 0.0):
-        self.params = list(params)
-        require(bool(self.params), "optimizer needs at least one parameter")
-        self.lr = check_positive(lr, "lr")
-        require(0.0 <= momentum < 1.0, "momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
-
-    def step(self) -> None:
-        """Apply one update from the accumulated gradients."""
-        for p, v in zip(self.params, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.value -= self.lr * v
-            else:
-                p.value -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for p in self.params:
-            p.zero_grad()
+__all__ = ["Adam"]
 
 
 class Adam:

@@ -355,11 +355,6 @@ class MetricsRegistry:
             lines.extend(family.render())
         return "\n".join(lines) + "\n" if lines else ""
 
-    def reset(self) -> None:
-        """Drop every family (tests and benchmark isolation)."""
-        with self._lock:
-            self._families.clear()
-
 
 #: The process-global registry every instrumented module records into.
 REGISTRY = MetricsRegistry()

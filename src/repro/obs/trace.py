@@ -190,11 +190,6 @@ class Tracer:
         with self._lock:
             self._sink = path
 
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-            self._seq = 0
-
 
 #: The process-global tracer every span records into.
 TRACER = Tracer()

@@ -693,10 +693,6 @@ class Route:
     response: str = ""
     streaming: bool = False
 
-    @property
-    def pattern(self) -> re.Pattern:
-        return _compile(self.path)
-
 
 def _compile(path: str) -> re.Pattern:
     return re.compile(

@@ -64,7 +64,6 @@ __all__ = [
     "build_cost",
     "build_data_strategy",
     "build_task_strategy",
-    "cost_names",
     "data_strategy_names",
     "dataset_names",
     "preset_names",
@@ -392,10 +391,6 @@ def build_cost(kind: str, a: float = 0.0) -> CostModel | None:
     entry = COSTS.get(kind)
     entry.validate(a)
     return entry.factory(a)
-
-
-def cost_names() -> tuple[str, ...]:
-    return COSTS.names()
 
 
 # ----------------------------------------------------------------------

@@ -155,13 +155,6 @@ class MarketSpec:
         """Content digest over the full spec (the market-cache key)."""
         return content_digest(self.to_dict())
 
-    def identity_digest(self) -> str:
-        """Digest over identity fields only (execution knobs excluded)."""
-        payload = self.to_dict()
-        for key in ("jobs", "cache_dir", "no_cache"):
-            payload.pop(key)
-        return content_digest(payload)
-
     # ------------------------------------------------------------------
     def entry(self) -> "registry.DatasetEntry":
         """The registered dataset entry this spec builds on."""

@@ -95,8 +95,6 @@ _STATUS_CODES = {
     "max_rounds": STATUS_MAX_ROUNDS,
 }
 _TERMINATOR_CODES = {"data_party": BY_DATA, "task_party": BY_TASK, "engine": BY_ENGINE}
-_STATUS_NAMES = {code: name for name, code in _STATUS_CODES.items()}
-_TERMINATOR_NAMES = {code: name for name, code in _TERMINATOR_CODES.items()}
 
 
 @dataclass
@@ -104,8 +102,8 @@ class PoolResult:
     """Terminal records of every session, as parallel arrays.
 
     ``status``/``terminated_by`` hold the kernel's integer codes
-    (decode with :meth:`status_names`); monetary fields mirror
-    :class:`~repro.market.engine.BargainOutcome`.
+    (:mod:`repro.simulate.kernel`'s ``STATUS_*``/``BY_*``); monetary
+    fields mirror :class:`~repro.market.engine.BargainOutcome`.
     """
 
     status: np.ndarray
@@ -129,19 +127,6 @@ class PoolResult:
     #: single-process cache-hit count from these: every first query of
     #: a bundle is a miss, so ``hits = queries - |union of bundles|``.
     queried_bundles: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def accepted(self) -> np.ndarray:
-        """Boolean mask of successful transactions."""
-        return self.status == STATUS_ACCEPTED
-
-    def status_names(self) -> list[str]:
-        """Per-session status strings (``accepted``/``failed``/``max_rounds``)."""
-        return [_STATUS_NAMES[int(s)] for s in self.status]
-
-    def terminator_names(self) -> list[str]:
-        """Per-session terminator strings (``data_party``/``task_party``/``engine``)."""
-        return [_TERMINATOR_NAMES[int(t)] for t in self.terminated_by]
 
 
 class SessionPool:

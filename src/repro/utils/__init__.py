@@ -3,7 +3,6 @@
 from repro.utils.log import get_logger
 from repro.utils.rng import as_generator, spawn
 from repro.utils.validation import (
-    check_finite,
     check_in_range,
     check_matrix,
     check_positive,
@@ -14,7 +13,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "as_generator",
-    "check_finite",
     "check_in_range",
     "check_matrix",
     "check_positive",

@@ -32,7 +32,6 @@ from numpy.typing import ArrayLike, NDArray
 
 __all__ = [
     "as_generator",
-    "can_replay_block",
     "generator_from_seed_words",
     "replay_block",
     "spawn",
@@ -112,12 +111,6 @@ def as_generator(seed: _SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def can_replay_block(rng: np.random.Generator) -> bool:
-    """Whether :func:`replay_block` can serve ``rng``; callers keep a
-    draw-for-draw scalar loop for the other bit generators."""
-    return isinstance(rng.bit_generator, _REPLAYABLE)
-
-
 def replay_block(
     rng: np.random.Generator,
     size: int,
@@ -138,9 +131,18 @@ def replay_block(
     scalar ``random()`` calls never touch that half, so it is restored
     afterwards, or a later ``integers()`` would diverge from the scalar
     stream.  The state is read once per call (twice when a half-word is
-    buffered).  Requires :func:`can_replay_block`.
+    buffered).
+
+    Every program stream is PCG64 (:func:`spawn`, ``default_rng``,
+    :func:`generator_from_seed_words`); any other bit generator is
+    rejected with a ``ValueError`` rather than replayed wrongly.
     """
-    bitgen: Any = rng.bit_generator  # PCG64 or PCG64DXSM
+    bitgen: Any = rng.bit_generator
+    if not isinstance(bitgen, _REPLAYABLE):
+        raise ValueError(
+            "replay_block needs a PCG64 or PCG64DXSM generator, got "
+            f"{type(bitgen).__name__}"
+        )
     state = bitgen.state
     result, used = consume(rng.random(size))
     bitgen.state = state

@@ -13,7 +13,6 @@ from typing import Any
 from numpy.typing import NDArray
 
 __all__ = [
-    "check_finite",
     "check_in_range",
     "check_matrix",
     "check_positive",
@@ -49,13 +48,6 @@ def check_vector(
     require(arr.ndim == 1, f"{name} must be 1-dimensional, got ndim={arr.ndim}")
     require(arr.shape[0] > 0, f"{name} must be non-empty")
     return arr
-
-
-def check_finite(x: NDArray[Any], name: str = "array") -> NDArray[Any]:
-    """Raise if ``x`` contains NaN or infinities."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains NaN or infinite values")
-    return x
 
 
 def check_positive(value: float, name: str) -> float:

@@ -60,8 +60,7 @@ class Channel:
 
     ``send`` + ``receive`` model one direction of a protocol step;
     :meth:`exchange` is the common request/response helper.  Statistics
-    accumulate over the channel's lifetime; :meth:`reset_stats` starts a
-    fresh measurement window.
+    accumulate over the channel's lifetime.
     """
 
     n_messages: int = 0
@@ -107,13 +106,6 @@ class Channel:
     def next_round(self) -> None:
         """Mark the start of a new protocol round."""
         self.n_rounds += 1
-
-    def reset_stats(self) -> None:
-        """Zero the accounting counters (pending messages unaffected)."""
-        self.n_messages = 0
-        self.n_bytes = 0
-        self.n_rounds = 0
-        self.log.clear()
 
     def stats(self) -> dict[str, int]:
         """Snapshot of the accounting counters."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.data import load_adult, load_credit, load_titanic
-from repro.ml import LogisticRegression
+from repro.ml import RandomForestClassifier
 
 
 class TestTitanicDistributions:
@@ -93,19 +93,19 @@ class TestAdultDistributions:
 
 
 @pytest.mark.parametrize("loader", [load_titanic, load_credit, load_adult])
-def test_joint_features_beat_task_features_linearly(loader):
-    """The market's premise holds even for a linear probe.
+def test_joint_features_beat_task_features_with_a_small_probe(loader):
+    """The market's premise holds even for a small forest probe.
 
-    A logistic regression on task+data features must beat one on task
+    A shallow forest on task+data features must beat one on task
     features alone — the data party's features carry real signal beyond
     proxies of what the task party owns.
     """
     ds = loader(2500, seed=0).prepare(seed=0)
-    task_only = LogisticRegression(max_iter=200).fit(
-        ds.task_train, ds.y_train.astype(float)
+    task_only = RandomForestClassifier(10, max_depth=4, rng=0).fit(
+        ds.task_train, ds.y_train
     )
-    joint = LogisticRegression(max_iter=200).fit(
-        np.hstack([ds.task_train, ds.data_train]), ds.y_train.astype(float)
+    joint = RandomForestClassifier(10, max_depth=4, rng=0).fit(
+        np.hstack([ds.task_train, ds.data_train]), ds.y_train
     )
     acc_task = task_only.score(ds.task_test, ds.y_test)
     acc_joint = joint.score(

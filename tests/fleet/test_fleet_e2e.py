@@ -343,11 +343,18 @@ class TestInterruptResume:
                                                    reference_digest):
         server, url = _coordinator(store, lease_ttl=30.0, heartbeat_ttl=0.6)
         fleet = FleetManager(store, lease_ttl=30.0, heartbeat_ttl=0.6)
-        executor = FleetExecutor(store, fleet=fleet, poll=0.02,
-                                 idle_timeout=0.3)
+        stop = threading.Event()
+        executor = FleetExecutor(store, fleet=fleet, stop_event=stop,
+                                 poll=0.02)
         record = executor.submit(SPEC, chunks=4)
         doomed = FleetAgent(url, "http://doomed.test", poll=0.05,
                             heartbeat_interval=0.2, throttle=30.0)
+        finished = []
+        runner = threading.Thread(
+            target=lambda: finished.append(executor.run(record.job_id)),
+            daemon=True,
+        )
+        runner.start()
         try:
             doomed.start()
             deadline = time.monotonic() + 60
@@ -356,8 +363,16 @@ class TestInterruptResume:
                 time.sleep(0.05)
             doomed.stop(deregister=False, timeout=0.1)
             # The only worker vanished mid-chunk: once its heartbeat is
-            # stale the queue has nobody working it.
-            record = executor.run(record.job_id)
+            # stale the executor's liveness sweep frees its lease, and
+            # the queue has nobody working it.
+            while store.leases(active_only=True):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            assert store.get(record.job_id).done_chunks == 0
+            stop.set()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+            (record,) = finished
             assert record.status == "interrupted"
             assert record.done_chunks == 0
 
@@ -367,6 +382,8 @@ class TestInterruptResume:
             assert record.status == "done"
             assert record.digest == reference_digest
         finally:
+            stop.set()
+            runner.join(timeout=60)
             doomed.stop(deregister=False, timeout=0.1)
             _stop(server)
 
@@ -384,12 +401,25 @@ class TestFleetExecutorLocal:
         with pytest.raises(ValueError, match="lease_ttl"):
             FleetManager(store, lease_ttl=0)
 
-    def test_idle_timeout_leaves_job_resumable(self, store):
-        executor = FleetExecutor(store, poll=0.02, idle_timeout=0.1)
+    def test_idle_timeout_is_not_an_option(self, store):
+        """A run with nobody working the queue waits until a stop: there
+        is no idle deadline to set."""
+        with pytest.raises(TypeError, match="idle_timeout"):
+            FleetExecutor(store, idle_timeout=0.1)
+
+    def test_stop_leaves_an_unworked_queue_resumable(self, store):
+        stop = threading.Event()
+        executor = FleetExecutor(store, stop_event=stop, poll=0.02)
         record = executor.submit(SPEC, chunks=4)
-        record = executor.run(record.job_id)
+        timer = threading.Timer(0.3, stop.set)
+        timer.start()
+        try:
+            record = executor.run(record.job_id)
+        finally:
+            timer.cancel()
         assert record.status == "interrupted"
         assert record.done_chunks == 0
+        assert len(store.pending_chunks(record.job_id)) == 4
 
     def test_max_chunks_budget_interrupts(self, store, reference_digest):
         """max_chunks bounds completions per invocation — the CI drill

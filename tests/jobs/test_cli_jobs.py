@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.jobs import default_store_path
 from repro.service import SimulationSpec, run_simulation
 
 ARGS = ["--sessions", "40", "--seed", "5", "--batch-size", "16"]
@@ -121,3 +122,30 @@ class TestRunResume:
         code = main(["jobs", "list", *_store_args(tmp_path)])
         assert code == 0
         assert "no jobs recorded" in capsys.readouterr().out
+
+
+class TestDefaultStore:
+    """Without ``--store`` the jobs commands use ``default_store_path``."""
+
+    def test_env_variable_names_the_store(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "env.sqlite3")
+        monkeypatch.setenv("REPRO_JOB_STORE", path)
+        assert default_store_path() == path
+
+    def test_falls_back_to_the_user_cache(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_JOB_STORE", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert default_store_path() == str(
+            tmp_path / ".cache" / "repro" / "jobs.sqlite3"
+        )
+
+    def test_jobs_commands_use_it(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "env.sqlite3"
+        monkeypatch.setenv("REPRO_JOB_STORE", str(path))
+        assert main(["jobs", "run", *ARGS, "--chunks", "2"]) == 0
+        job_id = _job_id(capsys.readouterr().out)
+        assert path.exists()
+        assert main(["jobs", "list", *_store_args(tmp_path)]) == 0
+        assert "no jobs recorded" in capsys.readouterr().out
+        assert main(["jobs", "list"]) == 0
+        assert job_id in capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.market import FeatureBundle, enumerate_bundles, sample_bundles
+from repro.market import FeatureBundle, sample_bundles
 
 
 class TestFeatureBundle:
@@ -38,23 +38,6 @@ class TestFeatureBundle:
 
     def test_label(self):
         assert FeatureBundle.of([0, 3]).label() == "{0,3}"
-
-
-class TestEnumerateBundles:
-    def test_counts_all_subsets(self):
-        assert len(enumerate_bundles(3)) == 7  # 2^3 - 1
-
-    def test_max_size(self):
-        bundles = enumerate_bundles(4, max_size=2)
-        assert len(bundles) == 4 + 6
-        assert max(b.size for b in bundles) == 2
-
-    def test_large_space_guarded(self):
-        with pytest.raises(ValueError, match="16 features"):
-            enumerate_bundles(20)
-
-    def test_large_space_small_sizes_allowed(self):
-        assert len(enumerate_bundles(20, max_size=1)) == 20
 
 
 class TestSampleBundles:

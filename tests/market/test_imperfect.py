@@ -294,21 +294,15 @@ class TestVectorisedMatchesScalarReference:
         assert got == ref.decide(quote, 0.05, config.exploration_rounds + 1)
         assert got.decision is Decision.CONTINUE
 
-    def test_scalar_fallback_for_generators_without_exact_advance(self):
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox,
+                                        np.random.SFC64])
+    def test_non_pcg64_generator_rejected(self, bitgen):
         _, _, _, config = ladder(seed=0)
-        for make in (np.random.MT19937, np.random.Philox):
-            # ``spawn`` splits only PCG64-style states: bring estimators.
-            fast, ref = (
-                cls(config, estimator=TaskGainEstimator(rng=0),
-                    rng=np.random.Generator(make(4)))
-                for cls in (ImperfectTaskParty, _ScalarTaskParty)
-            )
-            quote = fast.initial_quote()
-            for round_number in range(1, 45):
-                assert fast.decide(quote, 0.1, round_number) == ref.decide(
-                    quote, 0.1, round_number
-                )
-            assert np.array_equal(fast.rng.random(8), ref.rng.random(8))
+        # ``spawn`` splits only PCG64-style states: bring an estimator.
+        party = ImperfectTaskParty(config, estimator=TaskGainEstimator(rng=0),
+                                   rng=np.random.Generator(bitgen(4)))
+        with pytest.raises(ValueError, match="PCG64"):
+            party.decide(party.initial_quote(), 0.1, 1)
 
     def test_skipped_candidates_replay_the_tape_sequentially(self):
         # cap_low is 1 + 0.5*0.25 = 1.125 exactly, so a zero cap draw

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.market import LinearCost, Market, PerformanceOracle
+from repro.market import LinearCost, Market, NoCost, PerformanceOracle, ScaledCost
 from repro.market.bundle import FeatureBundle
 from repro.market.pricing import ReservedPrice
 from repro.market.config import MarketConfig
@@ -69,6 +69,18 @@ class TestBargainVariants:
         )
         assert out.net_profit_after_cost < out.net_profit
         assert out.payment_after_cost < out.payment
+
+    def test_no_cost_model_bargains_like_a_zero_cost(self, titanic_market):
+        """Table 3's no-cost row passes no cost model (``build_cost("none")``
+        is ``None``); that plays every game exactly as a zero-valued
+        scaled cost does, Eq. 6-7 checks included."""
+        zero = ScaledCost(NoCost(), 0.1)
+        for task in ("strategic", "increase_price"):
+            free = titanic_market.bargain_many(6, base_seed=2, task=task)
+            costed = titanic_market.bargain_many(
+                6, base_seed=2, task=task, cost_task=zero, cost_data=zero
+            )
+            assert [o.to_dict() for o in free] == [o.to_dict() for o in costed]
 
     def test_imperfect_information_runs(self, titanic_market):
         out = titanic_market.bargain(

@@ -10,10 +10,9 @@ from repro.market import (
     QuotedPrice,
     ScaledCost,
     break_even_gain,
-    data_revenue_gap,
-    make_cost,
     task_net_profit,
 )
+from repro.service.registry import build_cost
 
 
 class TestObjectives:
@@ -37,15 +36,6 @@ class TestObjectives:
     def test_break_even_requires_rationality(self):
         with pytest.raises(ValueError, match="u > p"):
             break_even_gain(10.0, 1.0, utility_rate=5.0)
-
-    def test_revenue_gap_zero_at_turning_point(self):
-        q = self.quote()
-        assert data_revenue_gap(q, q.turning_point) == pytest.approx(0.0)
-
-    def test_revenue_gap_positive_away_from_turning_point(self):
-        q = self.quote()
-        assert data_revenue_gap(q, 0.0) == pytest.approx(2.0)
-        assert data_revenue_gap(q, q.turning_point / 2) > 0
 
 
 class TestCostModels:
@@ -79,18 +69,19 @@ class TestCostModels:
             assert values == sorted(values)
 
     def test_factory(self):
-        assert isinstance(make_cost("none"), NoCost)
-        assert isinstance(make_cost("constant", 1.0), ConstantCost)
-        assert isinstance(make_cost("linear", 0.1), LinearCost)
-        assert isinstance(make_cost("exponential", 1.01), ExponentialCost)
-        assert isinstance(make_cost("linear", 0.1, scale=0.1), ScaledCost)
+        # "none" builds no model: the engine and parties treat a missing
+        # cost model as frictionless.
+        assert build_cost("none") is None
+        assert isinstance(build_cost("constant", 1.0), ConstantCost)
+        assert isinstance(build_cost("linear", 0.1), LinearCost)
+        assert isinstance(build_cost("exponential", 1.01), ExponentialCost)
         # The paper's Table 3 scaling: C_t = C_d = C(T)/10.
-        assert make_cost("linear", 1.0, scale=0.1)(10) == pytest.approx(1.0)
+        assert ScaledCost(build_cost("linear", 1.0), 0.1)(10) == pytest.approx(1.0)
 
     def test_factory_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown cost kind"):
-            make_cost("quadratic", 1.0)
+            build_cost("quadratic", 1.0)
 
     def test_factory_missing_a(self):
-        with pytest.raises(ValueError, match="needs a"):
-            make_cost("linear")
+        with pytest.raises(ValueError, match="needs a > 0"):
+            build_cost("linear")

@@ -36,10 +36,6 @@ class TestQuotedPrice:
         assert q.turning_point == pytest.approx(0.2)
         assert q.payment(q.turning_point) == pytest.approx(q.cap)
 
-    def test_with_cap(self):
-        q = QuotedPrice(2.0, 1.0, 5.0).with_cap(3.0)
-        assert q.cap == 3.0 and q.rate == 2.0
-
     def test_str_contains_components(self):
         assert "P0=1.000" in str(QuotedPrice(2.0, 1.0, 5.0))
 

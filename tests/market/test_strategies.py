@@ -27,6 +27,28 @@ def _live_state(rng):
     return {**state, "uinteger": state["uinteger"] if state["has_uint32"] else 0}
 
 
+def _scalar_escalation(party, current):
+    """Algorithm 1's candidate scan as a draw-for-draw ``uniform`` loop:
+    the reference that :meth:`StrategicTaskParty._best_escalation`'s
+    block replay must match."""
+    cfg = party.config
+    cap_low = current.cap
+    if cap_low >= cfg.budget - 1e-12:  # the budget stop
+        return None
+    best = None
+    for _ in range(cfg.n_price_samples):
+        cap = float(party.rng.uniform(cap_low, cfg.budget))
+        if cap <= cap_low + 1e-12:
+            continue
+        rate_high = min(cfg.utility_rate, (cap - cfg.initial_base) / party.target)
+        if rate_high <= cfg.initial_rate:
+            continue
+        rate = float(party.rng.uniform(cfg.initial_rate, rate_high))
+        if best is None or cap < best.cap:
+            best = QuotedPrice(rate=rate, base=cap - rate * party.target, cap=cap)
+    return best
+
+
 def toy_market():
     """Three bundles: cheap/weak, mid, expensive/strong."""
     b1, b2, b3 = (
@@ -149,13 +171,15 @@ class TestStrategicTaskParty:
                 config.with_overrides(budget=1.0), list(gains.values())
             )
 
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM])
     @pytest.mark.parametrize("lead_integers", [False, True])
-    def test_block_escalation_matches_scalar_stream(self, lead_integers):
+    def test_block_escalation_matches_scalar_stream(self, lead_integers, bitgen):
         # The block path must leave the generator where the scalar
         # loop does, including a half-word buffered by ``integers``.
         gains, _, config = toy_market()
         fast, ref = (
-            StrategicTaskParty(config, list(gains.values()), rng=spawn(4, "t"))
+            StrategicTaskParty(config, list(gains.values()),
+                               rng=np.random.Generator(bitgen(4)))
             for _ in range(2)
         )
         quote = fast.initial_quote()
@@ -163,11 +187,22 @@ class TestStrategicTaskParty:
             if lead_integers:
                 assert int(fast.rng.integers(0, 7)) == int(ref.rng.integers(0, 7))
             got = fast._best_escalation(quote)
-            assert got == ref._best_escalation_scalar(quote)
+            assert got == _scalar_escalation(ref, quote)
             if got is None:
                 break
             quote = got
         assert _live_state(fast.rng) == _live_state(ref.rng)
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox,
+                                        np.random.SFC64])
+    def test_non_pcg64_generator_rejected(self, bitgen):
+        # Block replay needs an exact ``advance``: no other generator
+        # may silently replay the wrong stream.
+        gains, _, config = toy_market()
+        party = StrategicTaskParty(config, list(gains.values()),
+                                   rng=np.random.Generator(bitgen(4)))
+        with pytest.raises(ValueError, match="PCG64"):
+            party.decide(party.initial_quote(), 0.05, 1)
 
     def test_target_quantile_used_when_no_target(self):
         gains, _, config = toy_market()

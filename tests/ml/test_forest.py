@@ -58,6 +58,12 @@ class TestRandomForest:
         with pytest.raises(ValueError, match="fit"):
             RandomForestClassifier(2).predict(np.zeros((1, 2)))
 
+    def test_nonbinary_labels_rejected(self):
+        with pytest.raises(ValueError, match="binary"):
+            RandomForestClassifier(2, rng=0).fit(
+                np.zeros((4, 1)), np.array([0, 1, 2, 1])
+            )
+
     def test_n_estimators_validation(self):
         with pytest.raises(ValueError):
             RandomForestClassifier(0)

@@ -11,7 +11,6 @@ from repro.ml.nn import (
     MLPRegressor,
     Parameter,
     ReLU,
-    SGD,
     Sequential,
     SetEmbeddingRegressor,
     bce_with_logits,
@@ -169,14 +168,9 @@ class TestLosses:
 
 
 class TestOptimizers:
-    @pytest.mark.parametrize("make_opt", [
-        lambda p: SGD(p, lr=0.1),
-        lambda p: SGD(p, lr=0.05, momentum=0.9),
-        lambda p: Adam(p, lr=0.1),
-    ])
-    def test_minimizes_quadratic(self, make_opt):
+    def test_minimizes_quadratic(self):
         p = Parameter(np.array([5.0, -3.0]))
-        opt = make_opt([p])
+        opt = Adam([p], lr=0.1)
         for _ in range(300):
             opt.zero_grad()
             p.grad += 2 * p.value  # d/dx of ||x||^2
@@ -185,14 +179,14 @@ class TestOptimizers:
 
     def test_zero_grad_clears(self):
         p = Parameter(np.ones(2))
-        opt = SGD([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         p.grad += 1.0
         opt.zero_grad()
         np.testing.assert_array_equal(p.grad, 0.0)
 
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
 
 class TestMLPClassifier:

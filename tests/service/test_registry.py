@@ -50,7 +50,7 @@ class TestRegistryCore:
         assert set(registry.data_strategy_names()) >= {
             "imperfect", "random_bundle", "strategic",
         }
-        assert set(registry.cost_names()) >= {
+        assert set(registry.COSTS.names()) >= {
             "constant", "exponential", "linear", "none",
         }
 
@@ -159,6 +159,7 @@ class TestExtensionsPropagate:
         self, tiny_task_strategy
     ):
         from repro.simulate import PopulationSpec, SessionPool, sample_population
+        from repro.simulate.pool import session_record_arrays
 
         spec = PopulationSpec(
             preset="synthetic",
@@ -171,9 +172,11 @@ class TestExtensionsPropagate:
         assert result.stepped_sessions == 6
         # The stepwise pool path is bit-identical to running the same
         # factory-built engines one by one.
-        naive = [population.build_engine(i).run() for i in range(6)]
-        assert result.status_names() == [o.status for o in naive]
-        assert list(result.payment) == [o.payment for o in naive]
+        naive = session_record_arrays(6)
+        for i in range(6):
+            SessionPool._record(naive, i, population.build_engine(i).run())
+        for key, want in naive.items():
+            assert np.array_equal(getattr(result, key), want, equal_nan=True), key
 
     def test_registered_cost_kind_runs_on_the_kernel(self, tiny_cost):
         from repro.simulate import PopulationSpec, SessionPool, sample_population

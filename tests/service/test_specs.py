@@ -26,15 +26,6 @@ class TestMarketSpec:
         # orphan persistent entries.  Pinned for the simplest spec.
         spec = MarketSpec(dataset="synthetic", seed=0)
         assert spec.digest() == "891c9d326d35fc2e"
-        assert spec.identity_digest() == "c4f6a7e5de576638"
-
-    def test_identity_digest_ignores_execution_knobs(self):
-        base = MarketSpec(dataset="titanic", seed=0)
-        tuned = MarketSpec(
-            dataset="titanic", seed=0, jobs=8, cache_dir="/x", no_cache=True
-        )
-        assert base.identity_digest() == tuned.identity_digest()
-        assert base.digest() != tuned.digest()
 
     def test_execution_knobs_enter_full_digest(self):
         a = MarketSpec(dataset="titanic", no_cache=True)

@@ -31,7 +31,7 @@ class TestKernelMatchesEngine:
         """Eq. 5 equilibrium: accepted payments sit at the final cap."""
         pop = sample_population(PopulationSpec(), 50, seed=12)
         result = SessionPool(pop).run()
-        acc = result.accepted & (result.terminated_by == BY_DATA)
+        acc = (result.status == STATUS_ACCEPTED) & (result.terminated_by == BY_DATA)
         if acc.any():
             np.testing.assert_allclose(
                 result.payment[acc], result.final_cap[acc], rtol=0.05
@@ -41,7 +41,7 @@ class TestKernelMatchesEngine:
         """net profit == u * dG - payment for every accepted session."""
         pop = sample_population(PopulationSpec(), 80, seed=13)
         result = SessionPool(pop).run()
-        acc = result.accepted
+        acc = result.status == STATUS_ACCEPTED
         np.testing.assert_allclose(
             result.net_profit[acc],
             pop.utility_rate[acc] * result.delta_g[acc] - result.payment[acc],

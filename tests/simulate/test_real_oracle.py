@@ -5,6 +5,7 @@ import pytest
 
 from repro.market import FeatureBundle, PerformanceOracle
 from repro.simulate import PopulationSpec, SessionPool, build_report, sample_population
+from repro.simulate.kernel import STATUS_ACCEPTED
 
 
 def toy_oracle(n_features=6, n_bundles=10, scale=0.2, seed=0):
@@ -68,7 +69,7 @@ class TestOracleBackedPopulation:
         result = SessionPool(population, batch_size=64).run()
         report = build_report(population, result)
         assert report.n_sessions == 120
-        assert result.accepted.any()
+        assert (result.status == STATUS_ACCEPTED).any()
 
     def test_synthetic_sampling_unchanged_without_oracle(self):
         """oracle=None must leave the PR-1 sampling path bit-identical."""

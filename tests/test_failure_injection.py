@@ -47,7 +47,9 @@ class StallingTask(TaskStrategy):
         return QuotedPrice(2.5, 0.6, 0.85)
 
     def decide(self, quote, delta_g, round_number):
-        return TaskDecision(Decision.CONTINUE, quote.with_cap(quote.cap + 0.001))
+        return TaskDecision(
+            Decision.CONTINUE, QuotedPrice(quote.rate, quote.base, quote.cap + 0.001)
+        )
 
 
 class HonestSeller(DataStrategy):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.utils import as_generator, spawn
 from repro.utils.rng import (
-    can_replay_block,
     generator_from_seed_words,
     replay_block,
     stream_seed_words,
@@ -121,12 +120,25 @@ class TestReplayBlock:
             np.testing.assert_array_equal(block, scalar)
             assert int(fast.integers(0, 1000)) == int(ref.integers(0, 1000))
 
-    def test_only_exact_skip_generators_replay(self):
-        assert can_replay_block(np.random.default_rng(0))
-        assert can_replay_block(np.random.Generator(np.random.PCG64DXSM(0)))
-        # Philox's ``advance`` counts 4-word blocks; MT19937 has none.
-        assert not can_replay_block(np.random.Generator(np.random.Philox(0)))
-        assert not can_replay_block(np.random.Generator(np.random.MT19937(0)))
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_exact_skip_generators_replay(self, bitgen):
+        fast = np.random.Generator(bitgen(0))
+        ref = np.random.Generator(bitgen(0))
+        replay_block(fast, 8, lambda tape: (None, 5))
+        ref.random(5)
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.MT19937,
+                                        np.random.SFC64])
+    def test_other_generators_rejected_untouched(self, bitgen):
+        # Philox's ``advance`` counts 4-word blocks; MT19937 and SFC64
+        # have none.
+        rng = np.random.Generator(bitgen(0))
+        with pytest.raises(ValueError, match="PCG64"):
+            replay_block(rng, 8, lambda tape: (None, 5))
+        np.testing.assert_array_equal(
+            rng.random(4), np.random.Generator(bitgen(0)).random(4)
+        )
 
 
 def _assert_streams_match_spawn(root, indices, prefix=(), suffix=()):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    check_finite,
     check_in_range,
     check_matrix,
     check_positive,
@@ -55,18 +54,6 @@ class TestCheckVector:
 
 
 class TestScalarChecks:
-    def test_check_finite_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            check_finite(np.array([1.0, np.nan]))
-
-    def test_check_finite_rejects_inf(self):
-        with pytest.raises(ValueError):
-            check_finite(np.array([np.inf]))
-
-    def test_check_finite_passes_through(self):
-        arr = np.array([1.0, 2.0])
-        assert check_finite(arr) is arr
-
     def test_check_positive(self):
         assert check_positive(2, "x") == 2.0
         with pytest.raises(ValueError, match="must be > 0"):

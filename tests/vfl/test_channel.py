@@ -62,12 +62,6 @@ class TestChannel:
         ch.next_round()
         assert ch.stats()["rounds"] == 2
 
-    def test_reset_stats(self):
-        ch = Channel()
-        ch.exchange("task", "data", "x", np.zeros(4))
-        ch.reset_stats()
-        assert ch.stats() == {"messages": 0, "bytes": 0, "rounds": 0}
-
     def test_log_disabled_by_default(self):
         ch = Channel()
         ch.exchange("task", "data", "x", 1)

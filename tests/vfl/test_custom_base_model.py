@@ -12,20 +12,20 @@ import pytest
 
 from repro.data import load_titanic
 from repro.market.market import Market
-from repro.ml.linear import LogisticRegression
+from repro.ml import RandomForestClassifier
 from repro.service import MarketSpec, registry
 from repro.service.registry import register_base_model
 from repro.vfl.runner import isolated_performance, resolve_model_params, run_vfl
 
 
-def _logit_isolated(dataset, params, rng):
-    model = LogisticRegression(max_iter=params["max_iter"])
-    model.fit(dataset.task_train, dataset.y_train.astype(np.float64))
+def _forest_isolated(dataset, params, rng):
+    model = RandomForestClassifier(params["n_estimators"], max_depth=4, rng=rng)
+    model.fit(dataset.task_train, dataset.y_train)
     return model.score(dataset.task_test, dataset.y_test)
 
 
-def _logit_joint(dataset, bundle, params, rng, *, channel,
-                 task_design=None, data_design=None):
+def _forest_joint(dataset, bundle, params, rng, *, channel,
+                  task_design=None, data_design=None):
     cols = list(bundle)
     X_train = np.hstack(
         [dataset.task_train, dataset.X_data[dataset.train_idx][:, cols]]
@@ -33,22 +33,22 @@ def _logit_joint(dataset, bundle, params, rng, *, channel,
     X_test = np.hstack(
         [dataset.task_test, dataset.X_data[dataset.test_idx][:, cols]]
     )
-    model = LogisticRegression(max_iter=params["max_iter"])
-    model.fit(X_train, dataset.y_train.astype(np.float64))
+    model = RandomForestClassifier(params["n_estimators"], max_depth=4, rng=rng)
+    model.fit(X_train, dataset.y_train)
     return model.score(X_test, dataset.y_test)
 
 
 @pytest.fixture(scope="module", autouse=True)
-def central_logit():
+def central_forest():
     register_base_model(
-        "central_logit",
-        defaults={"max_iter": 200},
-        isolated=_logit_isolated,
-        joint=_logit_joint,
+        "central_forest",
+        defaults={"n_estimators": 5},
+        isolated=_forest_isolated,
+        joint=_forest_joint,
         overwrite=True,
     )
     yield
-    registry.BASE_MODELS.unregister("central_logit")
+    registry.BASE_MODELS.unregister("central_forest")
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +58,12 @@ def dataset():
 
 class TestRunnerDispatch:
     def test_params_resolve_from_registration(self):
-        assert resolve_model_params("central_logit") == {"max_iter": 200}
-        assert resolve_model_params("central_logit", {"max_iter": 50}) == {
-            "max_iter": 50
+        assert resolve_model_params("central_forest") == {"n_estimators": 5}
+        assert resolve_model_params("central_forest", {"n_estimators": 3}) == {
+            "n_estimators": 3
         }
         with pytest.raises(ValueError, match="unknown model params"):
-            resolve_model_params("central_logit", {"depth": 3})
+            resolve_model_params("central_forest", {"depth": 3})
 
     def test_unknown_base_model_rejected(self, dataset):
         with pytest.raises(ValueError, match="base_model"):
@@ -71,20 +71,20 @@ class TestRunnerDispatch:
 
     def test_run_vfl_through_custom_builders(self, dataset):
         result = run_vfl(
-            dataset, range(dataset.d_data), base_model="central_logit", seed=0
+            dataset, range(dataset.d_data), base_model="central_forest", seed=0
         )
-        assert result.base_model == "central_logit"
+        assert result.base_model == "central_forest"
         assert 0.0 < result.performance_joint <= 1.0
         assert np.isfinite(result.delta_g)
 
     def test_custom_model_is_deterministic(self, dataset):
-        a = run_vfl(dataset, (0, 1), base_model="central_logit", seed=3, m0=0.6)
-        b = run_vfl(dataset, (0, 1), base_model="central_logit", seed=3, m0=0.6)
+        a = run_vfl(dataset, (0, 1), base_model="central_forest", seed=3, m0=0.6)
+        b = run_vfl(dataset, (0, 1), base_model="central_forest", seed=3, m0=0.6)
         assert a.performance_joint == b.performance_joint
 
     def test_designs_rejected_without_support(self, dataset):
         with pytest.raises(ValueError, match="design-capable"):
-            run_vfl(dataset, (0,), base_model="central_logit", seed=0,
+            run_vfl(dataset, (0,), base_model="central_forest", seed=0,
                     m0=0.6, task_design=object())
 
     def test_builderless_entry_cannot_run_courses(self, dataset):
@@ -102,14 +102,14 @@ class TestMarketIntegration:
         and the oracle's courses train through the custom builders."""
         spec = MarketSpec(
             dataset="titanic",
-            base_model="central_logit",
+            base_model="central_forest",
             seed=0,
             n_bundles=3,
             no_cache=True,
         )
         market = Market.from_spec(spec)
-        assert market.name == "titanic/central_logit"
-        assert market.oracle.base_model == "central_logit"
+        assert market.name == "titanic/central_forest"
+        assert market.oracle.base_model == "central_forest"
         assert len(market.oracle) >= 2
         assert market.config.target_gain > 0
 
@@ -118,6 +118,6 @@ class TestMarketIntegration:
 
         args = build_parser().parse_args(
             ["simulate", "--dataset", "titanic",
-             "--base-model", "central_logit"]
+             "--base-model", "central_forest"]
         )
-        assert args.base_model == "central_logit"
+        assert args.base_model == "central_forest"
