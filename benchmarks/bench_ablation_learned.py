@@ -4,6 +4,10 @@ Compares the paper's sampling-evaluation quote generation (Algorithm 1,
 line 16-17) against the bandit-paced :class:`LearnedTaskParty` on
 synthetic ladders: agreement rounds, buyer net profit, and final rate
 slack over the seller's reserve.
+
+The rows do not depend on the run scale (20 fixed seeds on one ladder),
+so they are pinned by digest (``_ROW_PIN``): any drift in either offer
+generator's outcomes fails here.
 """
 
 import os
@@ -23,6 +27,10 @@ from repro.market import (
     StrategicTaskParty,
 )
 from repro.utils import spawn
+from repro.utils.canonical import content_digest
+
+#: Digest of the rendered rows (seeds 0-19).
+_ROW_PIN = "3bf9e94229dcb3e9"
 
 
 def _ladder(seed):
@@ -89,3 +97,4 @@ def test_ablation_learned_offers(benchmark, results_dir):
     )
     # Both reach the top of the ladder reliably.
     assert all(row[-1] != "0%" for row in rows)
+    assert content_digest([[str(cell) for cell in row] for row in rows]) == _ROW_PIN
