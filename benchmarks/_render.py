@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.experiments import ascii_chart, write_csv
+from repro.experiments import ascii_chart, write_figure_csvs
 
 FIELD_TITLES = {
     "net_profit": "Net Profit",
@@ -19,7 +17,6 @@ def render_bargaining_figure(fig: dict, figure_no: int, results_dir: str) -> Non
     """Print the three per-round panels + density summaries, dump CSVs."""
     dataset = fig["dataset"]
     model = fig["base_model"]
-    tag = f"fig{figure_no}_{dataset}"
     for field, title in FIELD_TITLES.items():
         series = {
             label: variant["curves"][field]["mean"]
@@ -31,15 +28,6 @@ def render_bargaining_figure(fig: dict, figure_no: int, results_dir: str) -> Non
                 series,
                 title=f"Figure {figure_no} ({dataset}, {model}): {title} vs round",
             )
-        )
-        write_csv(
-            os.path.join(results_dir, f"{tag}_{field}.csv"),
-            ["round"] + [f"{label} mean" for label in series] + [
-                f"{label} ci" for label in fig["variants"]
-            ],
-            [np.arange(1, fig["max_round"] + 1)]
-            + [series[label] for label in series]
-            + [fig["variants"][label]["curves"][field]["ci"] for label in fig["variants"]],
         )
     print()
     print(f"Final-quote summary vs reserved price of the target bundle "
@@ -59,15 +47,7 @@ def render_bargaining_figure(fig: dict, figure_no: int, results_dir: str) -> Non
                 base.std() if len(base) else float("nan"),
             )
         )
-        grid_r, dens_r = variant["rate_density"]
-        grid_b, dens_b = variant["base_density"]
-        write_csv(
-            os.path.join(
-                results_dir, f"{tag}_density_{label.split()[0].lower()}.csv"
-            ),
-            ["p_grid", "p_density", "P0_grid", "P0_density"],
-            [grid_r, dens_r, grid_b, dens_b],
-        )
+    write_figure_csvs(figure_no, fig, results_dir)
 
 
 def assert_paper_shape(fig: dict) -> None:

@@ -5,12 +5,10 @@ Ph beyond the turning point (Ph−P0)/p (Fig. 1a); net profit is negative
 below P0/(u−p) and increases monotonically (Fig. 1b).
 """
 
-import os
-
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import ascii_chart, figure1_series, write_csv
+from repro.experiments import ascii_chart, figure1_series, write_figure_csvs
 
 
 def test_fig1_payment_and_profit_curves(benchmark, results_dir):
@@ -33,11 +31,7 @@ def test_fig1_payment_and_profit_curves(benchmark, results_dir):
             x_label="dG",
         )
     )
-    write_csv(
-        os.path.join(results_dir, "fig1.csv"),
-        ["delta_g", "payment", "net_profit"],
-        [grid, payment, profit],
-    )
+    write_figure_csvs(1, series, results_dir)
     # Shape assertions mirroring the paper's panel annotations.
     tp = float(series["turning_point"][0])
     be = float(series["break_even"][0])

@@ -9,13 +9,11 @@ The quick-mode series are also pinned by digest (``_SERIES_PINS``), so
 any bit drift in estimator training on the three datasets fails here.
 """
 
-import os
-
 import numpy as np
 import pytest
 from conftest import run_once
 
-from repro.experiments import ascii_chart, figure4_series, scale, write_csv
+from repro.experiments import ascii_chart, figure4_series, scale, write_figure_csvs
 from repro.utils.canonical import content_digest
 
 #: Quick-mode digest of both MSE series (hex floats) per cell, seed 0.
@@ -46,11 +44,7 @@ def test_fig4_estimator_convergence(benchmark, results_dir, dataset, base_model)
             title=f"Figure 4 ({dataset}, {base_model}): estimator MSE vs round",
         )
     )
-    write_csv(
-        os.path.join(results_dir, f"fig4_{dataset}_{base_model}.csv"),
-        ["round", "task_mse", "task_ci", "data_mse", "data_ci"],
-        [fig["rounds"], fig["task_mse"], fig["task_ci"], fig["data_mse"], fig["data_ci"]],
-    )
+    write_figure_csvs(4, fig, results_dir)
     # Paper shape: MSE after convergence is far below the early rounds.
     for key in ("task_mse", "data_mse"):
         curve = np.asarray(fig[key])

@@ -41,7 +41,7 @@ def test_oracle_build_speedup(benchmark, results_dir, tmp_path):
 
     dataset = load_dataset(DATASET, seed=0).prepare(seed=0, n_subsample=N_ROWS)
     catalogue = sample_bundles(
-        dataset.d_data, n_bundles, rng=spawn(0, DATASET, "bundles"), min_size=1
+        dataset.d_data, n_bundles, rng=spawn(0, DATASET, "bundles")
     )
     assert len(catalogue) >= 15
     params = {"n_estimators": 15, "max_depth": 8}

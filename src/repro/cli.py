@@ -874,28 +874,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    import os
-
     from repro.experiments import (
         ascii_chart,
         figure1_series,
         figure23_series,
         figure4_series,
-        write_csv,
+        write_figure_csvs,
     )
 
     if args.number == 1:
-        series = figure1_series()
-        print(ascii_chart({"payment": series["payment"]},
+        fig = figure1_series()
+        print(ascii_chart({"payment": fig["payment"]},
                           title="Figure 1a: payment vs dG", x_label="dG"))
-        print(ascii_chart({"net profit": series["net_profit"]},
+        print(ascii_chart({"net profit": fig["net_profit"]},
                           title="Figure 1b: net profit vs dG", x_label="dG"))
-        if args.csv_dir:
-            write_csv(os.path.join(args.csv_dir, "fig1.csv"),
-                      ["delta_g", "payment", "net_profit"],
-                      [series["delta_g"], series["payment"], series["net_profit"]])
-        return 0
-    if args.number in (2, 3):
+    elif args.number in (2, 3):
         model = "random_forest" if args.number == 2 else "mlp"
         fig = figure23_series(args.dataset, model)
         for field in ("net_profit", "payment", "delta_g"):
@@ -907,12 +900,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 series,
                 title=f"Figure {args.number} ({args.dataset}, {model}): {field}",
             ))
-        return 0
-    fig = figure4_series(args.dataset, "random_forest")
-    print(ascii_chart(
-        {"Task Party": fig["task_mse"], "Data Party": fig["data_mse"]},
-        title=f"Figure 4 ({args.dataset}, RF): estimator MSE",
-    ))
+    else:
+        fig = figure4_series(args.dataset, "random_forest")
+        print(ascii_chart(
+            {"Task Party": fig["task_mse"], "Data Party": fig["data_mse"]},
+            title=f"Figure 4 ({args.dataset}, RF): estimator MSE",
+        ))
+    if args.csv_dir:
+        write_figure_csvs(args.number, fig, args.csv_dir)
     return 0
 
 

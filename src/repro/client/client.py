@@ -194,11 +194,11 @@ class MarketplaceClient:
             query["after"] = after
         return self._call("GET", "/v1/jobs", query=query)
 
-    def iter_jobs(self, *, page_size: int = 100) -> Iterator[dict]:
+    def iter_jobs(self) -> Iterator[dict]:
         """Every recorded job, walking the pagination cursor."""
         after: str | None = None
         while True:
-            page = self.jobs(limit=page_size, after=after)
+            page = self.jobs(after=after)
             yield from page["jobs"]
             after = page["next"]
             if after is None:

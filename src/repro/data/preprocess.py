@@ -109,11 +109,6 @@ class EncodedDataset:
         """Number of rows."""
         return int(self.X.shape[0])
 
-    @property
-    def n_features(self) -> int:
-        """Number of encoded features."""
-        return int(self.X.shape[1])
-
     def index_of(self, feature_name: str) -> int:
         """Column index of an encoded feature name."""
         try:

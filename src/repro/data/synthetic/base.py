@@ -190,13 +190,13 @@ class RawDataset:
         test_size: float = 0.25,
         seed: object = 0,
         n_subsample: int | None = None,
-        standardize: bool = True,
     ) -> PartitionedDataset:
         """Run the full preprocessing pipeline of §4.1.1.
 
-        impute -> indicator-encode -> (optional) standardise numerics ->
-        vertical partition -> train/test split.  ``n_subsample`` keeps a
-        random row subset first (used by quick-mode experiments).
+        impute -> indicator-encode -> vertical partition -> train/test
+        split -> standardise (fitted on the training rows).
+        ``n_subsample`` keeps a random row subset first (used by
+        quick-mode experiments).
         """
         rng = as_generator(spawn(seed, self.name, "prepare"))
         table, y = self.table, self.y
@@ -209,10 +209,8 @@ class RawDataset:
         dataset = partitioner.split(
             encoded, test_size=test_size, rng=rng, name=self.name
         )
-        X_task, X_data = dataset.X_task, dataset.X_data
-        if standardize:
-            X_task = Standardizer().fit(dataset.task_train).transform(X_task)
-            X_data = Standardizer().fit(dataset.data_train).transform(X_data)
+        X_task = Standardizer().fit(dataset.task_train).transform(dataset.X_task)
+        X_data = Standardizer().fit(dataset.data_train).transform(dataset.X_data)
         return PartitionedDataset(
             name=dataset.name,
             X_task=X_task,

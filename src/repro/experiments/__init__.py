@@ -7,7 +7,12 @@ from repro.experiments.aggregate import (
     nan_mean_ci,
 )
 from repro.experiments.config import BASE_MODELS, DATASETS, ExperimentScale, scale
-from repro.experiments.figures import figure1_series, figure23_series, figure4_series
+from repro.experiments.figures import (
+    figure1_series,
+    figure23_series,
+    figure4_series,
+    write_figure_csvs,
+)
 from repro.experiments.report import ascii_chart, format_table, write_csv
 from repro.experiments.runner import (
     clear_market_cache,
@@ -51,4 +56,5 @@ __all__ = [
     "table3_rows",
     "table4_rows",
     "write_csv",
+    "write_figure_csvs",
 ]

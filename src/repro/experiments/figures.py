@@ -10,14 +10,20 @@ ASCII charts + CSV files.  Figure numbering follows the paper:
   against the reserved price;
 * Figure 4 — MSE of both parties' ΔG estimators over bargaining rounds
   under imperfect information.
+
+:func:`write_figure_csvs` writes any of them as the CSV files the
+benchmarks and ``repro figure --csv-dir`` leave behind.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
 from repro.experiments.aggregate import density, nan_mean_ci
 from repro.experiments.config import scale
+from repro.experiments.report import write_csv
 from repro.experiments.runner import get_market, round_matrix
 from repro.market.config import MarketConfig
 from repro.market.engine import BargainingEngine
@@ -26,7 +32,10 @@ from repro.market.pricing import QuotedPrice
 from repro.market.strategies.imperfect import ImperfectDataParty, ImperfectTaskParty
 from repro.utils.rng import spawn
 
-__all__ = ["figure1_series", "figure23_series", "figure4_series"]
+__all__ = ["figure1_series", "figure23_series", "figure4_series", "write_figure_csvs"]
+
+#: The per-round panels of Figures 2/3, in panel order.
+_FIGURE23_FIELDS = ("net_profit", "payment", "delta_g")
 
 STRATEGY_VARIANTS: list[tuple[str, dict]] = [
     ("Strategic (Ours)", {}),
@@ -35,21 +44,18 @@ STRATEGY_VARIANTS: list[tuple[str, dict]] = [
 ]
 
 
-def figure1_series(
-    quote: QuotedPrice | None = None,
-    *,
-    utility_rate: float = 20.0,
-    n_grid: int = 200,
-) -> dict[str, np.ndarray]:
+def figure1_series() -> dict[str, np.ndarray]:
     """Figure 1: the payment function and net profit vs ΔG.
 
-    Defaults reproduce the paper's qualitative panels: payment is flat
-    at ``P0``, linear, then capped at ``Ph``; net profit crosses zero at
-    ``P0/(u − p)`` and keeps climbing past the turning point.
+    The quote (``p = 10``, ``P0 = 1``, ``Ph = 3``) and utility rate
+    (``u = 20``) reproduce the paper's qualitative panels: payment is
+    flat at ``P0``, linear, then capped at ``Ph``; net profit crosses
+    zero at ``P0/(u − p)`` and keeps climbing past the turning point.
     """
-    quote = quote or QuotedPrice(rate=10.0, base=1.0, cap=3.0)
+    quote = QuotedPrice(rate=10.0, base=1.0, cap=3.0)
+    utility_rate = 20.0
     hi = quote.turning_point * 2.0
-    grid = np.linspace(-0.25 * hi, hi, n_grid)
+    grid = np.linspace(-0.25 * hi, hi, 200)
     payment = np.array([quote.payment(g) for g in grid])
     profit = np.array([task_net_profit(quote, g, utility_rate) for g in grid])
     return {
@@ -91,7 +97,7 @@ def figure23_series(dataset: str, base_model: str, *, seed: int = 0) -> dict:
     for label, kwargs in STRATEGY_VARIANTS:
         outcomes = results[label]
         curves = {}
-        for field in ("net_profit", "payment", "delta_g"):
+        for field in _FIGURE23_FIELDS:
             matrix = round_matrix(outcomes, field, max_round=max_round)
             mean, half, alive = nan_mean_ci(matrix)
             curves[field] = {"mean": mean, "ci": half, "alive": alive}
@@ -175,3 +181,50 @@ def figure4_series(dataset: str, base_model: str, *, seed: int = 0) -> dict:
         "data_mse": data_mean,
         "data_ci": data_ci,
     }
+
+
+def write_figure_csvs(number: int, fig: dict, out_dir: str) -> None:
+    """Write figure ``number``'s series (as its builder returned them)
+    under ``out_dir``.
+
+    * Figure 1: ``fig1.csv`` (ΔG grid, payment, net profit);
+    * Figures 2/3: ``fig<n>_<dataset>_<field>.csv`` per panel (round,
+      each variant's mean, then each variant's CI half-width) and
+      ``fig<n>_<dataset>_density_<variant>.csv`` per variant (the rate
+      and base density grids);
+    * Figure 4: ``fig4_<dataset>_<base model>.csv`` (round, both
+      parties' MSE and CI half-width).
+    """
+    if number == 1:
+        write_csv(os.path.join(out_dir, "fig1.csv"),
+                  ["delta_g", "payment", "net_profit"],
+                  [fig["delta_g"], fig["payment"], fig["net_profit"]])
+        return
+    if number == 4:
+        write_csv(
+            os.path.join(out_dir, f"fig4_{fig['dataset']}_{fig['base_model']}.csv"),
+            ["round", "task_mse", "task_ci", "data_mse", "data_ci"],
+            [fig["rounds"], fig["task_mse"], fig["task_ci"], fig["data_mse"],
+             fig["data_ci"]],
+        )
+        return
+    tag = os.path.join(out_dir, f"fig{number}_{fig['dataset']}")
+    variants = fig["variants"]
+    for field in _FIGURE23_FIELDS:
+        curves = [variant["curves"][field] for variant in variants.values()]
+        write_csv(
+            f"{tag}_{field}.csv",
+            ["round"] + [f"{label} mean" for label in variants]
+            + [f"{label} ci" for label in variants],
+            [np.arange(1, fig["max_round"] + 1)]
+            + [curve["mean"] for curve in curves]
+            + [curve["ci"] for curve in curves],
+        )
+    for label, variant in variants.items():
+        grid_r, dens_r = variant["rate_density"]
+        grid_b, dens_b = variant["base_density"]
+        write_csv(
+            f"{tag}_density_{label.split()[0].lower()}.csv",
+            ["p_grid", "p_density", "P0_grid", "P0_density"],
+            [grid_r, dens_r, grid_b, dens_b],
+        )

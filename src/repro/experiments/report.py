@@ -44,12 +44,15 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
+#: Rows of an :func:`ascii_chart` plot area.
+_CHART_HEIGHT = 14
+
+
 def ascii_chart(
     series: dict[str, np.ndarray],
     *,
     title: str = "",
     width: int = 72,
-    height: int = 14,
     x_label: str = "round",
 ) -> str:
     """Multi-series ASCII line chart (one glyph per series).
@@ -65,7 +68,7 @@ def ascii_chart(
     lo, hi = float(finite.min()), float(finite.max())
     if hi - lo < 1e-12:
         hi = lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * width for _ in range(_CHART_HEIGHT)]
     max_len = max(len(np.asarray(v)) for v in series.values())
     for s_idx, (name, values) in enumerate(series.items()):
         values = np.asarray(values, dtype=float)
@@ -75,7 +78,7 @@ def ascii_chart(
             if src >= len(values) or not np.isfinite(values[src]):
                 continue
             frac = (values[src] - lo) / (hi - lo)
-            row = height - 1 - int(round(frac * (height - 1)))
+            row = _CHART_HEIGHT - 1 - int(round(frac * (_CHART_HEIGHT - 1)))
             grid[row][col] = glyph
     lines = []
     if title:

@@ -64,32 +64,24 @@ def sample_bundles(
     n_bundles: int,
     *,
     rng: object = None,
-    min_size: int = 1,
-    max_size: int | None = None,
-    include_full: bool = True,
 ) -> list[FeatureBundle]:
     """Size-stratified random catalogue of distinct bundles.
 
-    Sizes are drawn uniformly from ``[min_size, max_size]`` so the
-    catalogue spans cheap single-feature offers through rich bundles;
-    ``include_full`` adds the all-features bundle (the party-level
-    trade current practice would sell, §1).
+    The first bundle holds every feature (the party-level trade current
+    practice would sell, §1); the others draw their size uniformly from
+    ``[1, n_features]``, so the catalogue spans cheap single-feature
+    offers through rich bundles.
     """
     require(n_features >= 1, "n_features must be >= 1")
     require(n_bundles >= 1, "n_bundles must be >= 1")
-    max_size = n_features if max_size is None else min(max_size, n_features)
-    require(1 <= min_size <= max_size, "need 1 <= min_size <= max_size")
     gen = as_generator(rng)
-    seen: set[tuple[int, ...]] = set()
-    bundles: list[FeatureBundle] = []
-    if include_full:
-        full = FeatureBundle.of(range(n_features))
-        seen.add(full.indices)
-        bundles.append(full)
+    full = FeatureBundle.of(range(n_features))
+    seen: set[tuple[int, ...]] = {full.indices}
+    bundles: list[FeatureBundle] = [full]
     attempts = 0
     while len(bundles) < n_bundles and attempts < 200 * n_bundles:
         attempts += 1
-        size = int(gen.integers(min_size, max_size + 1))
+        size = int(gen.integers(1, n_features + 1))
         combo = tuple(sorted(gen.choice(n_features, size=size, replace=False)))
         if combo in seen:
             continue

@@ -118,7 +118,6 @@ class Market:
                 n_data_features,
                 n_bundles,
                 rng=spawn(seed, spec.dataset, "bundles"),
-                min_size=1,
             )
             params = BASE_MODELS.get(spec.base_model).preset_params(preset)
             if spec.model_params:
@@ -185,7 +184,6 @@ class Market:
             _SYNTHETIC_N_FEATURES,
             n_bundles,
             rng=spawn(seed, name, "bundles"),
-            min_size=1,
         )
         gains = synthetic_gains(
             np.array([b.size for b in bundles], dtype=float),

@@ -225,8 +225,8 @@ class MemoisedOracle:
 
     ``query_count``/``hit_count`` expose how much platform work the
     cache saved (the :class:`repro.simulate.SessionPool` reports them).
-    The wrapper satisfies the same query interface as
-    :class:`PerformanceOracle` and proxies its catalogue attributes.
+    The wrapper answers only ``delta_g``, the one query a bargaining
+    engine makes; catalogue reads go to the inner oracle.
     """
 
     def __init__(self, inner: PerformanceOracle):
@@ -245,33 +245,6 @@ class MemoisedOracle:
         self._cache[bundle] = value
         return value
 
-    def gains(self) -> dict[FeatureBundle, float]:
-        """Materialise (and fully cache) the inner catalogue."""
-        full = self.inner.gains()
-        self._cache.update(full)
-        return full
-
     def queried_bundles(self) -> list[FeatureBundle]:
         """Every distinct bundle answered so far (cached keys)."""
         return list(self._cache)
-
-    @property
-    def bundles(self) -> list[FeatureBundle]:
-        return self.inner.bundles
-
-    @property
-    def max_gain(self) -> float:
-        return self.inner.max_gain
-
-    @property
-    def min_gain(self) -> float:
-        return self.inner.min_gain
-
-    def best_bundle(self) -> FeatureBundle:
-        return self.inner.best_bundle()
-
-    def quantile_gain(self, q: float) -> float:
-        return self.inner.quantile_gain(q)
-
-    def __len__(self) -> int:
-        return len(self.inner)

@@ -39,7 +39,10 @@ from repro.utils.validation import require
 __all__ = ["LearnedTaskParty"]
 
 #: Concession arms: fraction of the remaining budget conceded per round.
-_DEFAULT_ARMS = (0.02, 0.05, 0.10, 0.20, 0.40)
+_ARMS = (0.02, 0.05, 0.10, 0.20, 0.40)
+
+#: Exploration probability of the ε-greedy arm choice.
+_EPSILON = 0.2
 
 
 class LearnedTaskParty(TaskStrategy):
@@ -52,10 +55,6 @@ class LearnedTaskParty(TaskStrategy):
         as for the strategic buyer).
     known_gains:
         The platform-disclosed gain catalogue (values only).
-    arms:
-        Candidate concession fractions of the remaining budget.
-    epsilon:
-        Exploration probability of the ε-greedy arm choice.
     """
 
     def __init__(
@@ -63,17 +62,11 @@ class LearnedTaskParty(TaskStrategy):
         config: MarketConfig,
         known_gains: list[float],
         *,
-        arms: tuple[float, ...] = _DEFAULT_ARMS,
-        epsilon: float = 0.2,
         rng: object = None,
     ):
         require(bool(known_gains), "perfect information requires the gain catalogue")
-        require(all(0 < a <= 1 for a in arms), "arms must be fractions in (0, 1]")
-        require(0.0 <= epsilon <= 1.0, "epsilon must be in [0, 1]")
         self.config = config
         self.rng = as_generator(rng)
-        self.arms = tuple(arms)
-        self.epsilon = float(epsilon)
         if config.target_gain is not None:
             self.target = float(config.target_gain)
         else:
@@ -87,8 +80,8 @@ class LearnedTaskParty(TaskStrategy):
         self._break_even = break_even_gain(config.initial_rate, config.initial_base,
                                            config.utility_rate)
         # Bandit state: average reward (ΔG gained per unit cap) per arm.
-        self._arm_value = np.zeros(len(self.arms))
-        self._arm_count = np.zeros(len(self.arms))
+        self._arm_value = np.zeros(len(_ARMS))
+        self._arm_count = np.zeros(len(_ARMS))
         self._last_arm: int | None = None
         self._last_gain: float | None = None
         self._last_cap: float | None = None
@@ -119,8 +112,8 @@ class LearnedTaskParty(TaskStrategy):
         unexplored = np.flatnonzero(self._arm_count == 0)
         if unexplored.size:
             return int(unexplored[0])
-        if float(self.rng.random()) < self.epsilon:
-            return int(self.rng.integers(0, len(self.arms)))
+        if float(self.rng.random()) < _EPSILON:
+            return int(self.rng.integers(0, len(_ARMS)))
         return int(np.argmax(self._arm_value))
 
     def decide(
@@ -139,7 +132,7 @@ class LearnedTaskParty(TaskStrategy):
         headroom = cfg.budget - quote.cap
         arm = self._pick_arm()
         self._last_arm = arm
-        cap = quote.cap + self.arms[arm] * headroom
+        cap = quote.cap + _ARMS[arm] * headroom
         rate_high = min(cfg.utility_rate, (cap - cfg.initial_base) / self.target)
         if rate_high <= cfg.initial_rate:
             return TaskDecision(Decision.ACCEPT)

@@ -27,8 +27,17 @@ import numpy as np
 
 from repro.data.partition import PartitionedDataset
 from repro.market.bundle import FeatureBundle
-from repro.utils.validation import check_positive, require
+from repro.utils.validation import require
 from repro.vfl.runner import isolated_performance, run_vfl
+
+#: Reports more than this many (estimated) standard deviations *below*
+#: the measured mean are flagged.  One-sided: over-reports hurt the
+#: task party itself, so only under-reporting is policed.
+_Z_THRESHOLD = 3.0
+
+#: Floor on the measured spread, so a bundle whose re-trainings agree
+#: exactly still tolerates floating-point wobble.
+_MIN_TOLERANCE = 5e-3
 
 __all__ = ["AuditResult", "TrustedEvaluator", "under_report"]
 
@@ -69,10 +78,6 @@ class TrustedEvaluator:
     n_repeats:
         Independent re-trainings per audit; their spread calibrates the
         tolerance.
-    z_threshold:
-        Reports more than this many (estimated) standard deviations
-        *below* the measured mean are flagged.  One-sided: over-reports
-        hurt the task party itself, so only under-reporting is policed.
     """
 
     def __init__(
@@ -82,8 +87,6 @@ class TrustedEvaluator:
         base_model: str = "random_forest",
         model_params: dict | None = None,
         n_repeats: int = 3,
-        z_threshold: float = 3.0,
-        min_tolerance: float = 5e-3,
         seed: object = 1234,
     ):
         require(n_repeats >= 2, "auditing needs >= 2 repeats to estimate spread")
@@ -91,8 +94,6 @@ class TrustedEvaluator:
         self.base_model = base_model
         self.model_params = model_params
         self.n_repeats = int(n_repeats)
-        self.z_threshold = check_positive(z_threshold, "z_threshold")
-        self.min_tolerance = check_positive(min_tolerance, "min_tolerance")
         self.seed = seed
         self._cache: dict[FeatureBundle, tuple[float, float]] = {}
 
@@ -126,7 +127,7 @@ class TrustedEvaluator:
     def audit(self, bundle: FeatureBundle, reported_gain: float) -> AuditResult:
         """Check a reported ΔG against independent re-measurements."""
         mean, std = self.measure(bundle)
-        scale = max(std, self.min_tolerance)
+        scale = max(std, _MIN_TOLERANCE)
         z = (reported_gain - mean) / scale
         return AuditResult(
             bundle=bundle,
@@ -134,5 +135,5 @@ class TrustedEvaluator:
             measured_mean=mean,
             measured_std=std,
             z_score=float(z),
-            verified=bool(z >= -self.z_threshold),
+            verified=bool(z >= -_Z_THRESHOLD),
         )

@@ -29,9 +29,6 @@ class RandomForestClassifier:
         Forwarded to each :class:`~repro.ml.tree.DecisionTreeClassifier`.
     max_features:
         Per-node feature subsample; default ``"sqrt"`` (standard RF).
-    bootstrap:
-        Draw each tree's rows with replacement (disable for bagging-free
-        ensembles in tests).
     rng:
         Seed/generator; per-tree streams are split deterministically.
     """
@@ -44,7 +41,6 @@ class RandomForestClassifier:
         min_samples_leaf: int = 2,
         max_features: int | str | None = "sqrt",
         max_bins: int = 32,
-        bootstrap: bool = True,
         rng: object = None,
     ):
         require(n_estimators >= 1, "n_estimators must be >= 1")
@@ -53,7 +49,6 @@ class RandomForestClassifier:
         self.min_samples_leaf = int(min_samples_leaf)
         self.max_features = max_features
         self.max_bins = int(max_bins)
-        self.bootstrap = bool(bootstrap)
         self.rng = as_generator(rng)
         self.trees_: list[DecisionTreeClassifier] = []
 
@@ -73,10 +68,7 @@ class RandomForestClassifier:
                 max_bins=self.max_bins,
                 rng=tree_rng,
             )
-            if self.bootstrap:
-                indices = tree_rng.integers(0, n, size=n)
-            else:
-                indices = None
+            indices = tree_rng.integers(0, n, size=n)
             tree.fit_binned(design, y, sample_indices=indices)
             self.trees_.append(tree)
         return self

@@ -200,8 +200,8 @@ class DecisionTreeClassifier:
     ----------
     max_depth:
         Maximum tree depth (root = depth 0).
-    min_samples_split / min_samples_leaf:
-        Pre-pruning thresholds.
+    min_samples_leaf:
+        Pre-pruning threshold: the fewest rows a child may hold.
     max_features:
         Per-node feature subsample: ``None`` (all), ``"sqrt"``, or an int.
     max_bins:
@@ -214,17 +214,14 @@ class DecisionTreeClassifier:
         self,
         *,
         max_depth: int = 8,
-        min_samples_split: int = 2,
         min_samples_leaf: int = 1,
         max_features: int | str | None = None,
         max_bins: int = 32,
         rng: object = None,
     ):
         require(max_depth >= 1, "max_depth must be >= 1")
-        require(min_samples_split >= 2, "min_samples_split must be >= 2")
         require(min_samples_leaf >= 1, "min_samples_leaf must be >= 1")
         self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
         self.min_samples_leaf = int(min_samples_leaf)
         self.max_features = max_features
         self.max_bins = int(max_bins)
@@ -295,7 +292,7 @@ class DecisionTreeClassifier:
             self.value_[node] = pos / n_node
             if (
                 depth >= self.max_depth
-                or n_node < self.min_samples_split
+                or n_node < 2
                 or pos == 0.0
                 or pos == n_node
                 or n_bins <= 1

@@ -63,7 +63,6 @@ class FastForestCourse:
         max_depth: int = 8,
         min_samples_leaf: int = 2,
         max_features: int | str | None = "sqrt",
-        bootstrap: bool = True,
         rng: object = None,
     ):
         require(n_estimators >= 1, "n_estimators must be >= 1")
@@ -74,7 +73,6 @@ class FastForestCourse:
         self.max_depth = int(max_depth)
         self.min_samples_leaf = int(min_samples_leaf)
         self.max_features = max_features
-        self.bootstrap = bool(bootstrap)
         self.rng = as_generator(rng)
         self.trees_: list[tuple[np.ndarray, ...]] = []
 
@@ -106,15 +104,11 @@ class FastForestCourse:
         # (feature, bin, label) cells of both histograms at once.
         codes64 = design.codes.astype(np.int64)
         labeled = codes64 + (self.y_bool.astype(np.int64) * block)[:, None]
-        base_rows = np.arange(n, dtype=np.int64)
         trees = []
         with np.errstate(divide="ignore", invalid="ignore"):
             for t in range(self.n_estimators):
                 tree_rng = spawn(self.rng, "tree", t)
-                if self.bootstrap:
-                    rows0 = tree_rng.integers(0, n, size=n)
-                else:
-                    rows0 = base_rows
+                rows0 = tree_rng.integers(0, n, size=n)
                 pos_root = int(self.y_bool[rows0].sum())
                 feature_: list[int] = []
                 bin_: list[int] = []

@@ -102,13 +102,3 @@ class SharedDesigns:
     def course_test_codes(self, bundle: object | None) -> np.ndarray:
         """Pre-binned test rows (prediction semantics) for the course."""
         return np.ascontiguousarray(self.test_codes[:, self._columns(bundle)])
-
-    def data_design(self, bundle: object) -> BinnedDesign:
-        """The data party's bundle design (for the federated protocol path)."""
-        idx = np.asarray(list(bundle), dtype=np.int64)
-        require(idx.size >= 1, "bundle must contain at least one feature")
-        return slice_design(self.joint_design, self.d_task + idx)
-
-    def task_design(self) -> BinnedDesign:
-        """The task party's own design (shared across every course)."""
-        return slice_design(self.joint_design, np.arange(self.d_task))

@@ -54,6 +54,7 @@ from repro.security.paillier import (
     generate_keypair,
 )
 from repro.security.secure_compare import (
+    BLIND_RANGE,
     BlindedComparison,
     encrypted_gain,
     secure_payment,
@@ -87,8 +88,6 @@ _GAIN_MANT_MAX = 10 * FLOAT_SCALE
 #: evaluator knows it and subtracts ``coeff · _GAIN_OFFSET`` from its
 #: plaintext correction.
 _GAIN_OFFSET = 2 * FLOAT_SCALE
-
-_DEFAULT_BLIND_RANGE = (1.0, 1000.0)
 
 #: Settlement telemetry (monotonic timings only — this module is
 #: digest-bearing, and settled payments must stay bit-identical with
@@ -289,7 +288,6 @@ def secure_threshold_check_batch(
     *,
     rng: object = None,
     pool: ObfuscationPool | None = None,
-    blind_range: tuple[float, float] = _DEFAULT_BLIND_RANGE,
 ) -> list[BlindedComparison]:
     """``ΔG_i >= t_i`` for a whole round of sessions, packed.
 
@@ -303,7 +301,7 @@ def secure_threshold_check_batch(
         pool = ObfuscationPool(public_key, rng=gen)
     mantissas = [_quantise_gain(g) for g in gains]
     t_mants = [_quantise(t) for t in thresholds]
-    blinds = [_quantise(float(gen.uniform(*blind_range))) for _ in gains]
+    blinds = [_quantise(float(gen.uniform(*BLIND_RANGE))) for _ in gains]
     values = _packed_affine(
         mantissas,
         blinds,
@@ -395,17 +393,13 @@ def secure_threshold_check_serial_reference(
     private_key: PaillierPrivateKey,
     *,
     rng: object = None,
-    blind_range: tuple[float, float] = _DEFAULT_BLIND_RANGE,
 ) -> list[BlindedComparison]:
     """The seed serial path, looped: one encrypt + check per session."""
     gen = as_generator(rng)
     out = []
     for gain, threshold in zip(gains, thresholds):
         enc = encrypted_gain(float(gain), public_key, rng=gen)
-        out.append(secure_threshold_check(
-            enc, float(threshold), private_key,
-            rng=gen, blind_range=blind_range,
-        ))
+        out.append(secure_threshold_check(enc, float(threshold), private_key, rng=gen))
     return out
 
 
@@ -441,8 +435,7 @@ class SecureSettlement:
     batch — which is what keeps sharded secure reports digest-equal.
     """
 
-    def __init__(self, *, seed: int = 0, key_bits: int = 256,
-                 pool_size: int = 32):
+    def __init__(self, *, seed: int = 0, key_bits: int = 256):
         require(key_bits >= 64, "key_bits must be >= 64")
         self.seed = int(seed)
         self.key_bits = int(key_bits)
@@ -450,8 +443,7 @@ class SecureSettlement:
             bits=self.key_bits, seed=self.seed
         )
         self.pool = ObfuscationPool(
-            self.public_key, size=pool_size,
-            rng=spawn(self.seed, "paillier-pool", self.key_bits),
+            self.public_key, rng=spawn(self.seed, "paillier-pool", self.key_bits)
         )
         self._lock = threading.Lock()
         self.settled_sessions = 0

@@ -34,6 +34,9 @@ from repro.utils.validation import require
 
 __all__ = ["BlindedComparison", "secure_payment", "secure_threshold_check"]
 
+#: Range of the uniform multiplicative blind ``s`` (serial and batched).
+BLIND_RANGE = (1.0, 1000.0)
+
 
 @dataclass(frozen=True)
 class BlindedComparison:
@@ -54,7 +57,6 @@ def secure_threshold_check(
     private_key: PaillierPrivateKey,
     *,
     rng: object = None,
-    blind_range: tuple[float, float] = (1.0, 1000.0),
 ) -> BlindedComparison:
     """Decide ``ΔG >= threshold`` from ``Enc(ΔG)`` with a blinded sign test.
 
@@ -63,7 +65,7 @@ def secure_threshold_check(
     the key holder, who learns only the sign.
     """
     gen = as_generator(rng)
-    blind = float(gen.uniform(*blind_range))
+    blind = float(gen.uniform(*BLIND_RANGE))
     masked = (enc_gain - threshold) * blind
     revealed = float(private_key.decrypt(masked))
     return BlindedComparison(result=revealed >= 0.0, blinded_value=revealed)

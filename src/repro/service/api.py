@@ -291,9 +291,6 @@ class JobService:
             payload["report"] = json_safe(record.report)
         return payload
 
-    def jobs(self) -> list[dict]:
-        return [record.progress() for record in self.store.jobs()]
-
     def page(self, *, limit: int = 100, after: str | None = None) -> dict:
         """One page of job listings, ordered by job id (deterministic).
 

@@ -31,7 +31,7 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generic, ItemsView, TypeVar
+from typing import Callable, Generic, TypeVar
 
 from repro.market.config import MarketConfig
 from repro.market.costs import (
@@ -138,12 +138,6 @@ class Registry(Generic[T]):
     def __contains__(self, name: object) -> bool:
         return name in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def items(self) -> ItemsView[str, T]:
-        return self._entries.items()
-
 
 # ----------------------------------------------------------------------
 # Datasets
@@ -237,15 +231,14 @@ class BaseModelEntry:
 
     * ``isolated(dataset, params, rng) -> float`` — train the task
       party alone, return its test score (``M0``).
-    * ``joint(dataset, bundle, params, rng, *, channel, task_design,
-      data_design) -> float`` — run the federated protocol on
-      ``bundle``, return the joint test score (``M``).
+    * ``joint(dataset, bundle, params, rng, *, channel) -> float`` — run
+      the federated protocol on ``bundle`` over ``channel`` (a fresh
+      :class:`~repro.vfl.channel.Channel` per course, whose traffic
+      ``run_vfl`` reports), return the joint test score (``M``).
 
     ``defaults`` are the protocol's model parameters (``None`` accepts
-    arbitrary overrides verbatim); ``supports_designs`` marks models
-    whose joint builder consumes the oracle factory's pre-binned
-    designs.  Entries without builders can still calibrate presets but
-    cannot run VFL courses.
+    arbitrary overrides verbatim).  Entries without builders can still
+    calibrate presets but cannot run VFL courses.
     """
 
     name: str
@@ -253,7 +246,6 @@ class BaseModelEntry:
     defaults: dict | None = None
     isolated: Callable | None = None
     joint: Callable | None = None
-    supports_designs: bool = False
 
     def preset_params(self, preset: MarketPreset) -> dict:
         """The preset's model-parameter overrides for this base model."""
@@ -272,17 +264,20 @@ def register_base_model(
     defaults: dict | None = None,
     isolated: Callable | None = None,
     joint: Callable | None = None,
-    supports_designs: bool = False,
     overwrite: bool = False,
 ) -> BaseModelEntry:
-    """Register a base model (with course builders, runnable end to end)."""
+    """Register a base model (with course builders, runnable end to end).
+
+    ``isolated`` and ``joint`` follow the :class:`BaseModelEntry`
+    contract; the oracle factory trains the built-in ``random_forest``
+    on its own pre-binned kernel and every other model through them.
+    """
     entry = BaseModelEntry(
         name=name,
         preset_params_attr=preset_params_attr,
         defaults=dict(defaults) if defaults is not None else None,
         isolated=isolated,
         joint=joint,
-        supports_designs=supports_designs,
     )
     BASE_MODELS.register(name, entry, overwrite=overwrite)
     return entry

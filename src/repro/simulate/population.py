@@ -343,7 +343,6 @@ def sample_population(
             spec.n_features,
             spec.n_bundles,
             rng=spawn(seed, "population", "bundles"),
-            min_size=1,
         )
         sizes = np.array([b.size for b in bundles], dtype=float)
         gains = synthetic_gains(

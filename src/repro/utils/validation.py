@@ -56,15 +56,10 @@ def check_positive(value: float, name: str) -> float:
     return float(value)
 
 
-def check_in_range(
-    value: float, name: str, low: float, high: float, *, inclusive: bool = True
-) -> float:
-    """Raise unless ``low <= value <= high`` (or strict, if not inclusive)."""
+def check_in_range(value: float, name: str, low: float, high: float) -> float:
+    """Raise unless ``low <= value <= high``."""
     value = float(value)
-    if inclusive:
-        require(low <= value <= high, f"{name} must be in [{low}, {high}], got {value}")
-    else:
-        require(low < value < high, f"{name} must be in ({low}, {high}), got {value}")
+    require(low <= value <= high, f"{name} must be in [{low}, {high}], got {value}")
     return value
 
 

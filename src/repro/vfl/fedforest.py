@@ -54,29 +54,13 @@ class _DataPartySplitService:
     opaque node uids to (local feature, threshold) pairs.
     """
 
-    def __init__(
-        self,
-        data_party: DataParty,
-        bundle: np.ndarray,
-        max_bins: int,
-        *,
-        design: BinnedDesign | None = None,
-    ):
+    def __init__(self, data_party: DataParty, bundle: np.ndarray, max_bins: int):
         self.party = data_party
         self.bundle = bundle
         self.X_bundle = data_party.bundle_view(bundle)
-        if design is None:
-            design = quantile_bin(
-                self.X_bundle[data_party.train_idx], max_bins=max_bins
-            )
-        else:
-            # A pre-binned design (a column slice of the party's full
-            # binned matrix — exact, since quantile edges are per-column).
-            require(
-                design.n_features == bundle.shape[0],
-                "pre-binned data design column count must match the bundle",
-            )
-        self.design = design
+        self.design = quantile_bin(
+            self.X_bundle[data_party.train_idx], max_bins=max_bins
+        )
         self.split_table: dict[int, tuple[int, float]] = {}
 
     def histograms(
@@ -111,13 +95,11 @@ class FederatedTree:
         self,
         *,
         max_depth: int = 8,
-        min_samples_split: int = 2,
         min_samples_leaf: int = 1,
         max_features: int | str | None = None,
         rng: object = None,
     ):
         self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
         self.min_samples_leaf = int(min_samples_leaf)
         self.max_features = max_features
         self.rng = as_generator(rng)
@@ -140,13 +122,10 @@ class FederatedTree:
         channel: Channel,
         *,
         tree_uid_base: int,
-        sample_indices: np.ndarray | None = None,
+        sample_indices: np.ndarray,
     ) -> "FederatedTree":
         """Grow the tree over the channel; mirrors the centralised CART."""
-        y_all = task.y_train
-        if sample_indices is None:
-            sample_indices = np.arange(y_all.shape[0])
-        y = y_all[sample_indices]
+        y = task.y_train[sample_indices]
         d_task = task_design.n_features
         d_data = service.design.n_features
         d = d_task + d_data
@@ -181,7 +160,7 @@ class FederatedTree:
             self.value_[node] = pos / n_node
             if (
                 depth >= self.max_depth
-                or n_node < self.min_samples_split
+                or n_node < 2
                 or pos == 0.0
                 or pos == n_node
                 or n_bins <= 1
@@ -283,8 +262,7 @@ class FederatedTree:
 class FederatedForest:
     """Bagged federated trees; drop-in VFL counterpart of the RF base model.
 
-    With ``max_features=None`` and ``bootstrap=False`` (or matching
-    seeds) the fitted ensemble equals the centralised
+    With matching seeds the fitted ensemble equals the centralised
     :class:`~repro.ml.forest.RandomForestClassifier` on the concatenated
     features — the protocol is lossless.
     """
@@ -297,7 +275,6 @@ class FederatedForest:
         min_samples_leaf: int = 2,
         max_features: int | str | None = "sqrt",
         max_bins: int = 32,
-        bootstrap: bool = True,
         rng: object = None,
     ):
         require(n_estimators >= 1, "n_estimators must be >= 1")
@@ -306,7 +283,6 @@ class FederatedForest:
         self.min_samples_leaf = int(min_samples_leaf)
         self.max_features = max_features
         self.max_bins = int(max_bins)
-        self.bootstrap = bool(bootstrap)
         self.rng = as_generator(rng)
         self.trees_: list[FederatedTree] = []
         self._service: _DataPartySplitService | None = None
@@ -318,29 +294,12 @@ class FederatedForest:
         data: DataParty,
         bundle: object,
         channel: Channel,
-        *,
-        task_design: BinnedDesign | None = None,
-        data_design: BinnedDesign | None = None,
     ) -> "FederatedForest":
-        """Train the forest over the channel on the given feature bundle.
-
-        ``task_design``/``data_design`` let callers that run many
-        courses (the oracle factory) bin each party's full matrix once
-        and pass per-course column slices instead of re-binning here;
-        the fitted forest is identical either way.
-        """
+        """Train the forest over the channel on the given feature bundle."""
         bundle = np.asarray(list(bundle), dtype=np.int64)
         require(bundle.size >= 1, "bundle must contain at least one feature")
-        service = _DataPartySplitService(
-            data, bundle, self.max_bins, design=data_design
-        )
-        if task_design is None:
-            task_design = quantile_bin(task.X_train, max_bins=self.max_bins)
-        else:
-            require(
-                task_design.n_features == task.d,
-                "pre-binned task design column count must match the task party",
-            )
+        service = _DataPartySplitService(data, bundle, self.max_bins)
+        task_design = quantile_bin(task.X_train, max_bins=self.max_bins)
         n = task.y_train.shape[0]
         self.trees_ = []
         for t in range(self.n_estimators):
@@ -352,7 +311,7 @@ class FederatedForest:
                 max_features=self.max_features,
                 rng=tree_rng,
             )
-            indices = tree_rng.integers(0, n, size=n) if self.bootstrap else None
+            indices = tree_rng.integers(0, n, size=n)
             tree.fit(
                 task,
                 service,

@@ -150,8 +150,6 @@ def _rf_joint(
     rng,
     *,
     channel: Channel,
-    task_design: object = None,
-    data_design: object = None,
 ) -> float:
     task, data = parties_from_dataset(dataset)
     forest = FederatedForest(
@@ -162,14 +160,7 @@ def _rf_joint(
         max_bins=params["max_bins"],
         rng=rng,
     )
-    forest.fit(
-        task,
-        data,
-        bundle,
-        channel,
-        task_design=task_design,
-        data_design=data_design,
-    )
+    forest.fit(task, data, bundle, channel)
     return forest.score(task.test_idx, task.y_test.astype(np.int64), channel)
 
 
@@ -180,8 +171,6 @@ def _mlp_joint(
     rng,
     *,
     channel: Channel,
-    task_design: object = None,
-    data_design: object = None,
 ) -> float:
     task, data = parties_from_dataset(dataset)
     net = SplitNN(
@@ -206,14 +195,12 @@ BUILTIN_BASE_MODELS = {
         "defaults": _RF_DEFAULTS,
         "isolated": _rf_isolated,
         "joint": _rf_joint,
-        "supports_designs": True,
     },
     "mlp": {
         "preset_params_attr": "mlp_params",
         "defaults": _MLP_DEFAULTS,
         "isolated": _mlp_isolated,
         "joint": _mlp_joint,
-        "supports_designs": False,
     },
 }
 
@@ -247,10 +234,7 @@ def run_vfl(
     base_model: str = "random_forest",
     model_params: dict | None = None,
     seed: object = 0,
-    channel: Channel | None = None,
     m0: float | None = None,
-    task_design: object = None,
-    data_design: object = None,
 ) -> VFLResult:
     """Execute one VFL course and measure the performance gain.
 
@@ -267,19 +251,9 @@ def run_vfl(
         Overrides for the protocol defaults.
     seed:
         Root seed; isolated and joint models use disjoint streams.
-    channel:
-        Supply a channel to accumulate traffic across courses.
     m0:
         Pre-computed isolated performance (skips retraining the
         baseline — the bargaining engine caches it).
-    task_design / data_design:
-        Pre-binned :class:`~repro.ml.tree.BinnedDesign` objects for the
-        task party's training features and the data party's *bundle*
-        columns (training rows).  The oracle factory bins each party's
-        full matrix once and passes column slices here, skipping the
-        per-course re-bin; results are identical either way.  Only
-        meaningful for base models registered with
-        ``supports_designs=True``.
     """
     entry = _entry(base_model)
     require(
@@ -287,38 +261,16 @@ def run_vfl(
         f"base model {base_model!r} was registered without course "
         f"builders; pass isolated=/joint= to register_base_model",
     )
-    if not entry.supports_designs and (
-        task_design is not None or data_design is not None
-    ):
-        from repro.service import registry
-
-        supported = [
-            name
-            for name in registry.base_model_names()
-            if registry.BASE_MODELS.get(name).supports_designs
-        ]
-        raise ValueError(
-            f"pre-binned designs are not supported by base model "
-            f"{base_model!r} (design-capable: {supported})"
-        )
     bundle = tuple(int(i) for i in bundle)
     require(len(bundle) >= 1, "bundle must contain at least one feature")
-    channel = channel if channel is not None else Channel()
+    channel = Channel()
     if m0 is None:
         m0 = isolated_performance(
             dataset, base_model=base_model, model_params=model_params, seed=seed
         )
     params = resolve_model_params(base_model, model_params)
     rng = spawn(seed, dataset.name, base_model, "joint", bundle)
-    m = entry.joint(
-        dataset,
-        bundle,
-        params,
-        rng,
-        channel=channel,
-        task_design=task_design,
-        data_design=data_design,
-    )
+    m = entry.joint(dataset, bundle, params, rng, channel=channel)
     return VFLResult(
         bundle=bundle,
         base_model=base_model,

@@ -9,6 +9,7 @@ and Figure 4's pins equal the benches' (``bench_table3_cost.py``,
 """
 
 import functools
+import os
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.experiments import (
     security_overhead_rows,
     table3_rows,
     table4_rows,
+    write_figure_csvs,
 )
 from repro.experiments.tables import TABLE3_COSTS, TABLE3_EPSILONS
 from repro.utils.canonical import content_digest
@@ -150,13 +152,34 @@ class TestCli:
         assert "Table 4: imperfect vs perfect (titanic, random_forest)" in out
         assert "Net Profit" in out
 
-    def test_figure2(self, capsys):
-        assert main(["figure", "2", "--dataset", "titanic"]) == 0
+    def test_figure2(self, capsys, tmp_path):
+        assert main(["figure", "2", "--dataset", "titanic",
+                     "--csv-dir", str(tmp_path / "cli")]) == 0
         out = capsys.readouterr().out
         for field in ("net_profit", "payment", "delta_g"):
             assert f"Figure 2 (titanic, random_forest): {field}" in out
+        names = [f"fig2_titanic_{field}.csv"
+                 for field in ("net_profit", "payment", "delta_g")]
+        names += [f"fig2_titanic_density_{variant}.csv"
+                  for variant in ("strategic", "increase", "random")]
+        _assert_csvs_match_builder(2, _build("figure2", "titanic"), tmp_path, names)
 
-    def test_figure4(self, capsys):
-        assert main(["figure", "4", "--dataset", "titanic"]) == 0
+    def test_figure4(self, capsys, tmp_path):
+        assert main(["figure", "4", "--dataset", "titanic",
+                     "--csv-dir", str(tmp_path / "cli")]) == 0
         out = capsys.readouterr().out
         assert "Figure 4 (titanic, RF): estimator MSE" in out
+        _assert_csvs_match_builder(4, _build("figure4", "titanic"), tmp_path,
+                                   ["fig4_titanic_random_forest.csv"])
+
+
+def _assert_csvs_match_builder(number, fig, tmp_path, names):
+    """``repro figure N --csv-dir`` writes the files the benches write."""
+    write_figure_csvs(number, fig, str(tmp_path / "bench"))
+    names = sorted(names)
+    assert sorted(os.listdir(tmp_path / "bench")) == names
+    assert sorted(os.listdir(tmp_path / "cli")) == names
+    for name in names:
+        cli = (tmp_path / "cli" / name).read_text()
+        assert cli == (tmp_path / "bench" / name).read_text()
+        assert len(cli.splitlines()) > 2

@@ -46,21 +46,13 @@ class TestSampleBundles:
         assert len({b.indices for b in bundles}) == len(bundles)
 
     def test_includes_full_bundle(self):
-        bundles = sample_bundles(8, 10, rng=0, include_full=True)
+        bundles = sample_bundles(8, 10, rng=0)
         assert FeatureBundle.of(range(8)) in bundles
-
-    def test_excludes_full_when_asked(self):
-        bundles = sample_bundles(4, 5, rng=0, include_full=False, max_size=3)
-        assert FeatureBundle.of(range(4)) not in bundles
 
     def test_deterministic(self):
         a = sample_bundles(12, 8, rng=7)
         b = sample_bundles(12, 8, rng=7)
         assert a == b
-
-    def test_size_bounds_respected(self):
-        bundles = sample_bundles(12, 20, rng=1, min_size=2, max_size=5, include_full=False)
-        assert all(2 <= b.size <= 5 for b in bundles)
 
 
 @settings(max_examples=25, deadline=None)

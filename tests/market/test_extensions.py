@@ -18,6 +18,7 @@ from repro.market import (
     TrustedEvaluator,
     under_report,
 )
+from repro.market.verification import _MIN_TOLERANCE
 from repro.utils import spawn
 
 
@@ -46,7 +47,7 @@ class TestTrustedEvaluator:
     def test_under_reporting_detected(self, audit_setting):
         evaluator, bundle = audit_setting
         mean, std = evaluator.measure(bundle)
-        # Report a fraction small enough to sit > z_threshold sigmas
+        # Report a fraction small enough to sit > _Z_THRESHOLD sigmas
         # below the measurement (training stochasticity is real, so the
         # evaluator can only police fraud beyond the noise floor).
         dishonest = under_report(mean, fraction=0.0)
@@ -58,7 +59,7 @@ class TestTrustedEvaluator:
         """Reports within training stochasticity must not be flagged."""
         evaluator, bundle = audit_setting
         mean, std = evaluator.measure(bundle)
-        wobble = mean - 0.5 * max(std, evaluator.min_tolerance)
+        wobble = mean - 0.5 * max(std, _MIN_TOLERANCE)
         assert evaluator.audit(bundle, wobble).verified
 
     def test_over_reporting_not_policed(self, audit_setting):
@@ -155,8 +156,3 @@ class TestLearnedTaskParty:
         for cls in (LearnedTaskParty, StrategicTaskParty):
             party = cls(config, list(gains.values()), rng=spawn(0, "t"))
             assert party.decide(quote, 0.02, 1).decision is decision, cls
-
-    def test_arm_validation(self):
-        gains, _, config = ladder_market()
-        with pytest.raises(ValueError, match="fractions"):
-            LearnedTaskParty(config, list(gains.values()), arms=(0.0, 2.0))

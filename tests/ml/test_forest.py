@@ -47,13 +47,6 @@ class TestRandomForest:
         proba = RandomForestClassifier(10, rng=0).fit(X, y).predict_proba(X)
         assert proba.min() >= 0.0 and proba.max() <= 1.0
 
-    def test_no_bootstrap_trees_differ_only_by_features(self):
-        X, y = noisy_blobs(100)
-        forest = RandomForestClassifier(
-            4, bootstrap=False, max_features=2, rng=0
-        ).fit(X, y)
-        assert len(forest.trees_) == 4
-
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ValueError, match="fit"):
             RandomForestClassifier(2).predict(np.zeros((1, 2)))

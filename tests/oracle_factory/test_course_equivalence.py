@@ -14,7 +14,7 @@ from repro.market.oracle import PerformanceOracle
 from repro.ml.forest import RandomForestClassifier
 from repro.oracle_factory import FastForestCourse, SharedDesigns, build_oracle
 from repro.utils.rng import spawn
-from repro.vfl import Channel, run_vfl
+from repro.vfl import run_vfl
 
 PARAMS = {"n_estimators": 6, "max_depth": 6}
 
@@ -38,7 +38,6 @@ class TestFastCourseKernel:
             max_depth=kw.get("max_depth", 6),
             min_samples_leaf=kw.get("min_samples_leaf", 2),
             max_features=kw.get("max_features", "sqrt"),
-            bootstrap=kw.get("bootstrap", True),
             rng=spawn(seed, "course", tuple(bundle)),
         )
         rf.fit(Xtr, dataset.y_train.astype(np.float64))
@@ -52,7 +51,6 @@ class TestFastCourseKernel:
             max_depth=kw.get("max_depth", 6),
             min_samples_leaf=kw.get("min_samples_leaf", 2),
             max_features=kw.get("max_features", "sqrt"),
-            bootstrap=kw.get("bootstrap", True),
             rng=spawn(seed, "course", tuple(bundle)),
         )
         course.fit()
@@ -65,7 +63,7 @@ class TestFastCourseKernel:
             np.testing.assert_array_equal(p_fast, p_ref)
 
     def test_equal_without_feature_subsampling(self, dataset, shared):
-        kw = {"max_features": None, "bootstrap": False}
+        kw = {"max_features": None}
         p_fast = self._fast_proba(dataset, shared, (0, 1, 2), 3, **kw)
         p_ref = self._forest_proba(dataset, (0, 1, 2), 3, **kw)
         np.testing.assert_array_equal(p_fast, p_ref)
@@ -77,44 +75,10 @@ class TestFastCourseKernel:
         np.testing.assert_array_equal(p_fast, p_ref)
 
 
-class TestPrebinnedProtocolPath:
-    def test_run_vfl_with_shared_designs_identical(self, dataset, shared):
-        """The federated protocol accepts pre-binned designs and is
-        unchanged by them — the factory's shared slices are exact."""
-        bundle = (0, 3, 6)
-        plain = run_vfl(dataset, bundle, seed=5, m0=0.6)
-        pre = run_vfl(
-            dataset,
-            bundle,
-            seed=5,
-            m0=0.6,
-            task_design=shared.task_design(),
-            data_design=shared.data_design(bundle),
-        )
-        assert pre.performance_joint == plain.performance_joint
-        assert pre.channel_stats == plain.channel_stats
-
-    def test_mlp_rejects_designs(self, dataset, shared):
-        with pytest.raises(ValueError, match="random_forest"):
-            run_vfl(
-                dataset, (0,), base_model="mlp", seed=0, m0=0.6,
-                task_design=shared.task_design(),
-            )
-
-    def test_mismatched_design_rejected(self, dataset, shared):
-        with pytest.raises(ValueError, match="column count"):
-            run_vfl(
-                dataset, (0, 1), seed=0, m0=0.6,
-                data_design=shared.data_design((0, 1, 2)),
-            )
-
-
 class TestFactoryEquivalence:
     @pytest.fixture(scope="class")
     def catalogue(self, dataset):
-        return sample_bundles(
-            dataset.d_data, 6, rng=spawn(0, "cat"), min_size=1
-        )
+        return sample_bundles(dataset.d_data, 6, rng=spawn(0, "cat"))
 
     @pytest.fixture(scope="class")
     def reference(self, dataset, catalogue):
@@ -174,7 +138,6 @@ class TestFederatedCourseStillLossless:
         fed = run_vfl(
             dataset, bundle, seed=0, m0=m0,
             model_params={"n_estimators": 5, "max_depth": 5},
-            channel=Channel(),
         )
         course = FastForestCourse(
             shared.course_design(bundle),

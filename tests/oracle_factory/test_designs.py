@@ -75,12 +75,6 @@ class TestSharedDesigns:
         )
         assert shared.course_design(None).n_features == dataset.d_task
 
-    def test_data_design_matches_party_rebin(self, dataset, shared):
-        """The federated path's per-bundle design, from the same slice."""
-        bundle = (1, 4)
-        rebinned = quantile_bin(dataset.data_train[:, list(bundle)])
-        assert_designs_equal(shared.data_design(bundle), rebinned)
-
     def test_test_codes_use_prediction_semantics(self, dataset, shared):
         """side="left" codes: code <= b  <=>  x <= edges[b]."""
         codes = shared.course_test_codes(None)

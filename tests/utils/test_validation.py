@@ -64,10 +64,6 @@ class TestScalarChecks:
         with pytest.raises(ValueError):
             check_in_range(1.5, "x", 0.0, 1.0)
 
-    def test_check_in_range_exclusive(self):
-        with pytest.raises(ValueError):
-            check_in_range(0.0, "x", 0.0, 1.0, inclusive=False)
-
     def test_check_probability(self):
         assert check_probability(0.5) == 0.5
         with pytest.raises(ValueError):

@@ -24,8 +24,7 @@ def _forest_isolated(dataset, params, rng):
     return model.score(dataset.task_test, dataset.y_test)
 
 
-def _forest_joint(dataset, bundle, params, rng, *, channel,
-                  task_design=None, data_design=None):
+def _forest_joint(dataset, bundle, params, rng, *, channel):
     cols = list(bundle)
     X_train = np.hstack(
         [dataset.task_train, dataset.X_data[dataset.train_idx][:, cols]]
@@ -81,11 +80,6 @@ class TestRunnerDispatch:
         a = run_vfl(dataset, (0, 1), base_model="central_forest", seed=3, m0=0.6)
         b = run_vfl(dataset, (0, 1), base_model="central_forest", seed=3, m0=0.6)
         assert a.performance_joint == b.performance_joint
-
-    def test_designs_rejected_without_support(self, dataset):
-        with pytest.raises(ValueError, match="design-capable"):
-            run_vfl(dataset, (0,), base_model="central_forest", seed=0,
-                    m0=0.6, task_design=object())
 
     def test_builderless_entry_cannot_run_courses(self, dataset):
         register_base_model("name_only", overwrite=True)

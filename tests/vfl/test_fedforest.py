@@ -25,17 +25,15 @@ def centralized_proba(dataset, n_estimators, **kw):
 
 
 class TestLosslessness:
-    def test_deterministic_equivalence_no_randomness(self, setting):
-        """Without bootstrap/feature sampling the protocol is exactly lossless."""
+    def test_equivalence_without_feature_sampling(self, setting):
+        """With every feature at every node the protocol is exactly lossless."""
         dataset, task, data = setting
         ch = Channel()
-        ff = FederatedForest(
-            4, max_depth=5, max_features=None, bootstrap=False, rng=0
-        ).fit(task, data, range(dataset.d_data), ch)
-        p_fed = ff.predict_proba(dataset.test_idx, ch)
-        p_cen = centralized_proba(
-            dataset, 4, max_depth=5, max_features=None, bootstrap=False, rng=0
+        ff = FederatedForest(4, max_depth=5, max_features=None, rng=0).fit(
+            task, data, range(dataset.d_data), ch
         )
+        p_fed = ff.predict_proba(dataset.test_idx, ch)
+        p_cen = centralized_proba(dataset, 4, max_depth=5, max_features=None, rng=0)
         np.testing.assert_array_equal(p_fed, p_cen)
 
     def test_equivalence_with_bootstrap_and_feature_sampling(self, setting):
@@ -53,15 +51,14 @@ class TestLosslessness:
         dataset, task, data = setting
         bundle = (0, 2, 5)
         ch = Channel()
-        ff = FederatedForest(
-            3, max_depth=4, max_features=None, bootstrap=False, rng=1
-        ).fit(task, data, bundle, ch)
+        ff = FederatedForest(3, max_depth=4, max_features=None, rng=1).fit(
+            task, data, bundle, ch
+        )
         p_fed = ff.predict_proba(dataset.test_idx, ch)
         Xtr = np.hstack([dataset.task_train, dataset.data_train[:, list(bundle)]])
         Xte = np.hstack([dataset.task_test, dataset.data_test[:, list(bundle)]])
         rf = RandomForestClassifier(
-            3, max_depth=4, max_features=None, bootstrap=False,
-            min_samples_leaf=2, rng=1,
+            3, max_depth=4, max_features=None, min_samples_leaf=2, rng=1
         ).fit(Xtr, dataset.y_train.astype(float))
         np.testing.assert_array_equal(p_fed, rf.predict_proba(Xte))
 

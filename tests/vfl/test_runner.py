@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import load_titanic
-from repro.vfl import Channel, run_vfl
+from repro.vfl import run_vfl
 from repro.vfl.runner import isolated_performance
 
 
@@ -50,12 +50,11 @@ class TestRunVFL:
         )
         assert result.performance_isolated == 0.6
 
-    def test_channel_accumulates(self, dataset):
-        ch = Channel()
-        run_vfl(dataset, (0, 1), base_model="random_forest", seed=0, channel=ch, m0=0.6)
-        first = ch.stats()["messages"]
-        run_vfl(dataset, (0, 1), base_model="random_forest", seed=0, channel=ch, m0=0.6)
-        assert ch.stats()["messages"] == 2 * first
+    def test_each_course_reports_its_own_traffic(self, dataset):
+        first = run_vfl(dataset, (0, 1), base_model="random_forest", seed=0, m0=0.6)
+        again = run_vfl(dataset, (0, 1), base_model="random_forest", seed=0, m0=0.6)
+        assert first.channel_stats["messages"] > 0
+        assert again.channel_stats == first.channel_stats
 
     def test_empty_bundle_rejected(self, dataset):
         with pytest.raises(ValueError, match="at least one feature"):
