@@ -72,6 +72,17 @@ class TestNanMeanCI:
         assert mean[1] == pytest.approx(3.0)  # two live runs: a spread
         assert np.isnan(mean[2])  # one live run: none
 
+    def test_min_alive_threshold(self):
+        mean, half, alive = nan_mean_ci(np.array([[1.0, 1.0], [3.0, np.nan]]))
+        np.testing.assert_array_equal(alive, [2, 1])
+        assert mean[0] == 2.0 and half[0] > 0
+        assert np.isnan(mean[1]) and np.isnan(half[1])
+
+    def test_no_live_runs(self):
+        mean, half, alive = nan_mean_ci(np.full((3, 2), np.nan))
+        np.testing.assert_array_equal(alive, [0, 0])
+        assert np.isnan(mean).all() and np.isnan(half).all()
+
 
 # gaussian_kde(KDE_SAMPLE)(KDE_GRID) from SciPy 1.17.1, as hex floats.
 KDE_SAMPLE = np.array([0.3, 1.1, 1.7, 2.4, 4.0])

@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.experiments import (
     ablation_epsilon_rows,
     ablation_market_rows,
+    figure1_series,
     figure23_series,
     figure4_series,
     security_overhead_rows,
@@ -58,6 +59,8 @@ def _build(name, dataset):
         return table4_rows(dataset, "random_forest", seed=0)
     if name == "figure2":
         return figure23_series(dataset, "random_forest", seed=0)
+    if name == "figure3":
+        return figure23_series(dataset, "mlp", seed=0)
     if name == "figure4":
         return figure4_series(dataset, "random_forest", seed=0)
     return ablation_epsilon_rows(dataset, seed=0)
@@ -152,6 +155,13 @@ class TestCli:
         assert "Table 4: imperfect vs perfect (titanic, random_forest)" in out
         assert "Net Profit" in out
 
+    def test_figure1(self, capsys, tmp_path):
+        assert main(["figure", "1", "--csv-dir", str(tmp_path / "cli")]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 1a: payment vs dG" in out
+        assert "Figure 1b: net profit vs dG" in out
+        _assert_csvs_match_builder(1, figure1_series(), tmp_path, ["fig1.csv"])
+
     def test_figure2(self, capsys, tmp_path):
         assert main(["figure", "2", "--dataset", "titanic",
                      "--csv-dir", str(tmp_path / "cli")]) == 0
@@ -163,6 +173,18 @@ class TestCli:
         names += [f"fig2_titanic_density_{variant}.csv"
                   for variant in ("strategic", "increase", "random")]
         _assert_csvs_match_builder(2, _build("figure2", "titanic"), tmp_path, names)
+
+    def test_figure3(self, capsys, tmp_path):
+        assert main(["figure", "3", "--dataset", "titanic",
+                     "--csv-dir", str(tmp_path / "cli")]) == 0
+        out = capsys.readouterr().out
+        for field in ("net_profit", "payment", "delta_g"):
+            assert f"Figure 3 (titanic, mlp): {field}" in out
+        names = [f"fig3_titanic_{field}.csv"
+                 for field in ("net_profit", "payment", "delta_g")]
+        names += [f"fig3_titanic_density_{variant}.csv"
+                  for variant in ("strategic", "increase", "random")]
+        _assert_csvs_match_builder(3, _build("figure3", "titanic"), tmp_path, names)
 
     def test_figure4(self, capsys, tmp_path):
         assert main(["figure", "4", "--dataset", "titanic",

@@ -54,6 +54,13 @@ class TestSampleBundles:
         b = sample_bundles(12, 8, rng=7)
         assert a == b
 
+    def test_size_bounds_respected(self):
+        bundles = sample_bundles(12, 20, rng=1)
+        assert bundles[0] == FeatureBundle.of(range(12))
+        sizes = {b.size for b in bundles[1:]}
+        assert min(sizes) >= 1 and max(sizes) <= 12
+        assert len(sizes) > 1  # sizes are drawn, not fixed
+
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 100))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.market import FeatureBundle, PerformanceOracle, QuotedPrice
+from repro.market import FeatureBundle, MemoisedOracle, PerformanceOracle, QuotedPrice
 from repro.market.costs import LinearCost
 from repro.market.objectives import break_even_gain
 from repro.market.termination import (
@@ -131,3 +131,39 @@ class TestPerformanceOracle:
         assert np.isfinite(avg.delta_g(bundles[0]))
         # Averaged oracle uses the mean isolated baseline.
         assert avg.isolated != pytest.approx(one.isolated) or True
+
+
+class TestMemoisedOracle:
+    """The pool's shared cache: what it answers and what it counts."""
+
+    def oracle(self):
+        return PerformanceOracle.from_gains({
+            FeatureBundle.of([0]): 0.05,
+            FeatureBundle.of([0, 1]): 0.15,
+        })
+
+    def test_answers_like_the_inner_oracle(self):
+        inner = self.oracle()
+        memo = MemoisedOracle(inner)
+        for bundle in (FeatureBundle.of([0]), FeatureBundle.of([0, 1])):
+            assert memo.delta_g(bundle) == inner.delta_g(bundle)
+
+    def test_inner_oracle_asked_once_per_bundle(self):
+        inner = self.oracle()
+        memo = MemoisedOracle(inner)
+        for _ in range(3):
+            memo.delta_g(FeatureBundle.of([0]))
+        memo.delta_g(FeatureBundle.of([0, 1]))
+        assert (memo.query_count, memo.hit_count) == (4, 2)
+        assert inner.query_count == 2
+        assert memo.queried_bundles() == [
+            FeatureBundle.of([0]), FeatureBundle.of([0, 1])
+        ]
+
+    def test_unknown_bundle_not_cached(self):
+        memo = MemoisedOracle(self.oracle())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not in catalogue"):
+                memo.delta_g(FeatureBundle.of([5]))
+        assert memo.hit_count == 0
+        assert memo.queried_bundles() == []

@@ -47,6 +47,15 @@ class TestRandomForest:
         proba = RandomForestClassifier(10, rng=0).fit(X, y).predict_proba(X)
         assert proba.min() >= 0.0 and proba.max() <= 1.0
 
+    def test_trees_differ_by_bootstrap_sample_alone(self):
+        # Every feature at every node: only the bootstrap resample
+        # tells the trees apart, so bagging must make them differ.
+        X, y = noisy_blobs(100)
+        forest = RandomForestClassifier(4, max_features=None, rng=0).fit(X, y)
+        assert len(forest.trees_) == 4
+        probas = [tree.predict_proba(X) for tree in forest.trees_]
+        assert any(not np.array_equal(probas[0], p) for p in probas[1:])
+
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ValueError, match="fit"):
             RandomForestClassifier(2).predict(np.zeros((1, 2)))
