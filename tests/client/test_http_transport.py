@@ -535,6 +535,20 @@ class TestFraming:
                 assert excinfo.value.attempts == 1
             assert server.calls == [method] * attempts
 
+    @pytest.mark.parametrize("lengths", [("2", "5"), ("2, 5",), ("+2",)])
+    def test_ambiguous_content_length_raises(self, lengths):
+        class Handler(_Handler):
+            protocol_version = "HTTP/1.0"
+
+            def serve(self):
+                self.reply(b"{}", *[("Content-Length", value)
+                                    for value in lengths])
+
+        with _serving(Handler, retries=0) as (_, transport):
+            with pytest.raises(TransportError):
+                transport.request("GET", "/x")
+            assert transport._local.conn is None
+
     @pytest.mark.parametrize("kind", ["truncated", "long-line", "headers"])
     def test_malformed_reply_raises_without_hanging(self, kind):
         class Handler(_Handler):

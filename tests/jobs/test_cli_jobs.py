@@ -1,6 +1,7 @@
 """The ``python -m repro jobs`` front door: run, interrupt, resume."""
 
 import re
+import socket
 
 import pytest
 
@@ -149,3 +150,28 @@ class TestDefaultStore:
         assert "no jobs recorded" in capsys.readouterr().out
         assert main(["jobs", "list"]) == 0
         assert job_id in capsys.readouterr().out
+
+
+def _dead_url() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return "http://127.0.0.1:%d" % sock.getsockname()[1]
+
+
+class TestRemoteRejectsLocalFlags:
+    """Against ``--server`` the server owns the store and the execution,
+    so the local-only flags are refused by name before any request."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["jobs", "run", *ARGS, "--max-chunks", "1"], "--max-chunks"),
+        (["jobs", "resume", "j0", "--max-chunks", "0"], "--max-chunks"),
+        (["jobs", "run", *ARGS, "--store", "x.sqlite3"], "--store"),
+        (["jobs", "resume", "j0", "--store", "x.sqlite3"], "--store"),
+        (["jobs", "status", "j0", "--store", "x.sqlite3"], "--store"),
+        (["jobs", "list", "--store", "x.sqlite3"], "--store"),
+    ])
+    def test_flag_is_named(self, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--server", _dead_url()])
+        assert flag in str(excinfo.value.code)
+        assert "--server" in str(excinfo.value.code)

@@ -7,7 +7,9 @@ what an oversized Content-Length triggers, how a page cursor behaves.
 
 import http.client
 import json
+import re
 import socket
+import time
 
 import pytest
 
@@ -43,12 +45,21 @@ def _request(service, method, path, body=None, headers=None):
         conn.close()
 
 
-def _raw_exchange(service, blob: bytes, *, shutdown_write: bool = False) -> bytes:
-    """Ship raw bytes, return the raw reply (for protocol-violation tests)."""
+def _raw_exchange(service, *segments: bytes,
+                  shutdown_write: bool = False) -> bytes:
+    """Ship raw bytes, return the raw reply (for protocol-violation tests).
+
+    Each segment is sent on its own, a short pause apart, so a request
+    can be split across TCP segments at a chosen byte.
+    """
     with socket.create_connection(
         (service["host"], service["port"]), timeout=30
     ) as sock:
-        sock.sendall(blob)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for index, segment in enumerate(segments):
+            if index:
+                time.sleep(0.05)
+            sock.sendall(segment)
         if shutdown_write:
             sock.shutdown(socket.SHUT_WR)
         chunks = []
@@ -58,6 +69,16 @@ def _raw_exchange(service, blob: bytes, *, shutdown_write: bool = False) -> byte
                 break
             chunks.append(data)
     return b"".join(chunks)
+
+
+def _statuses(reply: bytes) -> list[int]:
+    """The status code of every reply in a raw byte stream, in order."""
+    return [int(code) for code in re.findall(rb"HTTP/1\.1 (\d{3}) ", reply)]
+
+
+_HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+_HEALTH_CLOSE = (b"GET /v1/health HTTP/1.1\r\nHost: x\r\n"
+                 b"Connection: close\r\n\r\n")
 
 
 class TestUnversionedPaths:
@@ -217,3 +238,118 @@ class TestJobsPagination:
         self._seed_jobs(service)
         status, _, page = _request(service, "GET", "/v1/jobs?limit=1000")
         assert status == 200 and page["next"] is None
+
+
+class TestFraming:
+    """How the server frames requests on one connection, byte by byte."""
+
+    def test_two_pipelined_requests_in_one_segment(self, service):
+        reply = _raw_exchange(service, _HEALTH + _HEALTH_CLOSE)
+        assert _statuses(reply) == [200, 200]
+
+    def test_head_split_across_segments(self, service):
+        reply = _raw_exchange(service, _HEALTH_CLOSE[:9],
+                              _HEALTH_CLOSE[9:30], _HEALTH_CLOSE[30:])
+        assert _statuses(reply) == [200]
+
+    def test_body_split_across_segments(self, service):
+        body = b'{"dataset": "no-such-dataset"}'
+        head = (b"POST /v1/markets HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n"
+                + b"Content-Length: %d\r\n\r\n" % len(body))
+        reply = _raw_exchange(service, head, body[:7], body[7:])
+        assert _statuses(reply) == [400]
+        # The whole body was read: the spec validator saw the dataset.
+        assert b"no-such-dataset" in reply
+
+    def test_oversized_head_closes_without_hanging(self, service):
+        head = (b"GET /v1/health HTTP/1.1\r\nX-Big: "
+                + b"a" * (70 * 1024) + b"\r\n\r\n")
+        start = time.monotonic()
+        try:
+            reply = _raw_exchange(service, head)
+        except (ConnectionResetError, BrokenPipeError):
+            reply = b""
+        assert time.monotonic() - start < 10.0
+        assert 200 not in _statuses(reply)
+
+    def test_client_closing_mid_body_frees_the_connection(self, service):
+        with socket.create_connection(
+            (service["host"], service["port"]), timeout=30
+        ) as sock:
+            sock.sendall(b"POST /v1/markets HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 4096\r\n\r\n{\"dataset\"")
+        deadline = time.monotonic() + 10.0
+        while service["server"]._busy and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert service["server"]._busy == 0
+        assert _statuses(_raw_exchange(service, _HEALTH_CLOSE)) == [200]
+
+
+class TestFramingDefects:
+    """Heads the server used to misframe; each is answered by the shared
+    HTTP/1.1 rules now."""
+
+    def test_conflicting_content_lengths_are_411_and_close(self, service):
+        # Taking either value would desync the stream: the bytes after
+        # the head would be read as a body or as the next request.
+        reply = _raw_exchange(
+            service,
+            b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 2\r\nContent-Length: 0\r\n\r\n{}"
+            + _HEALTH_CLOSE,
+            shutdown_write=True,
+        )
+        assert _statuses(reply) == [411]
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head
+        assert json.loads(body.decode())["error"]["code"] == "length_required"
+
+    def test_identical_repeated_content_lengths_are_merged(self, service):
+        body = b'{"dataset": "no-such-dataset"}'
+        reply = _raw_exchange(
+            service,
+            b"POST /v1/markets HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            + b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n"
+            % (len(body), len(body)) + body,
+        )
+        assert _statuses(reply) == [400]
+        assert b"no-such-dataset" in reply
+
+    def test_signed_content_length_is_411(self, service):
+        reply = _raw_exchange(
+            service,
+            b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: +2\r\n\r\n{}",
+            shutdown_write=True,
+        )
+        assert _statuses(reply) == [411]
+
+    def test_close_among_connection_tokens_closes(self, service):
+        reply = _raw_exchange(
+            service,
+            b"GET /v1/health HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close, TE\r\nTE: trailers\r\n\r\n"
+            + _HEALTH_CLOSE,
+        )
+        assert _statuses(reply) == [200]
+
+    def test_http10_keep_alive_among_tokens_keeps_alive(self, service):
+        reply = _raw_exchange(
+            service,
+            b"GET /v1/health HTTP/1.0\r\nHost: x\r\n"
+            b"Connection: Keep-Alive, TE\r\nTE: trailers\r\n\r\n"
+            b"GET /v1/health HTTP/1.0\r\nHost: x\r\n\r\n",
+        )
+        assert _statuses(reply) == [200, 200]
+
+    def test_too_many_header_lines_are_400(self, service):
+        fields = b"".join(b"X-H%d: v\r\n" % i for i in range(2000))
+        reply = _raw_exchange(
+            service,
+            b"GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            + fields + b"\r\n",
+        )
+        assert _statuses(reply) == [400]
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert json.loads(body.decode())["error"]["code"] == "invalid_request"

@@ -53,6 +53,11 @@ DELETED_MEMBERS = {
     "repro.oracle_factory.designs:SharedDesigns": ("task_design", "data_design"),
 }
 
+#: module -> module-level names no program path read.
+DELETED_MODULE_NAMES = {
+    "repro.vfl.runner": ("BASE_MODELS",),
+}
+
 
 def _resolve(path):
     module, qualname = path.split(":")
@@ -75,6 +80,14 @@ def test_deleted_parameters_stay_deleted(path):
 def test_deleted_members_stay_deleted(path):
     cls = _resolve(path)
     assert [m for m in DELETED_MEMBERS[path] if hasattr(cls, m)] == []
+
+
+@pytest.mark.parametrize("module", sorted(DELETED_MODULE_NAMES))
+def test_deleted_module_names_stay_deleted(module):
+    namespace = importlib.import_module(module)
+    names = DELETED_MODULE_NAMES[module]
+    assert [n for n in names if hasattr(namespace, n)] == []
+    assert not set(names) & set(namespace.__all__)
 
 
 def test_base_model_entry_has_no_design_flag():
