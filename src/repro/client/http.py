@@ -10,10 +10,8 @@ Design points:
   early are never lost between replies and no per-reply reader is
   built.
 * **Framing** — a request is written with one ``sendall`` (head and
-  body together).  A reply is a status line, a header block (bounded
-  line length and header count), then a body sized by
-  ``Content-Length``, by ``chunked`` encoding, or by the server
-  closing the connection.  Any framing error, and any
+  body together); a reply is framed by :mod:`repro.utils.http11`, the
+  rules the server applies too.  Any framing error, and any
   ``Connection: close`` reply, drops the socket.  ``request``,
   ``request_text`` and ``stream`` share this one framing path.
 * **Retries with backoff** — connection-refused and DNS failures are
@@ -48,6 +46,8 @@ from urllib.parse import urlencode, urlsplit
 from repro import obs
 from repro.client.errors import TransportError, error_from_reply
 from repro.client.transport import Transport
+from repro.utils import http11
+from repro.utils.http11 import FramingError
 
 __all__ = ["HttpTransport"]
 
@@ -84,21 +84,12 @@ _RETRY_STATUSES = frozenset({429, 503})
 #: must not be parked for minutes by one overloaded reply.
 _MAX_RETRY_AFTER = 30.0
 
-#: Bounds on a reply head, so a hostile or broken peer cannot make the
-#: client buffer without limit (the same caps stdlib HTTP clients use).
-_MAX_LINE = 65536
-_MAX_HEADERS = 100
-
 #: Methods that carry a body by definition: they always send a
 #: ``Content-Length``, zero when there is no body.
 _BODY_METHODS = frozenset({"PATCH", "POST", "PUT"})
 
 #: Replies that never carry a body, whatever their headers say.
 _NO_BODY_STATUSES = frozenset({204, 304})
-
-
-class _FramingError(Exception):
-    """The reply bytes are not a well-formed HTTP/1.x response."""
 
 
 def _parse_retry_after(value: str | None) -> float | None:
@@ -123,106 +114,67 @@ class _Connection:
         self.sock = sock
         self.reader = sock.makefile("rb")
 
-    def _line(self) -> bytes:
-        line = self.reader.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise _FramingError(f"reply line longer than {_MAX_LINE} bytes")
-        return line
+    def _head_lines(self) -> list[str]:
+        """One head's lines up to its blank line, without terminators,
+        within the head cap."""
+        lines: list[str] = []
+        budget = http11.MAX_HEAD_BYTES
+        while True:
+            line = self.reader.readline(budget + 1)
+            budget -= len(line)
+            if budget < 0:
+                raise FramingError(
+                    f"reply head over {http11.MAX_HEAD_BYTES} bytes")
+            if not line:
+                raise FramingError("connection closed inside a reply head")
+            if line in (b"\r\n", b"\n"):
+                return lines
+            lines.append(line.rstrip(b"\r\n").decode("latin-1"))
 
     def read_head(self) -> tuple[int, dict[str, str], bool]:
         """Status, lower-cased headers, and whether the server keeps
         the connection open after this reply's body."""
-        while True:
-            line = self._line()
-            if not line:
-                raise _FramingError("connection closed before the status line")
-            parts = line.split(None, 2)
-            if (len(parts) < 2 or not parts[0].startswith(b"HTTP/1.")
-                    or len(parts[1]) != 3 or not parts[1].isdigit()):
-                raise _FramingError(f"malformed status line {line[:80]!r}")
-            status = int(parts[1])
-            headers = self._headers()
-            if status >= 200:
-                break
-            # 1xx interim replies (100 Continue) precede the real one.
-        connection = headers.get("connection", "").lower()
-        if parts[0] == b"HTTP/1.0":
-            keep_alive = "keep-alive" in connection
-        else:
-            keep_alive = "close" not in connection
-        if ("content-length" not in headers
-                and "chunked" not in headers.get("transfer-encoding",
-                                                  "").lower()
+        status = 0
+        while status < 200:  # 1xx interim replies precede the real one
+            lines = self._head_lines() or [""]
+            version, status = http11.parse_status_line(lines[0])
+            headers = http11.parse_fields(lines[1:])
+        keep_alive = http11.keep_alive(version, headers)
+        if (not http11.is_chunked(headers)
+                and http11.content_length(headers) is None
                 and status not in _NO_BODY_STATUSES):
             keep_alive = False  # the body runs to EOF
         return status, headers, keep_alive
-
-    def _headers(self) -> dict[str, str]:
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS + 1):
-            line = self._line()
-            if line in (b"\r\n", b"\n"):
-                return headers
-            if not line:
-                raise _FramingError("connection closed inside the reply head")
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise _FramingError(f"malformed header line {line[:80]!r}")
-            name, value = name.strip().lower(), value.strip()
-            headers[name] = (f"{headers[name]}, {value}" if name in headers
-                             else value)
-        raise _FramingError(f"more than {_MAX_HEADERS} reply headers")
 
     def body(self, status: int, headers: dict[str, str]) -> Iterator[bytes]:
         """The reply body after :meth:`read_head`, piece by piece."""
         if status in _NO_BODY_STATUSES:
             return
         reader = self.reader
-        if "chunked" in headers.get("transfer-encoding", "").lower():
+        if http11.is_chunked(headers):
             while True:
-                line = self._line()
-                try:
-                    size = int(line.split(b";", 1)[0], 16)
-                except ValueError:
-                    raise _FramingError(
-                        f"malformed chunk size {line[:80]!r}"
-                    ) from None
-                if size < 0:
-                    raise _FramingError(f"negative chunk size {size}")
+                size = http11.chunk_size(reader.readline(http11.MAX_HEAD_BYTES))
                 if size == 0:
-                    self._headers()  # trailer block, up to the blank line
+                    self._head_lines()  # trailer block, up to the blank line
                     return
                 data = reader.read(size)
                 if len(data) < size or reader.read(2) != b"\r\n":
-                    raise _FramingError("chunk truncated or not CRLF-terminated")
+                    raise FramingError("chunk truncated or not CRLF-terminated")
                 yield data
-        raw_length = headers.get("content-length")
-        if raw_length is None:
+        length = http11.content_length(headers)
+        if length is None:
             while True:
                 data = reader.read1(65536)
                 if not data:
                     return
                 yield data
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise _FramingError(
-                f"Content-Length {raw_length!r} is not an integer"
-            ) from None
-        if length < 0:
-            raise _FramingError(f"negative Content-Length {length}")
         data = reader.read(length)
         if len(data) < length:
-            raise _FramingError(
+            raise FramingError(
                 f"reply body ended after {len(data)} of the declared "
                 f"{length} bytes"
             )
         yield data
-
-    def read_reply(self) -> tuple[int, dict[str, str], bool, bytes]:
-        """One whole reply: status, headers, keep-alive, body."""
-        status, headers, keep_alive = self.read_head()
-        return status, headers, keep_alive, b"".join(self.body(status, headers))
 
     def shutdown(self) -> None:
         # close() alone does not wake a peer thread blocked in recv()
@@ -352,18 +304,16 @@ class HttpTransport(Transport):
                        blob: bytes | None) -> bytes:
         """The request head and body, propagating the active span
         context (if any) as ``traceparent``."""
-        head = (f"{method} {target} HTTP/1.1\r\n"
-                f"Host: {self._host_header}\r\n"
-                "Accept-Encoding: identity\r\n"
-                "Content-Type: application/json\r\n")
+        fields = [("Host", self._host_header),
+                  ("Accept-Encoding", "identity"),
+                  ("Content-Type", "application/json")]
         ctx = obs.current()
         if ctx is not None:
-            head += f"traceparent: {obs.to_traceparent(ctx)}\r\n"
-        if blob is not None:
-            head += f"Content-Length: {len(blob)}\r\n"
-        elif method in _BODY_METHODS:
-            head += "Content-Length: 0\r\n"
-        return (head + "\r\n").encode("latin-1") + (blob or b"")
+            fields.append(("traceparent", obs.to_traceparent(ctx)))
+        if blob is not None or method in _BODY_METHODS:
+            fields.append(("Content-Length", len(blob or b"")))
+        return (http11.format_head(f"{method} {target} HTTP/1.1", fields)
+                + (blob or b""))
 
     def request(
         self,
@@ -375,9 +325,35 @@ class HttpTransport(Transport):
     ) -> tuple[int, dict]:
         blob = (json.dumps(body).encode("utf-8")
                 if body is not None else None)
+        status, raw, attempts = self._exchange(method, path, query, blob)
+        try:
+            payload = json.loads(raw.decode("utf-8")) if raw else {}
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TransportError(
+                f"{method} {self.base_url}{path} returned status "
+                f"{status} with a non-JSON body",
+                attempts=attempts,
+            ) from exc
+        if not isinstance(payload, dict):
+            payload = {"value": payload}
+        return status, payload
+
+    def request_text(
+        self,
+        method: str,
+        path: str,
+        *,
+        query: dict | None = None,
+    ) -> tuple[int, str]:
+        status, raw, _ = self._exchange(method, path, query, None)
+        return status, raw.decode("utf-8")
+
+    def _exchange(self, method: str, path: str, query: dict | None,
+                  blob: bytes | None) -> tuple[int, bytes, int]:
+        """One request on the pooled connection, replayed while that is
+        safe: status, body, and the attempts it took."""
         data = self._request_bytes(method, self._target(path, query), blob)
         attempts = self.retries + 1
-        last: Exception | None = None
         retry_after: float | None = None
         for attempt in range(attempts):
             if attempt:
@@ -398,10 +374,10 @@ class HttpTransport(Transport):
                 conn = self._connection()
                 conn.sock.sendall(data)
                 sent = True
-                status, headers, keep_alive, raw = conn.read_reply()
+                status, headers, keep_alive = conn.read_head()
+                raw = b"".join(conn.body(status, headers))
             except Exception as exc:
                 self._drop()
-                last = exc
                 replayable = (
                     isinstance(exc, _PRE_SEND_ERRORS)
                     or not sent
@@ -422,44 +398,8 @@ class HttpTransport(Transport):
                 # connection stays clean for the replay.
                 retry_after = _parse_retry_after(headers.get("retry-after"))
                 continue
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise TransportError(
-                    f"{method} {self.base_url}{path} returned status "
-                    f"{status} with a non-JSON body",
-                    attempts=attempt + 1,
-                ) from exc
-            if not isinstance(payload, dict):
-                payload = {"value": payload}
-            return status, payload
-        raise TransportError(  # pragma: no cover - loop always returns/raises
-            f"{method} {self.base_url}{path} failed: {last}",
-            attempts=attempts,
-        )
-
-    # ------------------------------------------------------------------
-    def request_text(
-        self,
-        method: str,
-        path: str,
-        *,
-        query: dict | None = None,
-    ) -> tuple[int, str]:
-        try:
-            conn = self._connection()
-            conn.sock.sendall(self._request_bytes(
-                method, self._target(path, query), None
-            ))
-            status, _, keep_alive, raw = conn.read_reply()
-        except Exception as exc:
-            self._drop()
-            raise TransportError(
-                f"{method} {self.base_url}{path} (text) failed: {exc}"
-            ) from exc
-        if not keep_alive:
-            self._drop()
-        return status, raw.decode("utf-8")
+            return status, raw, attempt + 1
+        raise AssertionError("unreachable: the last attempt returns or raises")
 
     # ------------------------------------------------------------------
     def stream(
@@ -489,8 +429,7 @@ class HttpTransport(Transport):
             try:
                 raw = b"".join(conn.body(status, headers))
                 payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (_FramingError, OSError, UnicodeDecodeError,
-                    json.JSONDecodeError):
+            except (ValueError, OSError):  # framing, UTF-8 or JSON
                 payload = {}
             finally:
                 self._release(conn)
@@ -506,7 +445,7 @@ class HttpTransport(Transport):
                             yield json.loads(line.decode("utf-8"))
                 if pending.strip():
                     yield json.loads(pending.decode("utf-8"))
-            except (_FramingError, OSError) as exc:
+            except (FramingError, OSError) as exc:
                 raise TransportError(
                     f"stream from {self.base_url}{path} broke mid-read: "
                     f"{exc}"

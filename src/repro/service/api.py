@@ -93,16 +93,17 @@ _TERMINAL = ("done", "failed", "interrupted")
 #: Every error code the protocol can put in an envelope, with the HTTP
 #: status it rides on — rendered into docs/API.md verbatim.
 ERROR_CODES = {
-    "invalid_request": (400, "malformed JSON body, unknown spec field, or a "
+    "invalid_request": (400, "malformed head (>100 header lines), "
+                             "malformed JSON body, unknown spec field, or a "
                              "value that fails spec validation"),
     "not_found": (404, "unknown session id, job id, or route (uniform "
                        "across GET/POST/PUT/DELETE)"),
     "method_not_allowed": (405, "the path exists but not for this method"),
     "conflict": (409, "state conflict, e.g. restoring a checkpoint under a "
                       "session id that is already resident"),
-    "length_required": (411, "the request carries a body without a valid "
-                             "Content-Length (chunked uploads are not "
-                             "accepted)"),
+    "length_required": (411, "no one unsigned Content-Length frames the "
+                             "body: chunked, signed, non-digit or conflicting "
+                             "repeated values (the connection closes)"),
     "payload_too_large": (413, "the declared Content-Length exceeds the "
                                "server's body cap"),
     "capacity": (429, "the resident-session limit is reached; close or "

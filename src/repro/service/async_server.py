@@ -44,9 +44,9 @@ from repro.service.api import (
     JobService,
     ServiceContext,
     dispatch,
-    error_envelope,
 )
 from repro.service.manager import SessionManager
+from repro.utils import http11
 from repro.utils.validation import require
 
 __all__ = ["AsyncMarketplaceServer"]
@@ -55,9 +55,6 @@ __all__ = ["AsyncMarketplaceServer"]
 #: read: an oversized (or lying) Content-Length must not park a reader
 #: on a huge body.
 MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Cap on the request line + headers block.
-MAX_HEADER_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK", 201: "Created", 202: "Accepted",
@@ -206,7 +203,7 @@ class AsyncMarketplaceServer:
         self._stop = asyncio.Event()
         server = await asyncio.start_server(
             self._serve_connection, self.host, self.port,
-            limit=MAX_HEADER_BYTES, backlog=1024,
+            limit=http11.MAX_HEAD_BYTES, backlog=1024,
         )
         self.address = server.sockets[0].getsockname()[:2]
         self._started.set()
@@ -265,7 +262,12 @@ class AsyncMarketplaceServer:
         self._conn_tasks.add(task)
         try:
             while True:
-                keep_alive = await self._serve_request(reader, writer)
+                head = await reader.readuntil(b"\r\n\r\n")
+                self._busy += 1
+                try:
+                    keep_alive = await self._serve_request(reader, writer, head)
+                finally:
+                    self._busy -= 1
                 if not keep_alive:
                     break
         except (
@@ -288,57 +290,39 @@ class AsyncMarketplaceServer:
                 pass
 
     async def _serve_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Read, dispatch and answer one request; returns keep-alive."""
-        head = await reader.readuntil(b"\r\n\r\n")
-        self._busy += 1
-        try:
-            return await self._handle_parsed(reader, writer, head)
-        finally:
-            self._busy -= 1
-
-    async def _handle_parsed(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         head: bytes,
     ) -> bool:
+        """Dispatch and answer the request ``head`` opens; returns
+        keep-alive."""
         try:
-            method, target, version, headers = _parse_head(head)
-        except ValueError as exc:
-            self._write(writer, 400,
-                        error_envelope("invalid_request", str(exc)),
+            try:
+                method, target, version, headers = (
+                    http11.parse_request_head(head)
+                )
+            except http11.FramingError as exc:
+                raise ApiError(400, "invalid_request", str(exc)) from None
+            if self.draining:
+                # The listener is closed; surviving keep-alive clients
+                # get an honest refusal they can retry elsewhere (or
+                # here, after the restart the Retry-After hints at).
+                raise ApiError(503, "draining",
+                               "server is draining for shutdown; retry")
+            body = await self._read_body(reader, headers)
+        except ApiError as exc:
+            # A refused request's body may be unread: the connection
+            # cannot carry another request.
+            retry = {"Retry-After": "1"} if exc.status == 503 else None
+            self._write(writer, exc.status, exc.envelope(), headers=retry,
                         close=True)
             await writer.drain()
             return False
-        keep_alive = _keep_alive(version, headers)
-
-        if self.draining:
-            # The listener is closed; surviving keep-alive clients get
-            # an honest refusal they can retry elsewhere (or here,
-            # after the restart the Retry-After hints at).
-            self._write(
-                writer, 503,
-                error_envelope("draining",
-                               "server is draining for shutdown; retry"),
-                headers={"Retry-After": "1"}, close=True,
-            )
-            await writer.drain()
-            return False
-
+        keep_alive = http11.keep_alive(version, headers)
         parsed = urlsplit(target)
         path = unquote(parsed.path)
         query = dict(parse_qsl(parsed.query))
-
-        try:
-            body = await self._read_body(reader, headers)
-        except ApiError as exc:
-            # The body was not (fully) consumed; the connection cannot
-            # carry another request.
-            self._write(writer, exc.status, exc.envelope(), close=True)
-            await writer.drain()
-            return False
 
         t0 = time.perf_counter()
         remote = obs.from_traceparent(headers.get("traceparent"))
@@ -414,28 +398,17 @@ class AsyncMarketplaceServer:
     async def _read_body(
         self, reader: asyncio.StreamReader, headers: dict[str, str]
     ) -> dict:
-        if "chunked" in headers.get("transfer-encoding", "").lower():
+        if http11.is_chunked(headers):
             raise ApiError(
                 411, "length_required",
                 "chunked request bodies are not accepted; send "
                 "Content-Length",
             )
-        raw_length = headers.get("content-length")
-        if raw_length is None:
-            return {}
         try:
-            length = int(raw_length)
-        except ValueError:
-            raise ApiError(
-                411, "length_required",
-                f"Content-Length {raw_length!r} is not an integer",
-            ) from None
-        if length < 0:
-            raise ApiError(
-                411, "length_required",
-                f"Content-Length must be >= 0, got {length}",
-            )
-        if length == 0:
+            length = http11.content_length(headers)
+        except http11.FramingError as exc:
+            raise ApiError(411, "length_required", str(exc)) from None
+        if not length:
             return {}
         if length > MAX_BODY_BYTES:
             raise ApiError(
@@ -481,29 +454,25 @@ class AsyncMarketplaceServer:
         else:
             blob = json.dumps(payload).encode("utf-8")
             content_type = extra.pop("Content-Type", "application/json")
-        head = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Server: {_SERVER_HEADER}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(blob)}",
-        ]
+        fields = [("Server", _SERVER_HEADER), ("Content-Type", content_type),
+                  ("Content-Length", len(blob))]
         if close:
-            head.append("Connection: close")
-        for name, value in extra.items():
-            head.append(f"{name}: {value}")
-        writer.write("\r\n".join(head).encode("utf-8") + b"\r\n\r\n" + blob)
+            fields.append(("Connection", "close"))
+        fields.extend(extra.items())
+        writer.write(http11.format_head(
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}", fields
+        ) + blob)
 
     async def _write_stream(self, writer: asyncio.StreamWriter,
                             lines) -> None:
         """Chunked JSON lines, the blocking generator bridged through
         the worker pool one item at a time."""
-        writer.write(
-            f"HTTP/1.1 200 {_REASONS[200]}\r\n"
-            f"Server: {_SERVER_HEADER}\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            "Connection: close\r\n\r\n".encode("utf-8")
-        )
+        writer.write(http11.format_head(f"HTTP/1.1 200 {_REASONS[200]}", [
+            ("Server", _SERVER_HEADER),
+            ("Content-Type", "application/x-ndjson"),
+            ("Transfer-Encoding", "chunked"),
+            ("Connection", "close"),
+        ]))
         assert self._loop is not None
         iterator = iter(lines)
         sentinel = object()
@@ -514,43 +483,14 @@ class AsyncMarketplaceServer:
                 )
                 if item is sentinel:
                     break
-                blob = json.dumps(item).encode("utf-8") + b"\n"
-                writer.write(b"%X\r\n%s\r\n" % (len(blob), blob))
+                writer.write(http11.encode_chunk(
+                    json.dumps(item).encode("utf-8") + b"\n"
+                ))
                 await writer.drain()
-            writer.write(b"0\r\n\r\n")
+            writer.write(http11.encode_chunk(b""))
             await writer.drain()
         finally:
             close = getattr(iterator, "close", None)
             if close is not None:
                 close()
 
-
-def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
-    """``(method, target, version, lower-cased headers)`` of one request."""
-    try:
-        text = head.decode("latin-1")
-    except UnicodeDecodeError:  # pragma: no cover - latin-1 never fails
-        raise ValueError("request head is not decodable")
-    lines = text.split("\r\n")
-    parts = lines[0].split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed request line {lines[0]!r}")
-    method, target, version = parts
-    if not version.startswith("HTTP/"):
-        raise ValueError(f"malformed HTTP version {version!r}")
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise ValueError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    return method, target, version, headers
-
-
-def _keep_alive(version: str, headers: dict[str, str]) -> bool:
-    connection = headers.get("connection", "").lower()
-    if version == "HTTP/1.0":
-        return connection == "keep-alive"
-    return connection != "close"
