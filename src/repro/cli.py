@@ -638,6 +638,11 @@ def _cmd_jobs_remote(args: argparse.Namespace) -> int:
     """The jobs subcommands against a remote server's durable store."""
     from repro.client import ClientError
 
+    for flag in ("store", "max_chunks"):  # the server owns both
+        if getattr(args, flag, None) is not None:
+            raise SystemExit(f"--{flag.replace('_', '-')} only applies "
+                             "without --server")
+
     def on_event(event: dict) -> None:
         if event.get("event") == "progress":
             print(f"  chunks {event['chunks_done']}/{event['chunks']} "

@@ -34,17 +34,12 @@ from repro.vfl.parties import parties_from_dataset
 from repro.vfl.splitnn import SplitNN
 
 __all__ = [
-    "BASE_MODELS",
     "BUILTIN_BASE_MODELS",
     "VFLResult",
     "isolated_performance",
     "resolve_model_params",
     "run_vfl",
 ]
-
-#: The built-in protocol names (legacy constant; validation now goes
-#: through the registry, so registered custom models are equally valid).
-BASE_MODELS = ("random_forest", "mlp")
 
 _RF_DEFAULTS = {
     "n_estimators": 15,
