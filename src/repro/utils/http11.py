@@ -64,16 +64,16 @@ def parse_status_line(line: str) -> tuple[str, int]:
 def keep_alive(version: str, fields: Mapping[str, str]) -> bool:
     """Whether the connection outlives this message, from its version
     and its ``Connection`` token list."""
-    tokens = {t.strip().lower() for t in fields.get("connection", "").split(",")}
+    value = fields.get("connection")
     if version == "HTTP/1.0":
-        return "keep-alive" in tokens
-    return "close" not in tokens
+        return value is not None and "keep-alive" in _tokens(value)
+    return value is None or "close" not in _tokens(value)
 
 
 def is_chunked(fields: Mapping[str, str]) -> bool:
     """Whether the body is sent with ``Transfer-Encoding: chunked``."""
-    return "chunked" in {coding.strip().lower() for coding in
-                         fields.get("transfer-encoding", "").split(",")}
+    value = fields.get("transfer-encoding")
+    return value is not None and "chunked" in _tokens(value)
 
 
 def content_length(fields: Mapping[str, str]) -> int | None:
@@ -83,8 +83,10 @@ def content_length(fields: Mapping[str, str]) -> int | None:
     value = fields.get("content-length")
     if value is None:
         return None
-    values = {part.strip() for part in value.split(",")}
-    length = values.pop() if len(values) == 1 else ""
+    length = value
+    if "," in value:
+        values = {part.strip() for part in value.split(",")}
+        length = values.pop() if len(values) == 1 else ""
     if length.isascii() and length.isdecimal():
         try:
             return int(length)
@@ -96,8 +98,10 @@ def content_length(fields: Mapping[str, str]) -> int | None:
 
 def format_head(start_line: str, fields: Iterable[tuple[str, object]]) -> bytes:
     """The head bytes: start line, ``Name: value`` lines, blank line."""
-    lines = [start_line, *(f"{name}: {value}" for name, value in fields)]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    head = start_line
+    for name, value in fields:
+        head += f"\r\n{name}: {value}"
+    return (head + "\r\n\r\n").encode("latin-1")
 
 
 def encode_chunk(data: bytes) -> bytes:
@@ -113,3 +117,6 @@ def chunk_size(line: bytes) -> int:
         raise FramingError(f"malformed chunk size {line[:80]!r}")
     return int(size, 16)
 
+
+def _tokens(value: str) -> set[str]:
+    return {token.strip().lower() for token in value.split(",")}
