@@ -41,15 +41,18 @@ def parse_fields(lines: Sequence[str]) -> dict[str, str]:
 
 
 def parse_request_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
-    """``(method, target, version, fields)`` of a request head."""
-    request_line, *lines = head.decode("latin-1").split("\r\n")
+    """``(method, target, version, fields)`` of a request head, which
+    ends with its blank line."""
+    if not head.endswith(b"\r\n\r\n"):
+        raise FramingError("request head does not end with a blank line")
+    request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
     parts = request_line.split()
     if len(parts) != 3:
         raise FramingError(f"malformed request line {request_line[:80]!r}")
     method, target, version = parts
     if not version.startswith("HTTP/"):
         raise FramingError(f"malformed HTTP version {version[:80]!r}")
-    return method, target, version, parse_fields([li for li in lines if li])
+    return method, target, version, parse_fields(lines)
 
 
 def parse_status_line(line: str) -> tuple[str, int]:
