@@ -115,8 +115,7 @@ class _Connection:
         self.reader = sock.makefile("rb")
 
     def _head_lines(self) -> list[str]:
-        """One head's lines up to its blank line, without terminators,
-        within the head cap."""
+        """A head's lines (without terminators) up to its blank line."""
         lines: list[str] = []
         budget = http11.MAX_HEAD_BYTES
         while True:

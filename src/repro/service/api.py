@@ -93,19 +93,17 @@ _TERMINAL = ("done", "failed", "interrupted")
 #: Every error code the protocol can put in an envelope, with the HTTP
 #: status it rides on — rendered into docs/API.md verbatim.
 ERROR_CODES = {
-    "invalid_request": (400, "malformed request or header line, over 100 "
-                             "header lines, malformed JSON body, unknown "
-                             "spec field, or a value that fails spec "
-                             "validation"),
+    "invalid_request": (400, "malformed request or header line, >100 header "
+                             "lines, malformed JSON body, unknown spec "
+                             "field, or a value that fails spec validation"),
     "not_found": (404, "unknown session id, job id, or route (uniform "
                        "across GET/POST/PUT/DELETE)"),
     "method_not_allowed": (405, "the path exists but not for this method"),
     "conflict": (409, "state conflict, e.g. restoring a checkpoint under a "
                       "session id that is already resident"),
-    "length_required": (411, "the body is not framed by one unsigned "
-                             "Content-Length: a chunked upload, a sign or "
-                             "non-digit, or conflicting repeated values "
-                             "(the connection closes)"),
+    "length_required": (411, "no single unsigned Content-Length: chunked "
+                             "upload, a sign or non-digit, or conflicting "
+                             "repeated values (the connection closes)"),
     "payload_too_large": (413, "the declared Content-Length exceeds the "
                                "server's body cap"),
     "capacity": (429, "the resident-session limit is reached; close or "

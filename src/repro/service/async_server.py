@@ -272,14 +272,12 @@ class AsyncMarketplaceServer:
                     break
         except (
             asyncio.IncompleteReadError,   # client hung up between requests
+            asyncio.LimitOverrunError,     # head over the cap: no reply
             asyncio.CancelledError,        # drain cancelled an idle wait
             ConnectionResetError,
             BrokenPipeError,
             TimeoutError,
         ):
-            pass
-        except asyncio.LimitOverrunError:
-            # Unparseably long request head; nothing sane to reply to.
             pass
         finally:
             self._conn_tasks.discard(task)
@@ -295,8 +293,7 @@ class AsyncMarketplaceServer:
         writer: asyncio.StreamWriter,
         head: bytes,
     ) -> bool:
-        """Dispatch and answer the request ``head`` opens; returns
-        keep-alive."""
+        """Dispatch and answer one request; returns keep-alive."""
         try:
             try:
                 method, target, version, headers = (

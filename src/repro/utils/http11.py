@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-__all__ = [
-    "MAX_HEADERS", "MAX_HEAD_BYTES", "FramingError",
-    "chunk_size", "content_length", "encode_chunk", "format_head",
-    "is_chunked", "keep_alive", "parse_fields", "parse_request_head",
-    "parse_status_line",
-]
+__all__ = ["MAX_HEADERS", "MAX_HEAD_BYTES", "FramingError", "chunk_size",
+           "content_length", "encode_chunk", "format_head", "is_chunked",
+           "keep_alive", "parse_fields", "parse_request_head",
+           "parse_status_line"]
 
 #: Caps on one message head: its bytes and its header lines.
 MAX_HEAD_BYTES = 64 * 1024
@@ -80,9 +78,8 @@ def is_chunked(fields: Mapping[str, str]) -> bool:
 
 
 def content_length(fields: Mapping[str, str]) -> int | None:
-    """The declared body length (``None`` if undeclared).  Identical
-    repeats merge; a sign, a non-digit or conflicting values are
-    framing errors."""
+    """The declared body length, or ``None``; identical repeats merge,
+    and a sign, a non-digit or conflicting values are framing errors."""
     value = fields.get("content-length")
     if value is None:
         return None
@@ -101,10 +98,8 @@ def content_length(fields: Mapping[str, str]) -> int | None:
 
 def format_head(start_line: str, fields: Iterable[tuple[str, object]]) -> bytes:
     """The head bytes: start line, ``Name: value`` lines, blank line."""
-    head = start_line
-    for name, value in fields:
-        head += f"\r\n{name}: {value}"
-    return (head + "\r\n\r\n").encode("latin-1")
+    lines = "".join([f"{name}: {value}\r\n" for name, value in fields])
+    return f"{start_line}\r\n{lines}\r\n".encode("latin-1")
 
 
 def encode_chunk(data: bytes) -> bytes:
