@@ -24,6 +24,7 @@ import os
 import statistics
 import time
 
+from repro import obs
 from repro.client import MarketplaceClient
 from repro.experiments import write_csv
 from repro.jobs import JobStore
@@ -90,6 +91,25 @@ def _step_latencies(client: MarketplaceClient, n: int) -> list[float]:
     return took
 
 
+def _fill_trace_ring(fn) -> int:
+    """Run ``fn`` until ``obs.TRACER``'s span ring stops growing; returns
+    the number of runs.
+
+    Every LocalTransport call records a client span and a dispatch span
+    into the tracer's bounded ring; the direct side records none.  Until
+    the ring is full, each client run also grows the heap by the records
+    it keeps, so the timed pairs start once both sides are at steady
+    state.
+    """
+    runs = 0
+    while True:
+        before = len(obs.TRACER.spans())
+        fn()
+        runs += 1
+        if len(obs.TRACER.spans()) == before:
+            return runs
+
+
 def _timed(fn):
     """(elapsed, result), starting without the garbage of earlier runs."""
     gc.collect()
@@ -140,6 +160,9 @@ def test_client_transport_overhead(results_dir, tmp_path):
     http_client.build_market(SPEC)
 
     try:
+        warmup_runs = _fill_trace_ring(
+            lambda: _run_client(local_client, N_SESSIONS)
+        )
         (direct_elapsed, direct), (local_elapsed, local) = _best_of_pairs(
             lambda: _run_direct(direct_manager, N_SESSIONS),
             lambda: _run_client(local_client, N_SESSIONS),
@@ -165,7 +188,8 @@ def test_client_transport_overhead(results_dir, tmp_path):
           f"{direct_elapsed:.3f}s ({N_SESSIONS / direct_elapsed:.0f}/s)")
     print(f"LocalTransport client : {N_SESSIONS} sessions in "
           f"{local_elapsed:.3f}s (overhead {100 * local_overhead:+.1f}%, "
-          f"ceiling {100 * LOCAL_OVERHEAD_CEILING:.0f}%)")
+          f"ceiling {100 * LOCAL_OVERHEAD_CEILING:.0f}%; "
+          f"{warmup_runs} warm-up runs filled the span ring)")
     print(f"HttpTransport client  : {N_SESSIONS} sessions in "
           f"{http_elapsed:.3f}s "
           f"(~{1e6 * max(http_call_overhead, 0.0):.0f}us per round trip)")
@@ -176,6 +200,7 @@ def test_client_transport_overhead(results_dir, tmp_path):
         "n_sessions": N_SESSIONS,
         "repeats": REPEATS,
         "paired_repeats": PAIRED_REPEATS,
+        "warmup_runs": warmup_runs,
         "direct_elapsed": direct_elapsed,
         "local_elapsed": local_elapsed,
         "http_elapsed": http_elapsed,
