@@ -1,8 +1,8 @@
 """The ``/v1`` protocol over HTTP: the one transport behind ``repro serve``.
 
 :class:`AsyncMarketplaceServer` is pure transport glue on one asyncio
-event loop: every request is parsed (path, query, JSON body with
-411/413 enforcement) and handed to :func:`repro.service.api.dispatch`,
+event loop: every request is framed by :mod:`repro.utils.http11` (400,
+411 and 413 enforced here) and handed to :func:`repro.service.api.dispatch`,
 the same route table the in-process
 :class:`~repro.client.local.LocalTransport` drives — so HTTP and
 embedded clients see byte-identical payloads by construction.
