@@ -595,10 +595,11 @@ class JobStore:
     ) -> bool:
         """Record a leased chunk's result; True if it was the first.
 
-        Chunk payloads are pure functions of ``(spec, start, stop)``, so
-        a duplicate completion — the original holder finishing after its
-        lease was stolen — rewrites byte-identical bytes and is reported
-        (not raised) for the steal metrics.
+        Only the first completion writes: the stored result, its
+        ``elapsed`` and the lease row (marked ``done``, naming the
+        completer) stay as it left them.  A duplicate completion — the
+        original holder finishing after its lease was stolen — changes
+        nothing and is reported (not raised) for the steal metrics.
         """
         with self._connect() as conn:
             # Locked before the read, as in grant_lease, so that of two
@@ -611,7 +612,8 @@ class JobStore:
             ).fetchone()
             if row is None:
                 raise KeyError(f"job {job_id!r} has no chunk {chunk_index!r}")
-            first = row[0] != "done"
+            if row[0] == "done":
+                return False
             conn.execute(
                 "UPDATE chunks SET status = 'done', result = ?, elapsed = ?, "
                 "updated_at = ? WHERE job_id = ? AND chunk_index = ?",
@@ -623,7 +625,7 @@ class JobStore:
                 "WHERE job_id = ? AND chunk_index = ?",
                 (worker_id, job_id, int(chunk_index)),
             )
-        return first
+        return True
 
     def fail_lease(
         self, worker_id: str, job_id: str, chunk_index: int, error: str

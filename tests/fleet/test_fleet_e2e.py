@@ -290,11 +290,11 @@ class TestHungWorker:
                     # chunk after the job is done: a duplicate
                     # (`first: false`) that moves nothing.
                     deadline = time.monotonic() + throttle + 30
-                    while not any(row["worker"] == hung.worker_id
-                                  for row in store.leases()):
+                    while leases.value(event="duplicate") == duplicates:
                         assert time.monotonic() < deadline
                         time.sleep(0.1)
-                    assert leases.value(event="duplicate") > duplicates
+                    assert all(row["worker"] != hung.worker_id
+                               for row in store.leases())
                     assert client.job(job_id)["digest"] == reference_digest
                 finally:
                     survivor.stop()

@@ -187,13 +187,19 @@ class TestLeaseQueue:
         stolen = fleet.lease(fast)["lease"]
         payload = _run(lease)
         assert fleet.complete(fast, stolen["job"], stolen["chunk"],
-                              payload)["first"]
-        # The original holder comes back late with the same payload
-        # (chunks are deterministic): recorded as a duplicate, the
-        # stored result is untouched.
+                              {**payload, "elapsed": 0.5},
+                              elapsed=0.5)["first"]
+        # The original holder comes back late (its payload differs only
+        # in the timing it measured): recorded as a duplicate, and the
+        # stored result and the lease row are the first completion's.
         assert not fleet.complete(slow, lease["job"], lease["chunk"],
-                                  payload)["first"]
+                                  {**payload, "elapsed": 0.9},
+                                  elapsed=0.9)["first"]
         assert store.get(record.job_id).done_chunks == 1
+        stored = store.chunk_results(record.job_id)[lease["chunk"]]
+        assert stored["elapsed"] == 0.5
+        [row] = store.leases()
+        assert (row["worker"], row["status"]) == (fast, "done")
 
     def test_lost_worker_leases_requeue(self, store):
         fleet = FleetManager(store, lease_ttl=30.0, heartbeat_ttl=0.05)
