@@ -9,9 +9,10 @@ their next heartbeat re-adopts them (``adopted=True``), active leases
 keep their deadlines, and the sweep resumes digest-identically.
 
 Liveness is driven entirely by the requests that already flow — every
-heartbeat, lease request and status read runs :meth:`expire` first —
-so the coordinator needs no background reaper thread: a fleet with any
-pulse at all sweeps itself, and an idle one has nothing to sweep.
+heartbeat and lease request sweeps in the same transaction as its own
+write, and a status read runs :meth:`expire` first — so the
+coordinator needs no background reaper thread: a fleet with any pulse
+at all sweeps itself, and an idle one has nothing to sweep.
 
 Completion and failure reports also wake the executors that
 :meth:`~FleetManager.wait` on this manager.
@@ -20,6 +21,7 @@ Completion and failure reports also wake the executors that
 from __future__ import annotations
 
 import threading
+from typing import Any
 
 from repro import obs
 from repro.jobs.store import JobStore
@@ -120,15 +122,14 @@ class FleetManager:
     ) -> dict[str, object]:
         """Register (or re-adopt) the worker serving at ``url``."""
         worker_id = worker_id_for(url)
-        row = self.store.register_worker(
+        row = _count(self.store.register_worker(
             worker_id, str(url).rstrip("/"), int(capacity), labels
-        )
+        ))
         adopted = bool(row.pop("adopted"))
         released = int(row.pop("released"))
         _WORKER_EVENTS.inc(event="adopted" if adopted else "registered")
         if released:
             _LEASE_EVENTS.inc(released, event="expired")
-        self._refresh_gauges()
         row["adopted"] = adopted
         row["lease_ttl"] = self.lease_ttl
         row["heartbeat_ttl"] = self.heartbeat_ttl
@@ -140,13 +141,12 @@ class FleetManager:
         """Record a worker's pulse; ``KeyError`` (404) asks it to
         re-register — the path a worker takes when the coordinator
         comes back with a fresh store."""
-        self.expire()
-        pulse = self.store.heartbeat_worker(worker_id, load)
+        pulse = _count(self.store.heartbeat_worker(
+            worker_id, load, self.heartbeat_ttl))
         lag = float(pulse["lag"])
         _HEARTBEAT_LAG.observe(lag)
         if pulse["adopted"]:
             _WORKER_EVENTS.inc(event="adopted")
-        self._refresh_gauges()
         return {
             "worker": worker_id,
             "status": "live",
@@ -157,10 +157,9 @@ class FleetManager:
 
     def deregister(self, worker_id: str) -> dict[str, object]:
         """Gracefully remove a worker; its active leases re-queue."""
-        left = self.store.deregister_worker(worker_id)
+        left = _count(self.store.deregister_worker(worker_id))["left"]
         if left:
             _WORKER_EVENTS.inc(event="left")
-        self._refresh_gauges()
         return {"worker": worker_id, "left": left}
 
     # ------------------------------------------------------------------
@@ -169,8 +168,8 @@ class FleetManager:
     def lease(self, worker_id: str, job: str | None = None) -> dict[str, object]:
         """Pull one chunk for ``worker_id``, of ``job`` only if given
         (``{"lease": None}`` when the queue is empty)."""
-        self.expire()
-        order = self.store.grant_lease(worker_id, self.lease_ttl, job)
+        order = _count(self.store.grant_lease(
+            worker_id, self.lease_ttl, self.heartbeat_ttl, job))["lease"]
         if order is None:
             return {"lease": None}
         _LEASE_EVENTS.inc(event="granted")
@@ -231,16 +230,9 @@ class FleetManager:
             self._changed.notify_all()
 
     def expire(self) -> dict[str, object]:
-        """One liveness sweep: stale workers lost, overdue leases freed."""
-        lost = self.store.mark_lost_workers(self.heartbeat_ttl)
-        if lost:
-            _WORKER_EVENTS.inc(len(lost), event="lost")
-        expired = self.store.expire_leases()
-        if expired:
-            _LEASE_EVENTS.inc(len(expired), event="expired")
-        if lost or expired:
-            self._refresh_gauges()
-        return {"lost": lost, "expired": expired}
+        """One liveness sweep: stale workers lost, their leases and
+        overdue ones freed (``{lost, expired}``)."""
+        return _count(self.store.sweep(self.heartbeat_ttl))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -248,19 +240,23 @@ class FleetManager:
     def status(self) -> dict[str, object]:
         """The operator view ``GET /v1/fleet`` serves."""
         self.expire()
-        workers = self.store.workers()
         return {
-            "workers": workers,
+            "workers": self.store.workers(),
             "leases": self.store.leases(active_only=True),
             "queue": self.store.queue_depth(),
             "lease_ttl": self.lease_ttl,
             "heartbeat_ttl": self.heartbeat_ttl,
         }
 
-    def _refresh_gauges(self) -> None:
-        counts = {"live": 0, "lost": 0, "left": 0}
-        for row in self.store.workers():
-            status = str(row["status"])
-            counts[status] = counts.get(status, 0) + 1
-        for state, count in counts.items():
-            _WORKERS.set(count, state=state)
+
+def _count(change: dict[str, Any]) -> dict[str, Any]:
+    """Count what one store transaction moved: the workers its sweep
+    lost, the leases it expired, and — popping ``workers``, the counts
+    it read when membership moved — the membership gauge."""
+    if change.get("lost"):
+        _WORKER_EVENTS.inc(len(change["lost"]), event="lost")
+    if change.get("expired"):
+        _LEASE_EVENTS.inc(len(change["expired"]), event="expired")
+    for state, count in (change.pop("workers") or {}).items():
+        _WORKERS.set(count, state=state)
+    return change

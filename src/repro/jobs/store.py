@@ -159,12 +159,14 @@ class JobRecord:
 class JobStore:
     """Durable, content-addressed store of jobs and chunk results.
 
-    Every method opens its own short-lived connection (SQLite serialises
-    writers itself, within and across processes), so one store instance
-    is safe to share between the server's request threads and a job's
-    executor thread — and a second process pointed at the same file sees
-    the same jobs, which is what ``repro jobs resume`` relies on after a
-    crash.
+    Every method is one transaction on its own short-lived connection
+    (SQLite serialises writers itself, within and across processes), so
+    one store instance is safe to share between the server's request
+    threads and a job's executor thread — and a second process pointed
+    at the same file sees the same jobs, which is what ``repro jobs
+    resume`` relies on after a crash.  A fleet request is one such
+    method: the liveness sweep and the worker check run inside the
+    write they guard.
     """
 
     def __init__(self, path: str):
@@ -176,9 +178,15 @@ class JobStore:
             conn.executescript(_SCHEMA)
 
     @contextmanager
-    def _connect(self):
+    def _connect(self, *, immediate: bool = False):
         conn = sqlite3.connect(self.path, timeout=30.0)
         try:
+            if immediate:
+                # Lock before the first read: sqlite3 begins its own
+                # transaction only at the first write, and reads before
+                # it can act on a state a racing writer has moved (two
+                # pullers leasing one chunk).
+                conn.execute("BEGIN IMMEDIATE")
             yield conn
             conn.commit()
         finally:
@@ -374,6 +382,84 @@ class JobStore:
     # re-adopts live workers from their next heartbeat.  Timestamps
     # here are operational metadata exactly like the row clocks above:
     # they bound lease/heartbeat lifetimes and never reach a digest.
+    # Each fleet write is one ``immediate`` transaction; writes that move
+    # membership return the worker counts read in it (``workers``).
+
+    #: The lease queue: pending chunks of submitted/running jobs that
+    #: carry no active lease.
+    _QUEUE = (
+        "FROM chunks c JOIN jobs j ON j.job_id = c.job_id "
+        "WHERE c.status != 'done' AND j.status IN ('submitted', 'running') "
+        "AND NOT EXISTS (SELECT 1 FROM leases l WHERE l.job_id = c.job_id "
+        "AND l.chunk_index = c.chunk_index AND l.status = 'active')"
+    )
+
+    @staticmethod
+    def _worker(conn, worker_id: str) -> dict:
+        row = conn.execute(
+            "SELECT worker_id, url, capacity, labels, status, "
+            "registered_at, last_heartbeat, load FROM workers "
+            "WHERE worker_id = ?",
+            (worker_id,),
+        ).fetchone()
+        if row is None:
+            raise KeyError(f"unknown worker {worker_id!r}")
+        return JobStore._worker_row(row)
+
+    @staticmethod
+    def _worker_counts(conn) -> dict[str, int]:
+        counts = dict.fromkeys(_WORKER_STATUSES, 0)
+        counts.update(conn.execute(
+            "SELECT status, COUNT(*) FROM workers GROUP BY status"))
+        return counts
+
+    @staticmethod
+    def _release(conn, worker_id: str) -> int:
+        """Expire one worker's active leases; how many there were."""
+        return conn.execute(
+            "UPDATE leases SET status = 'expired' "
+            "WHERE worker_id = ? AND status = 'active'",
+            (worker_id,),
+        ).rowcount
+
+    def _sweep(self, conn, heartbeat_ttl: float) -> dict:
+        """Live workers with stale heartbeats become ``lost`` (a later
+        heartbeat re-adopts them); their active leases and every
+        overdue one expire, so those chunks are stealable at once."""
+        now = _wall_now()
+        lost = [row[0] for row in conn.execute(
+            "SELECT worker_id FROM workers "
+            "WHERE status = 'live' AND last_heartbeat < ? "
+            "ORDER BY worker_id ASC",
+            (now - float(heartbeat_ttl),),
+        )]
+        expired = conn.execute(
+            "SELECT job_id, chunk_index, worker_id FROM leases "
+            "WHERE status = 'active' AND (deadline < ? "
+            f"OR worker_id IN ({', '.join('?' * len(lost))})) "
+            "ORDER BY job_id ASC, chunk_index ASC",
+            (now, *lost),
+        ).fetchall()
+        conn.executemany(
+            "UPDATE workers SET status = 'lost' WHERE worker_id = ?",
+            [(worker_id,) for worker_id in lost],
+        )
+        conn.executemany(
+            "UPDATE leases SET status = 'expired' "
+            "WHERE job_id = ? AND chunk_index = ?",
+            [row[:2] for row in expired],
+        )
+        return {
+            "lost": lost,
+            "expired": [{"job": row[0], "chunk": int(row[1]),
+                         "worker": row[2]} for row in expired],
+            "workers": self._worker_counts(conn) if lost else None,
+        }
+
+    def sweep(self, heartbeat_ttl: float) -> dict:
+        """One liveness sweep: ``{lost, expired, workers}``."""
+        with self._connect(immediate=True) as conn:
+            return self._sweep(conn, heartbeat_ttl)
 
     def register_worker(
         self, worker_id: str, url: str, capacity: int,
@@ -381,24 +467,20 @@ class JobStore:
     ) -> dict:
         """Upsert a worker row (idempotent; re-registration re-adopts).
 
-        Returns the stored row; ``adopted`` is True when the row already
-        existed — a worker re-announcing itself after a restart on
-        either side keeps its identity and its lease history.  A worker
-        registers once per life, so the row's active leases are a dead
-        predecessor's: they expire at once (``released`` counts them).
+        Returns the stored row plus ``workers`` and ``adopted``: True
+        when the row already existed — a worker re-announcing itself
+        after a restart on either side keeps its identity and its lease
+        history.  A worker registers once per life, so the row's active
+        leases are a dead predecessor's: they expire at once
+        (``released`` counts them).
         """
         require(capacity >= 1, "worker capacity must be >= 1")
         now = _wall_now()
-        with self._connect() as conn:
+        with self._connect(immediate=True) as conn:
             existing = conn.execute(
-                "SELECT registered_at FROM workers WHERE worker_id = ?",
-                (worker_id,),
+                "SELECT 1 FROM workers WHERE worker_id = ?", (worker_id,)
             ).fetchone()
-            released = conn.execute(
-                "UPDATE leases SET status = 'expired' "
-                "WHERE worker_id = ? AND status = 'active'",
-                (worker_id,),
-            ).rowcount
+            released = self._release(conn, worker_id)
             conn.execute(
                 "INSERT INTO workers (worker_id, url, capacity, labels, "
                 "status, registered_at, last_heartbeat, load) "
@@ -409,23 +491,14 @@ class JobStore:
                 (worker_id, url, int(capacity),
                  canonical_json(labels or {}), now, now),
             )
-        row = self.worker(worker_id)
-        row["adopted"] = existing is not None
-        row["released"] = released
-        return row
+            return {**self._worker(conn, worker_id),
+                    "workers": self._worker_counts(conn),
+                    "adopted": existing is not None, "released": released}
 
     def worker(self, worker_id: str) -> dict:
         """One worker's stored row; ``KeyError`` if unknown."""
         with self._connect() as conn:
-            row = conn.execute(
-                "SELECT worker_id, url, capacity, labels, status, "
-                "registered_at, last_heartbeat, load FROM workers "
-                "WHERE worker_id = ?",
-                (worker_id,),
-            ).fetchone()
-        if row is None:
-            raise KeyError(f"unknown worker {worker_id!r}")
-        return self._worker_row(row)
+            return self._worker(conn, worker_id)
 
     @staticmethod
     def _worker_row(row: tuple) -> dict:
@@ -450,120 +523,76 @@ class JobStore:
             ).fetchall()
         return [self._worker_row(row) for row in rows]
 
-    def heartbeat_worker(self, worker_id: str, load: dict | None) -> dict:
-        """Record a heartbeat; ``KeyError`` tells the agent to re-register.
-
-        Returns ``{lag, adopted}``: ``lag`` is the wall time since the
-        previous watermark and ``adopted`` is True when this heartbeat
-        revived a worker the coordinator had not seen live — the
-        crash-adoption path after a coordinator restart.
+    def heartbeat_worker(
+        self, worker_id: str, load: dict | None, heartbeat_ttl: float
+    ) -> dict:
+        """Sweep, then record a heartbeat; ``KeyError`` tells the agent
+        to re-register.  Returns the sweep's fields plus ``lag`` (wall
+        time since the previous watermark) and ``adopted``: True when
+        this heartbeat revived a worker the coordinator did not have
+        live — the crash-adoption path after a coordinator restart.
         """
-        now = _wall_now()
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT status, last_heartbeat FROM workers "
-                "WHERE worker_id = ?",
-                (worker_id,),
-            ).fetchone()
-            if row is None:
-                raise KeyError(f"unknown worker {worker_id!r}")
+        with self._connect(immediate=True) as conn:
+            row = self._worker(conn, worker_id)
+            swept = self._sweep(conn, heartbeat_ttl)
+            now = _wall_now()
             conn.execute(
                 "UPDATE workers SET status = 'live', last_heartbeat = ?, "
                 "load = ? WHERE worker_id = ?",
                 (now, stable_json(load) if load is not None else None,
                  worker_id),
             )
-        return {
-            "lag": max(0.0, now - float(row[1])),
-            "adopted": row[0] != "live",
-        }
+            adopted = row["status"] != "live" or worker_id in swept["lost"]
+            if adopted:
+                swept["workers"] = self._worker_counts(conn)
+        return {**swept, "adopted": adopted,
+                "lag": max(0.0, now - row["last_heartbeat"])}
 
-    def deregister_worker(self, worker_id: str) -> bool:
-        """Mark a worker ``left`` and expire its active leases."""
-        with self._connect() as conn:
-            updated = conn.execute(
+    def deregister_worker(self, worker_id: str) -> dict:
+        """Mark a worker ``left`` and expire its active leases:
+        ``{left, workers}`` (``left`` is False for an unknown worker or
+        one that had already left)."""
+        with self._connect(immediate=True) as conn:
+            left = conn.execute(
                 "UPDATE workers SET status = 'left', last_heartbeat = ? "
                 "WHERE worker_id = ? AND status != 'left'",
                 (_wall_now(), worker_id),
-            ).rowcount
-            conn.execute(
-                "UPDATE leases SET status = 'expired' "
-                "WHERE worker_id = ? AND status = 'active'",
-                (worker_id,),
-            )
-        return updated == 1
-
-    def mark_lost_workers(self, heartbeat_ttl: float) -> list[str]:
-        """Move live workers with stale heartbeats to ``lost``.
-
-        A lost worker's active leases expire in the same transaction, so
-        its chunks are immediately stealable.  Returns the worker ids
-        that transitioned (a later heartbeat re-adopts them).
-        """
-        cutoff = _wall_now() - float(heartbeat_ttl)
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT worker_id FROM workers "
-                "WHERE status = 'live' AND last_heartbeat < ? "
-                "ORDER BY worker_id ASC",
-                (cutoff,),
-            ).fetchall()
-            lost = [row[0] for row in rows]
-            for worker_id in lost:
-                conn.execute(
-                    "UPDATE workers SET status = 'lost' WHERE worker_id = ?",
-                    (worker_id,),
-                )
-                conn.execute(
-                    "UPDATE leases SET status = 'expired' "
-                    "WHERE worker_id = ? AND status = 'active'",
-                    (worker_id,),
-                )
-        return lost
+            ).rowcount == 1
+            self._release(conn, worker_id)
+            return {"left": left,
+                    "workers": self._worker_counts(conn) if left else None}
 
     def grant_lease(self, worker_id: str, lease_ttl: float,
-                    job_id: str | None = None) -> dict | None:
-        """Atomically lease the oldest unleased pending chunk.
+                    heartbeat_ttl: float, job_id: str | None = None) -> dict:
+        """Check the worker (``KeyError`` if unknown), sweep, then lease
+        the first chunk of the queue (``job_id, chunk_index`` order; of
+        ``job_id`` only, if given), all in one transaction.
 
-        One transaction: pick the first not-done chunk (deterministic
-        ``job_id, chunk_index`` order) of any submitted/running job (of
-        ``job_id`` only, if given) that carries no active lease, and
-        write the lease row.  Returns the
-        work order — ``{job, chunk, start, stop, kind, spec, deadline,
-        stolen_from}`` — or ``None`` when the queue is empty.
-        ``stolen_from`` names the previous (expired) holder when this
-        grant re-queues another worker's chunk: a steal.
+        Returns the sweep's fields and ``lease``: the work order —
+        ``{job, chunk, start, stop, kind, spec, deadline, stolen_from}``
+        — or ``None`` when the queue is empty.  ``stolen_from`` names
+        the previous (expired) holder when this grant re-queues another
+        worker's chunk: a steal.
         """
-        self.worker(worker_id)  # KeyError for unknown workers
-        now = _wall_now()
-        with self._connect() as conn:
-            # sqlite3 opens its implicit transaction only at the INSERT,
-            # so without this the SELECT runs unlocked and two
-            # concurrent pullers can both pick, and both lease, the
-            # same chunk.
-            conn.execute("BEGIN IMMEDIATE")
+        with self._connect(immediate=True) as conn:
+            self._worker(conn, worker_id)
+            swept = self._sweep(conn, heartbeat_ttl)
             scope = "" if job_id is None else "AND c.job_id = ? "
             row = conn.execute(
                 "SELECT c.job_id, c.chunk_index, j.kind, j.spec, j.chunks "
-                "FROM chunks c JOIN jobs j ON j.job_id = c.job_id "
-                "WHERE c.status != 'done' "
-                "AND j.status IN ('submitted', 'running') "
-                f"{scope}"
-                "AND NOT EXISTS (SELECT 1 FROM leases l "
-                "  WHERE l.job_id = c.job_id "
-                "  AND l.chunk_index = c.chunk_index "
-                "  AND l.status = 'active') "
+                f"{self._QUEUE} {scope}"
                 "ORDER BY c.job_id ASC, c.chunk_index ASC LIMIT 1",
                 () if job_id is None else (job_id,),
             ).fetchone()
             if row is None:
-                return None
+                return {**swept, "lease": None}
             job_id, chunk_index, kind, spec, chunks = row
             previous = conn.execute(
                 "SELECT worker_id FROM leases "
                 "WHERE job_id = ? AND chunk_index = ? AND status = 'expired'",
                 (job_id, chunk_index),
             ).fetchone()
+            now = _wall_now()
             deadline = now + float(lease_ttl)
             conn.execute(
                 "INSERT INTO leases (job_id, chunk_index, worker_id, "
@@ -578,7 +607,7 @@ class JobStore:
         stolen_from = previous[0] if (
             previous is not None and previous[0] != worker_id
         ) else None
-        return {
+        return {**swept, "lease": {
             "job": job_id,
             "chunk": int(chunk_index),
             "start": int(start),
@@ -587,7 +616,7 @@ class JobStore:
             "spec": json.loads(spec),
             "deadline": deadline,
             "stolen_from": stolen_from,
-        }
+        }}
 
     def complete_lease(
         self, worker_id: str, job_id: str, chunk_index: int,
@@ -600,11 +629,10 @@ class JobStore:
         completer) stay as it left them.  A duplicate completion — the
         original holder finishing after its lease was stolen — changes
         nothing and is reported (not raised) for the steal metrics.
+        ``KeyError`` for an unknown worker or chunk.
         """
-        with self._connect() as conn:
-            # Locked before the read, as in grant_lease, so that of two
-            # racing completions exactly one is reported as the first.
-            conn.execute("BEGIN IMMEDIATE")
+        with self._connect(immediate=True) as conn:
+            self._worker(conn, worker_id)
             row = conn.execute(
                 "SELECT status FROM chunks "
                 "WHERE job_id = ? AND chunk_index = ?",
@@ -637,9 +665,10 @@ class JobStore:
         is stale — its lease expired and the chunk was re-leased or
         completed elsewhere — and nothing changes.  Expiring the lease
         and failing the job is one transaction, so no completion can
-        land in between.
+        land in between.  ``KeyError`` for an unknown worker.
         """
-        with self._connect() as conn:
+        with self._connect(immediate=True) as conn:
+            self._worker(conn, worker_id)
             held = conn.execute(
                 "UPDATE leases SET status = 'expired' "
                 "WHERE job_id = ? AND chunk_index = ? AND worker_id = ? "
@@ -657,31 +686,6 @@ class JobStore:
                     (error, _wall_now(), job_id),
                 )
         return bool(held)
-
-    def expire_leases(self) -> list[dict]:
-        """Expire active leases past their deadline (one transaction).
-
-        Each expired chunk goes straight back to the queue — the next
-        ``grant_lease`` hands it to whichever worker asks first, which
-        is the steal that makes a hung worker survivable.
-        """
-        now = _wall_now()
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT job_id, chunk_index, worker_id FROM leases "
-                "WHERE status = 'active' AND deadline < ? "
-                "ORDER BY job_id ASC, chunk_index ASC",
-                (now,),
-            ).fetchall()
-            conn.execute(
-                "UPDATE leases SET status = 'expired' "
-                "WHERE status = 'active' AND deadline < ?",
-                (now,),
-            )
-        return [
-            {"job": row[0], "chunk": int(row[1]), "worker": row[2]}
-            for row in rows
-        ]
 
     def leases(self, *, active_only: bool = False) -> list[dict]:
         """Lease rows in deterministic order (fleet status display)."""
@@ -707,14 +711,5 @@ class JobStore:
     def queue_depth(self) -> int:
         """Pending chunks of submitted/running jobs with no active lease."""
         with self._connect() as conn:
-            row = conn.execute(
-                "SELECT COUNT(*) FROM chunks c "
-                "JOIN jobs j ON j.job_id = c.job_id "
-                "WHERE c.status != 'done' "
-                "AND j.status IN ('submitted', 'running') "
-                "AND NOT EXISTS (SELECT 1 FROM leases l "
-                "  WHERE l.job_id = c.job_id "
-                "  AND l.chunk_index = c.chunk_index "
-                "  AND l.status = 'active')"
-            ).fetchone()
+            row = conn.execute(f"SELECT COUNT(*) {self._QUEUE}").fetchone()
         return int(row[0])

@@ -635,13 +635,11 @@ def _post_worker_lease(ctx, params, body, query):
     job = body.get("job")
     if job is not None and not isinstance(job, str):
         raise ApiError(400, "invalid_request", "job must be a job id string")
-    ctx.jobs.fleet.store.worker(params["worker_id"])  # KeyError -> 404
     return ctx.jobs.fleet.lease(params["worker_id"], job)
 
 
 def _post_worker_complete(ctx, params, body, query):
     worker_id = params["worker_id"]
-    ctx.jobs.fleet.store.worker(worker_id)  # KeyError -> 404
     job = body.get("job")
     chunk = body.get("chunk")
     if not isinstance(job, str) or not isinstance(chunk, int):
