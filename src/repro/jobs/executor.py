@@ -42,6 +42,7 @@ from repro.utils.validation import require
 
 if TYPE_CHECKING:
     from repro.fleet.manager import FleetManager
+    from repro.service import JobService
 
 __all__ = [
     "CHUNK_RUNNERS",
@@ -384,6 +385,10 @@ class ShardedExecutor(FleetExecutor):
     stop_event / max_chunks:
         As on :class:`FleetExecutor`; chunks in flight when the run
         stops finish and are recorded.
+    jobs:
+        The :class:`~repro.service.JobService` over ``store`` whose
+        routes and fleet manager the agent uses (a server's own, so its
+        TTLs apply; default: a new one over ``store``).
     """
 
     def __init__(
@@ -393,6 +398,7 @@ class ShardedExecutor(FleetExecutor):
         shards: int = 2,
         stop_event: threading.Event | None = None,
         max_chunks: int | None = None,
+        jobs: JobService | None = None,
     ) -> None:
         import os
 
@@ -400,7 +406,7 @@ class ShardedExecutor(FleetExecutor):
 
         require(isinstance(shards, int) and shards >= 0,
                 "shards must be an int >= 0")
-        self._service = JobService(store)
+        self._service = jobs if jobs is not None else JobService(store)
         super().__init__(store, fleet=self._service.fleet,
                          stop_event=stop_event, max_chunks=max_chunks)
         self.shards = shards or (os.cpu_count() or 2)

@@ -222,10 +222,9 @@ class JobService:
                 self.store, fleet=self.fleet, stop_event=self.stop_event
             )
 
-        if shards is None:
-            shards = self.shards
         return ShardedExecutor(
-            self.store, shards=int(shards), stop_event=self.stop_event
+            self.store, shards=int(self.shards if shards is None else shards),
+            stop_event=self.stop_event, jobs=self,
         )
 
     def submit(self, payload: dict) -> dict:

@@ -191,3 +191,15 @@ class TestLocalAgent:
         assert [(row["worker"], row["status"]) for row in status["workers"]] \
             == [(worker_id_for(f"local://{record.job_id}"), "left")]
         assert status["leases"] == [] and status["queue"] == 2
+
+    def test_a_services_local_run_uses_the_services_fleet(self, store):
+        """``repro serve --lease-ttl/--heartbeat-ttl`` reach the server's
+        own non-fleet jobs: their executor runs on the service's one
+        fleet manager, not on a second one with default TTLs."""
+        from repro.service import JobService
+
+        service = JobService(store, lease_ttl=5.0, heartbeat_ttl=2.0)
+        executor = service._executor(1)
+        assert executor.fleet is service.fleet
+        assert (executor.fleet.lease_ttl, executor.fleet.heartbeat_ttl) \
+            == (5.0, 2.0)
