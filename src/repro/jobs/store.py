@@ -185,7 +185,7 @@ class JobStore:
                 # Lock before the first read: sqlite3 begins its own
                 # transaction only at the first write, and reads before
                 # it can act on a state a racing writer has moved (two
-                # pullers leasing one chunk).
+                # pullers leasing one chunk, two completions both first).
                 conn.execute("BEGIN IMMEDIATE")
             yield conn
             conn.commit()
