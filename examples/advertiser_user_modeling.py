@@ -15,11 +15,15 @@ Run:  python examples/advertiser_user_modeling.py
 """
 
 from repro.market import Market
+from repro.service import MarketSpec
 
 
 def main() -> None:
     print("Advertiser (task party) + media platform (data party) on Adult...")
-    market = Market.for_dataset("adult", base_model="random_forest", quick=True, seed=0)
+    market = Market.from_spec(MarketSpec(
+        dataset="adult", base_model="random_forest", quick=True, seed=0,
+        no_cache=True,
+    ))
     print(
         f"  platform catalogue: {len(market.oracle)} bundles | "
         f"advertiser isolated accuracy M0 = {market.oracle.isolated:.3f}"

@@ -17,6 +17,7 @@ Run:  python examples/bank_joint_antifraud.py
 import numpy as np
 
 from repro.market import Market
+from repro.service import MarketSpec
 
 
 def describe(label: str, outcomes) -> None:
@@ -35,7 +36,10 @@ def describe(label: str, outcomes) -> None:
 
 def main() -> None:
     print("Bank (task party) + payment processor (data party) on Credit...")
-    market = Market.for_dataset("credit", base_model="random_forest", quick=True, seed=1)
+    market = Market.from_spec(MarketSpec(
+        dataset="credit", base_model="random_forest", quick=True, seed=1,
+        no_cache=True,
+    ))
     print(
         f"  processor catalogue: {len(market.oracle)} feature bundles | "
         f"bank's isolated accuracy M0 = {market.oracle.isolated:.3f}"

@@ -8,17 +8,19 @@ Run:  python examples/quickstart.py
 """
 
 from repro.market import Market
+from repro.service import MarketSpec
 
 
 def main() -> None:
     print("Building the Titanic market (runs one VFL course per bundle)...")
-    market = Market.for_dataset(
-        "titanic",
+    market = Market.from_spec(MarketSpec(
+        dataset="titanic",
         base_model="random_forest",
         quick=True,
         seed=0,
         n_bundles=12,
-    )
+        no_cache=True,
+    ))
     oracle = market.oracle
     print(
         f"  catalogue: {len(oracle)} bundles | isolated accuracy M0 = "

@@ -95,15 +95,6 @@ def _add_oracle_options(parser: argparse.ArgumentParser) -> None:
                         help="disable the persistent gain cache")
 
 
-def _oracle_cache(args: argparse.Namespace):
-    """The GainCache implied by --cache-dir/--no-cache (None if disabled)."""
-    if args.no_cache:
-        return None
-    from repro.oracle_factory import GainCache, default_cache_dir
-
-    return GainCache(args.cache_dir or default_cache_dir())
-
-
 def _add_secure_options(parser: argparse.ArgumentParser) -> None:
     """Flags for the §3.6 secure-bargaining settlement path."""
     parser.add_argument("--secure", action="store_true",
@@ -357,7 +348,8 @@ def _cmd_bargain(args: argparse.Namespace) -> int:
         args.model,
         seed=args.seed,
         jobs=args.jobs,
-        cache=_oracle_cache(args),
+        cache_dir=args.cache_dir,
+        no_cache=args.no_cache,
     )
     with _client(args) as client:
         market = client.build_market(spec)
@@ -525,28 +517,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     sim = _simulation_spec(args)
-    market_spec = None
     if args.dataset and not args.server:
         # A real pre-bargaining oracle: the factory runs (or replays
         # from cache) one VFL course per catalogued bundle.  With
         # --server the remote deployment resolves and builds it.
-        from repro.experiments import market_is_cached, spec_for
         from repro.service import shared_pool
+        from repro.service.simulation import backing_market_spec
 
-        market_spec = spec_for(
-            args.dataset,
-            args.base_model,
-            seed=args.seed,
-            jobs=args.jobs,
-            cache=_oracle_cache(args),
-        )
-        fresh_build = not market_is_cached(market_spec)
+        market_spec = backing_market_spec(sim)
+        fresh_build = not shared_pool().contains(market_spec)
         market = shared_pool().get(market_spec)
         build_report = getattr(market.oracle, "build_report", None)
         if fresh_build and build_report is not None:
             print(build_report.summary())
     with _client(args) as client:
-        report = client.simulate(sim, market_spec=market_spec)
+        report = client.simulate(sim)
     print(report.to_text())
     if args.json:
         import json

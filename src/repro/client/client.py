@@ -311,7 +311,7 @@ class MarketplaceClient:
     # ------------------------------------------------------------------
     # High level
     # ------------------------------------------------------------------
-    def simulate(self, spec, *, market_spec=None, shards: int | None = None,
+    def simulate(self, spec, *, shards: int | None = None,
                  chunks: int | None = None, timeout: float = 3600.0,
                  on_event=None):
         """Run a population simulation; returns the
@@ -319,8 +319,7 @@ class MarketplaceClient:
 
         Local transport: the in-process
         :func:`~repro.service.simulation.run_simulation` fast path over
-        the transport's own market pool (``market_spec`` may override
-        the oracle-backing market exactly as the CLI does).  Remote:
+        the transport's own market pool.  Remote:
         submit the spec as a durable job, follow its event stream, and
         rebuild the report from the wire payload.  Both paths produce
         the same report digest — the contract
@@ -334,17 +333,9 @@ class MarketplaceClient:
                 spec = SimulationSpec.from_dict(spec)
             with obs.span("simulate:local", sessions=spec.sessions):
                 _, _, local_report = run_simulation(
-                    spec,
-                    pool=self.transport.ctx.manager.pool,
-                    market_spec=market_spec,
+                    spec, pool=self.transport.ctx.manager.pool
                 )
             return local_report
-        if market_spec is not None:
-            raise ValueError(
-                "market_spec only applies to local transports; a remote "
-                "server resolves the oracle-backing market from the "
-                "SimulationSpec itself"
-            )
         from repro.simulate.report import report_from_dict
 
         submitted = self.submit_simulation(spec, shards=shards, chunks=chunks)

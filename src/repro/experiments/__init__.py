@@ -6,7 +6,7 @@ from repro.experiments.aggregate import (
     mean_std,
     nan_mean_ci,
 )
-from repro.experiments.config import BASE_MODELS, DATASETS, ExperimentScale, scale
+from repro.experiments.config import ExperimentScale, scale
 from repro.experiments.figures import (
     figure1_series,
     figure23_series,
@@ -14,13 +14,7 @@ from repro.experiments.figures import (
     write_figure_csvs,
 )
 from repro.experiments.report import ascii_chart, format_table, write_csv
-from repro.experiments.runner import (
-    clear_market_cache,
-    get_market,
-    market_is_cached,
-    round_matrix,
-    spec_for,
-)
+from repro.experiments.runner import get_market, round_matrix, spec_for
 from repro.experiments.tables import (
     ablation_epsilon_rows,
     ablation_market_rows,
@@ -31,20 +25,16 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
-    "BASE_MODELS",
-    "DATASETS",
     "ExperimentScale",
     "ablation_epsilon_rows",
     "ablation_market_rows",
     "ascii_chart",
-    "clear_market_cache",
     "density",
     "figure1_series",
     "figure23_series",
     "figure4_series",
     "format_table",
     "get_market",
-    "market_is_cached",
     "histogram",
     "mean_std",
     "nan_mean_ci",

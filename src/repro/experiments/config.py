@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 __all__ = ["ExperimentScale", "scale"]
 
-DATASETS = ("titanic", "credit", "adult")
-BASE_MODELS = ("random_forest", "mlp")
-
 
 @dataclass(frozen=True)
 class ExperimentScale:
@@ -29,7 +26,6 @@ class ExperimentScale:
     n_bundles: int
     exploration_rounds: int
     trace_rounds: int
-    oracle_repeats: int
 
 
 _QUICK = ExperimentScale(
@@ -40,7 +36,6 @@ _QUICK = ExperimentScale(
     n_bundles=24,
     exploration_rounds=60,
     trace_rounds=150,
-    oracle_repeats=1,
 )
 
 _FULL = ExperimentScale(
@@ -51,7 +46,6 @@ _FULL = ExperimentScale(
     n_bundles=24,
     exploration_rounds=100,
     trace_rounds=200,
-    oracle_repeats=3,
 )
 
 

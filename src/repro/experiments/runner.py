@@ -1,13 +1,12 @@
-"""Shared experiment plumbing: cached markets and trace extraction.
+"""Shared experiment plumbing: the market rule and trace extraction.
 
-Markets are pooled in the process-wide
-:func:`repro.service.manager.shared_pool`, keyed by the full
-:meth:`~repro.service.specs.MarketSpec.digest` — *including* the
-oracle-build execution knobs.  The old tuple key ignored
-``jobs``/``cache``, so a ``--no-cache`` run could silently reuse a
-process-cached market built under different persistence settings (and
-report stale build/cache statistics for it); keying on the spec digest
-makes every distinct build configuration its own pool entry.
+:func:`spec_for` is the one place a front door turns a dataset and base
+model into a :class:`~repro.service.specs.MarketSpec`: it applies the
+active experiment tier and resolves the gain-cache directory.  Markets
+are pooled in the process-wide :func:`repro.service.manager.shared_pool`,
+keyed by the full :meth:`~repro.service.specs.MarketSpec.digest`, which
+covers the oracle-build execution fields too, so a ``--no-cache`` run
+never reuses a market built under other persistence settings.
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ from repro.market.market import Market
 from repro.service.manager import shared_pool
 from repro.service.specs import MarketSpec
 
-__all__ = [
-    "clear_market_cache",
-    "get_market",
-    "market_is_cached",
-    "round_matrix",
-    "spec_for",
-]
+__all__ = ["get_market", "round_matrix", "spec_for"]
 
 
 def spec_for(
@@ -35,22 +28,23 @@ def spec_for(
     *,
     seed: int = 0,
     jobs: int = 1,
-    cache: object = None,
+    cache_dir: str | None = None,
+    no_cache: bool = False,
 ) -> MarketSpec:
     """The experiment-scale-aware :class:`MarketSpec` for one market.
 
     Applies the active :func:`repro.experiments.config.scale` tier
-    (quick-mode rows, catalogue size) and normalises the legacy
-    ``cache`` argument (``None`` = no persistence, a directory path or
-    a :class:`~repro.oracle_factory.cache.GainCache`) into the spec's
-    serialisable ``cache_dir``/``no_cache`` fields.
+    (quick-mode rows, catalogue size) and resolves the gain-cache
+    directory: none with ``no_cache``, else ``cache_dir`` or
+    :func:`~repro.oracle_factory.cache.default_cache_dir`.
     """
     tier = scale()
-    cache_dir = None
-    if cache is not None:
-        cache_dir = cache if isinstance(cache, str) else getattr(
-            cache, "directory", None
-        )
+    if no_cache:
+        cache_dir = None
+    else:
+        from repro.oracle_factory.cache import default_cache_dir
+
+        cache_dir = cache_dir or default_cache_dir()
     return MarketSpec(
         dataset=dataset,
         base_model=base_model,
@@ -59,59 +53,22 @@ def spec_for(
         n_bundles=tier.n_bundles,
         jobs=jobs,
         cache_dir=cache_dir,
-        no_cache=cache is None,
+        no_cache=no_cache,
     )
 
 
-def _as_spec(dataset, base_model, seed, jobs, cache) -> MarketSpec:
-    if isinstance(dataset, MarketSpec):
-        return dataset
-    return spec_for(dataset, base_model, seed=seed, jobs=jobs, cache=cache)
-
-
-def market_is_cached(
-    dataset: str | MarketSpec,
-    base_model: str = "random_forest",
-    *,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: object = None,
-) -> bool:
-    """Whether :func:`get_market` would return a pooled market.
-
-    Lets callers (the CLI) distinguish a fresh oracle build — whose
-    build report describes the current invocation — from a reused one.
-    Accepts either a :class:`MarketSpec` or the legacy positional
-    ``(dataset, base_model)`` form; the execution knobs are part of the
-    key, so they must match the subsequent :func:`get_market` call.
-    """
-    return shared_pool().contains(_as_spec(dataset, base_model, seed, jobs, cache))
-
-
 def get_market(
-    dataset: str | MarketSpec,
-    base_model: str = "random_forest",
-    *,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: object = None,
+    dataset: str, base_model: str = "random_forest", *, seed: int = 0
 ) -> Market:
-    """Build (or reuse) the full market stack for one dataset/model.
+    """Build (or reuse) the market a paper table or figure reads.
 
     Oracle construction dominates experiment cost, so markets are
     pooled per spec digest for the process lifetime — every
     figure/table for a given market shares one oracle, exactly as the
-    paper's platform pre-computes gains once.  Because the digest
-    covers ``jobs``/``cache`` too, a call with different oracle-build
-    settings gets its own (freshly built, then cached) market instead
-    of silently reusing one built under other settings.
+    paper's platform pre-computes gains once.  The artifacts build
+    without the persistent gain cache.
     """
-    return shared_pool().get(_as_spec(dataset, base_model, seed, jobs, cache))
-
-
-def clear_market_cache() -> None:
-    """Drop pooled markets (tests use this to control memory)."""
-    shared_pool().clear()
+    return shared_pool().get(spec_for(dataset, base_model, seed=seed, no_cache=True))
 
 
 def round_matrix(

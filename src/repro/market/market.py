@@ -2,15 +2,12 @@
 
 Typical use::
 
-    market = Market.for_dataset("titanic", base_model="random_forest")
+    from repro.service import MarketSpec
+
+    market = Market.from_spec(MarketSpec(dataset="titanic", no_cache=True))
     outcome = market.bargain(seed=0)                       # Strategic
     outcome = market.bargain(task="increase_price", seed=0)  # baseline
     outcome = market.bargain(information="imperfect", seed=0)
-
-or, spec-first (what every service front door does)::
-
-    from repro.service import MarketSpec
-    market = Market.from_spec(MarketSpec(dataset="titanic"))
 
 ``from_spec`` assembles the whole stack: registered dataset ->
 vertical partition -> bundle catalogue -> ΔG oracle (the trusted
@@ -41,8 +38,6 @@ if TYPE_CHECKING:
     from repro.oracle_factory.cache import DatasetRecipe
 
 __all__ = ["Market"]
-
-_DEFAULT_CACHE = object()  # sentinel: "derive the gain cache from the spec"
 
 # Synthetic (catalogue-only) markets share the population sampler's
 # geometry: bundle sizes drive gains with diminishing returns.
@@ -82,15 +77,15 @@ class Market:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_spec(cls, spec, *, cache: object = _DEFAULT_CACHE) -> "Market":
+    def from_spec(cls, spec) -> "Market":
         """Build the full market stack described by a ``MarketSpec``.
 
         The dataset (and its preset calibration) resolves through the
         service registry, so registered custom datasets build exactly
-        like the paper's three.  ``cache`` overrides the gain cache the
-        spec implies (``for_dataset`` threads its legacy argument
-        through); the resulting market is identical for every
-        ``jobs``/``cache`` combination.
+        like the paper's three.  The spec's execution fields
+        (``jobs``, ``cache_dir``, ``no_cache``) go to the oracle
+        factory; the resulting market is identical for every
+        combination of them.
         """
         entry = spec.entry()
         preset = entry.preset
@@ -129,7 +124,7 @@ class Market:
                 model_params=params,
                 seed=seed,
                 jobs=spec.jobs,
-                cache=spec.cache() if cache is _DEFAULT_CACHE else cache,
+                cache=spec.cache(),
             )
         reserved = cost_based_reserved_prices(
             oracle.bundles,
@@ -194,46 +189,6 @@ class Market:
         return PerformanceOracle.from_gains(
             {b: float(g) for b, g in zip(bundles, gains)}
         )
-
-    @classmethod
-    def for_dataset(
-        cls,
-        dataset_name: str,
-        *,
-        base_model: str = "random_forest",
-        quick: bool = True,
-        seed: int = 0,
-        n_bundles: int | None = None,
-        config_overrides: dict | None = None,
-        model_params: dict | None = None,
-        jobs: int = 1,
-        cache: object = None,
-    ) -> "Market":
-        """Build the full market stack for a registered dataset.
-
-        Legacy keyword front door over :meth:`from_spec`.  ``quick=True``
-        uses reduced sample counts so the platform's pre-bargaining VFL
-        sweeps finish in seconds; ``quick=False`` restores paper-scale
-        rows.  ``jobs`` and ``cache`` go to the oracle factory (worker
-        processes / persistent gain cache); the resulting market is
-        identical for every combination.
-        """
-        from repro.service.specs import MarketSpec
-
-        spec = MarketSpec(
-            dataset=dataset_name.lower(),
-            base_model=base_model,
-            seed=seed,
-            quick=quick,
-            n_bundles=n_bundles,
-            model_params=model_params,
-            config_overrides=config_overrides,
-            jobs=jobs,
-            no_cache=cache is None,
-        )
-        # `cache` may be an arbitrary GainCache object; thread it
-        # through verbatim rather than round-tripping a directory path.
-        return cls.from_spec(spec, cache=cache)
 
     # ------------------------------------------------------------------
     # Bargaining

@@ -114,11 +114,10 @@ class PerformanceOracle:
         Delegates to :func:`repro.oracle_factory.factory.build_oracle`:
         shared incremental binning, optional process parallelism
         (``jobs``) and an optional persistent gain ``cache`` (a
-        :class:`~repro.oracle_factory.cache.GainCache` or a directory
-        path).  Gains are bit-identical to
-        :meth:`build_serial_reference` for every ``jobs``/``cache``
-        combination; the returned oracle carries a ``build_report``
-        attribute with timings and cache statistics.
+        :class:`~repro.oracle_factory.cache.GainCache`).  Gains are
+        bit-identical to :meth:`build_serial_reference` for every
+        ``jobs``/``cache`` combination; the returned oracle carries a
+        ``build_report`` attribute with timings and cache statistics.
         """
         from repro.oracle_factory.factory import build_oracle
 

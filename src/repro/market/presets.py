@@ -4,8 +4,9 @@ The paper reports absolute monetary magnitudes per dataset (Figures
 2-3, Tables 3-4); these presets encode utility rates, budgets, opening
 prices and cost-related reserved-price scales that land the reproduced
 magnitudes in the same ranges (see DESIGN.md §6 for the calibration
-arithmetic).  All values are overridable through
-:meth:`repro.market.market.Market.for_dataset`.
+arithmetic).  A :class:`~repro.service.specs.MarketSpec` overrides the
+market config (``config_overrides``), the base-model parameters
+(``model_params``) and the catalogue size (``n_bundles``) per market.
 """
 
 from __future__ import annotations

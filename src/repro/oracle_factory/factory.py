@@ -235,7 +235,7 @@ def build_oracle(
     seed: object = 0,
     n_repeats: int = 1,
     jobs: int = 1,
-    cache: GainCache | str | None = None,
+    cache: GainCache | None = None,
 ) -> tuple[PerformanceOracle, BuildReport]:
     """Build a :class:`PerformanceOracle`, fast.
 
@@ -245,8 +245,8 @@ def build_oracle(
         Worker processes for course execution (``None``/``0`` = all
         cores).  Results are identical for every value.
     cache:
-        A :class:`GainCache`, a cache directory path, or ``None`` to
-        disable persistence.  Cached courses are never re-run.
+        A :class:`GainCache`, or ``None`` to disable persistence.
+        Cached courses are never re-run.
 
     ``dataset`` may be a :class:`DatasetRecipe`: a fully cached build
     then takes its digest from the recipe index and never builds a row.
@@ -262,8 +262,6 @@ def build_oracle(
     params = resolve_model_params(base_model, model_params)
     seeds = repeat_course_seeds(seed, n_repeats)
     jobs = resolve_jobs(jobs)
-    if isinstance(cache, str):
-        cache = GainCache(cache)
     stats = CacheStats() if cache is not None else None
     source = (
         dataset if isinstance(dataset, DatasetRecipe) else DatasetRecipe.of(dataset)

@@ -20,28 +20,25 @@ __all__ = ["backing_market_spec", "run_simulation", "settlement_for"]
 def backing_market_spec(spec: SimulationSpec) -> MarketSpec | None:
     """The oracle-backing market spec, experiment-scale aware.
 
-    The single resolution rule shared by :func:`run_simulation`'s
-    default path and the jobs executor's workers
-    (:mod:`repro.jobs.executor`), so ``repro simulate --dataset`` and a
-    sharded job of the same :class:`SimulationSpec` build the same
-    oracle — and digest-match — under every ``REPRO_*`` scale tier
-    (notably ``REPRO_FULL=1``).
+    The single resolution rule (through
+    :func:`repro.experiments.spec_for`) shared by
+    :func:`run_simulation`'s default path, ``repro simulate --dataset``
+    and the jobs executor's workers (:mod:`repro.jobs.executor`), so a
+    simulation and a sharded job of the same :class:`SimulationSpec`
+    build the same oracle — and digest-match — under every ``REPRO_*``
+    scale tier (notably ``REPRO_FULL=1``).
     """
     if spec.dataset is None:
         return None
     from repro.experiments import spec_for
 
-    cache = None
-    if not spec.no_cache:
-        from repro.oracle_factory import default_cache_dir
-
-        cache = spec.cache_dir or default_cache_dir()
     return spec_for(
         spec.dataset,
         spec.base_model,
         seed=spec.seed,
         jobs=spec.jobs,
-        cache=cache,
+        cache_dir=spec.cache_dir,
+        no_cache=spec.no_cache,
     )
 
 

@@ -372,22 +372,6 @@ class SimulationSpec:
             overrides["cost_mix"] = self.cost_mix
         return PopulationSpec(**overrides)
 
-    def market_spec(self, *, quick: bool = True,
-                    n_bundles: int | None = None) -> "MarketSpec | None":
-        """The oracle-backing :class:`MarketSpec` (``None`` if synthetic)."""
-        if self.dataset is None:
-            return None
-        return MarketSpec(
-            dataset=self.dataset,
-            base_model=self.base_model,
-            seed=self.seed,
-            quick=quick,
-            n_bundles=n_bundles,
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            no_cache=self.no_cache,
-        )
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """Canonical plain-dict form."""

@@ -33,16 +33,16 @@ def isolated_pool(monkeypatch):
 class TestMarketCacheKey:
     def test_same_settings_reuse(self, isolated_pool):
         pool, built = isolated_pool
-        first = runner.get_market("titanic", cache=None)
-        again = runner.get_market("titanic", cache=None)
+        first = runner.get_market("titanic")
+        again = runner.get_market("titanic")
         assert first is again
         assert len(built) == 1
 
     def test_cache_setting_enters_key(self, isolated_pool):
         """A --no-cache run must not reuse a cache-backed build."""
         pool, built = isolated_pool
-        cached = runner.get_market("titanic", cache="/tmp/oracle-cache")
-        uncached = runner.get_market("titanic", cache=None)
+        cached = pool.get(runner.spec_for("titanic", cache_dir="/tmp/oracle-cache"))
+        uncached = pool.get(runner.spec_for("titanic", no_cache=True))
         assert cached is not uncached
         assert len(built) == 2
         assert built[0].cache_dir == "/tmp/oracle-cache" and not built[0].no_cache
@@ -50,38 +50,37 @@ class TestMarketCacheKey:
 
     def test_jobs_enter_key(self, isolated_pool):
         pool, built = isolated_pool
-        serial = runner.get_market("titanic", cache=None)
-        parallel = runner.get_market("titanic", jobs=4, cache=None)
+        serial = pool.get(runner.spec_for("titanic", no_cache=True))
+        parallel = pool.get(runner.spec_for("titanic", jobs=4, no_cache=True))
         assert serial is not parallel
         assert [spec.jobs for spec in built] == [1, 4]
 
-    def test_market_is_cached_agrees_with_get_market(self, isolated_pool):
+    def test_pool_contains_agrees_with_get_market(self, isolated_pool):
         pool, built = isolated_pool
-        assert not runner.market_is_cached("titanic", cache=None)
-        runner.get_market("titanic", cache=None)
-        assert runner.market_is_cached("titanic", cache=None)
+        spec = runner.spec_for("titanic", no_cache=True)
+        assert not pool.contains(spec)
+        runner.get_market("titanic")
+        assert pool.contains(spec)
         # Different settings -> different key -> not cached yet.
-        assert not runner.market_is_cached("titanic", jobs=4, cache=None)
-        assert not runner.market_is_cached("titanic", cache="/tmp/x")
+        assert not pool.contains(runner.spec_for("titanic", jobs=4, no_cache=True))
+        assert not pool.contains(runner.spec_for("titanic", cache_dir="/tmp/x"))
 
-    def test_gain_cache_object_normalised_to_directory(self, isolated_pool):
+    def test_get_market_builds_without_the_gain_cache(self, isolated_pool):
         pool, built = isolated_pool
-        from repro.oracle_factory import GainCache
+        runner.get_market("credit", "mlp", seed=2)
+        assert built == [runner.spec_for("credit", "mlp", seed=2, no_cache=True)]
+        assert built[0].cache_dir is None
 
-        runner.get_market("titanic", cache=GainCache("/tmp/oracle-cache"))
-        assert runner.market_is_cached("titanic", cache="/tmp/oracle-cache")
-        assert built[0].cache_dir == "/tmp/oracle-cache"
 
-    def test_spec_first_form(self, isolated_pool):
-        pool, built = isolated_pool
-        spec = runner.spec_for("credit", "mlp", seed=2, jobs=3, cache=None)
-        market = runner.get_market(spec)
-        assert runner.market_is_cached(spec)
-        assert runner.get_market(spec) is market
-        assert built[0].dataset == "credit" and built[0].base_model == "mlp"
+class TestCacheDirectory:
+    def test_no_cache_names_no_directory(self):
+        spec = runner.spec_for("titanic", cache_dir="/tmp/x", no_cache=True)
+        assert spec.no_cache and spec.cache_dir is None
 
-    def test_clear_market_cache_clears_shared_pool(self):
-        from repro.service.manager import shared_pool
+    def test_explicit_directory_kept_verbatim(self):
+        assert runner.spec_for("titanic", cache_dir="rel/dir").cache_dir == "rel/dir"
 
-        runner.clear_market_cache()
-        assert len(shared_pool()) == 0
+    def test_default_directory_resolved(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "/env/oracle-cache")
+        spec = runner.spec_for("titanic")
+        assert spec.cache_dir == "/env/oracle-cache" and not spec.no_cache

@@ -7,21 +7,23 @@ from repro.market import LinearCost, Market, NoCost, PerformanceOracle, ScaledCo
 from repro.market.bundle import FeatureBundle
 from repro.market.pricing import ReservedPrice
 from repro.market.config import MarketConfig
+from repro.service import MarketSpec
 
 
 @pytest.fixture(scope="module")
 def titanic_market():
-    return Market.for_dataset(
-        "titanic",
+    return Market.from_spec(MarketSpec(
+        dataset="titanic",
         base_model="random_forest",
         quick=True,
         seed=0,
         n_bundles=12,
         model_params={"n_estimators": 8, "max_depth": 6},
-    )
+        no_cache=True,
+    ))
 
 
-class TestForDataset:
+class TestFromSpec:
     def test_builds_complete_stack(self, titanic_market):
         market = titanic_market
         assert len(market.oracle) == 12
@@ -31,7 +33,7 @@ class TestForDataset:
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset"):
-            Market.for_dataset("mnist")
+            Market.from_spec(MarketSpec(dataset="mnist"))
 
     def test_config_overrides_applied(self):
         market = Market(

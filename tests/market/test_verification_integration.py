@@ -3,18 +3,20 @@
 import pytest
 
 from repro.market import Market, TrustedEvaluator, under_report
+from repro.service import MarketSpec
 
 
 @pytest.fixture(scope="module")
 def market_and_evaluator():
-    market = Market.for_dataset(
-        "titanic",
+    market = Market.from_spec(MarketSpec(
+        dataset="titanic",
         base_model="random_forest",
         quick=True,
         seed=6,
         n_bundles=10,
         model_params={"n_estimators": 10, "max_depth": 6},
-    )
+        no_cache=True,
+    ))
     evaluator = TrustedEvaluator(
         market.dataset,
         base_model="random_forest",

@@ -178,12 +178,6 @@ class TestRobustness:
         assert report.courses_run == 1
         assert report.cache_stats.hits == len(bundles)  # isolated + others
 
-    def test_string_cache_argument(self, dataset, bundles, tmp_path):
-        """A plain directory path works wherever a GainCache does."""
-        build(dataset, bundles, str(tmp_path / "c"))
-        _, report = build(dataset, bundles, str(tmp_path / "c"))
-        assert report.courses_run == 0
-
     def test_default_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_ORACLE_CACHE", str(tmp_path / "envcache"))
         assert default_cache_dir() == str(tmp_path / "envcache")

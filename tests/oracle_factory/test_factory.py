@@ -7,6 +7,7 @@ from repro.market.bundle import FeatureBundle
 from repro.market.market import Market
 from repro.oracle_factory import GainCache, build_oracle
 from repro.oracle_factory.factory import resolve_jobs
+from repro.service import MarketSpec
 
 PARAMS = {"n_estimators": 4, "max_depth": 4}
 
@@ -70,28 +71,21 @@ class TestBuildReport:
 
 
 class TestMarketIntegration:
-    def test_for_dataset_accepts_jobs_and_cache(self, tmp_path):
-        market = Market.for_dataset(
-            "titanic",
+    def test_from_spec_accepts_jobs_and_cache(self, tmp_path):
+        spec = MarketSpec(
+            dataset="titanic",
             quick=True,
             seed=0,
             n_bundles=4,
             model_params={"n_estimators": 3, "max_depth": 3},
             jobs=1,
-            cache=str(tmp_path),
+            cache_dir=str(tmp_path),
         )
+        market = Market.from_spec(spec)
         assert len(market.oracle) >= 2
         report = market.oracle.build_report
         assert report.courses_run > 0
         # A second build with the same cache replays from disk.
-        market2 = Market.for_dataset(
-            "titanic",
-            quick=True,
-            seed=0,
-            n_bundles=4,
-            model_params={"n_estimators": 3, "max_depth": 3},
-            jobs=1,
-            cache=str(tmp_path),
-        )
+        market2 = Market.from_spec(spec)
         assert market2.oracle.build_report.courses_run == 0
         assert market2.oracle.gains() == market.oracle.gains()

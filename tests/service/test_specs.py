@@ -152,8 +152,10 @@ class TestSimulationSpec:
                 .resolved_preset() == "adult")
 
     def test_market_spec_only_with_dataset(self):
-        assert SimulationSpec().market_spec() is None
-        backing = SimulationSpec(dataset="titanic", jobs=2).market_spec()
+        from repro.service.simulation import backing_market_spec
+
+        assert backing_market_spec(SimulationSpec()) is None
+        backing = backing_market_spec(SimulationSpec(dataset="titanic", jobs=2))
         assert backing.dataset == "titanic" and backing.jobs == 2
 
     def test_bad_mixes_rejected(self):

@@ -179,18 +179,18 @@ class TestCommands:
     def test_simulate_with_real_dataset_oracle(self, tmp_path, capsys):
         """End-to-end: --dataset routes the population through a
         factory-built oracle (and the preset anchors to the dataset)."""
-        from repro.experiments import clear_market_cache
+        from repro.service import shared_pool
 
         argv = ["simulate", "--sessions", "40", "--seed", "1",
                 "--dataset", "titanic", "--cache-dir", str(tmp_path)]
-        clear_market_cache()  # force a cold factory build
+        shared_pool().clear()  # force a cold factory build
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "oracle build:" in out
         assert "population: 40 sessions" in out
         # A fresh process (simulated by dropping the in-process market
         # cache) replays every course from the persistent gain cache.
-        clear_market_cache()
+        shared_pool().clear()
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "0 courses run" in out

@@ -9,18 +9,20 @@ import pytest
 
 from repro.market import Market, is_equilibrium_price
 from repro.security import encrypted_gain, generate_keypair, secure_payment
+from repro.service import MarketSpec
 
 
 @pytest.fixture(scope="module")
 def market():
-    return Market.for_dataset(
-        "titanic",
+    return Market.from_spec(MarketSpec(
+        dataset="titanic",
         base_model="random_forest",
         quick=True,
         seed=4,
         n_bundles=14,
         model_params={"n_estimators": 8, "max_depth": 6},
-    )
+        no_cache=True,
+    ))
 
 
 class TestFullPipeline:
