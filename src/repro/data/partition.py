@@ -142,7 +142,6 @@ class VerticalPartitioner:
         self,
         encoded: EncodedDataset,
         *,
-        test_size: float = 0.25,
         rng: object = None,
         name: str = "",
     ) -> PartitionedDataset:
@@ -157,9 +156,7 @@ class VerticalPartitioner:
         )
         task_idx = [i for c in self.task_columns for i in encoded.group_of(c)]
         data_idx = [i for c in self.data_columns for i in encoded.group_of(c)]
-        train_idx, test_idx = train_test_split(
-            encoded.n_samples, test_size=test_size, rng=rng
-        )
+        train_idx, test_idx = train_test_split(encoded.n_samples, rng=rng)
         names = encoded.feature_names
         return PartitionedDataset(
             name=name or encoded.schema.name,

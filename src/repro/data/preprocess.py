@@ -20,7 +20,7 @@ import numpy as np
 from repro.data.schema import ColumnKind, Schema
 from repro.data.table import Table
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_probability, require
+from repro.utils.validation import require
 
 __all__ = [
     "EncodedDataset",
@@ -206,20 +206,19 @@ class Standardizer:
         return self.fit(X).transform(X)
 
 
+#: Share of rows held out for testing (the paper's 75/25 split).
+_TEST_FRACTION = 0.25
+
+
 def train_test_split(
-    n_samples: int,
-    *,
-    test_size: float = 0.25,
-    rng: object = None,
+    n_samples: int, *, rng: object = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffled train/test index split.
+    """Shuffled train/test index split (``_TEST_FRACTION`` held out).
 
     Returns ``(train_idx, test_idx)``; deterministic given ``rng``.
     """
-    check_probability(test_size, "test_size")
     require(n_samples >= 4, "need at least 4 samples to split")
     gen = as_generator(rng)
     order = gen.permutation(n_samples)
-    n_test = max(1, int(round(n_samples * test_size)))
-    require(n_test < n_samples, "test_size leaves no training data")
+    n_test = max(1, int(round(n_samples * _TEST_FRACTION)))
     return np.sort(order[n_test:]), np.sort(order[:n_test])

@@ -187,7 +187,6 @@ class RawDataset:
     def prepare(
         self,
         *,
-        test_size: float = 0.25,
         seed: object = 0,
         n_subsample: int | None = None,
     ) -> PartitionedDataset:
@@ -206,9 +205,7 @@ class RawDataset:
         table = impute_missing(table, self.schema)
         encoded = encode_indicators(table, self.schema, y)
         partitioner = VerticalPartitioner(self.task_columns, self.data_columns)
-        dataset = partitioner.split(
-            encoded, test_size=test_size, rng=rng, name=self.name
-        )
+        dataset = partitioner.split(encoded, rng=rng, name=self.name)
         X_task = Standardizer().fit(dataset.task_train).transform(dataset.X_task)
         X_data = Standardizer().fit(dataset.data_train).transform(dataset.X_data)
         return PartitionedDataset(

@@ -44,20 +44,20 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-#: Rows of an :func:`ascii_chart` plot area.
+#: Rows and columns of an :func:`ascii_chart` plot area.
 _CHART_HEIGHT = 14
+_CHART_WIDTH = 72
 
 
 def ascii_chart(
     series: dict[str, np.ndarray],
     *,
     title: str = "",
-    width: int = 72,
     x_label: str = "round",
 ) -> str:
     """Multi-series ASCII line chart (one glyph per series).
 
-    Series are resampled onto ``width`` columns; NaN segments are left
+    Series are resampled onto the chart's columns; NaN segments are left
     blank, so curves that end early (failed runs) visibly stop.
     """
     require(bool(series), "need at least one series")
@@ -68,6 +68,7 @@ def ascii_chart(
     lo, hi = float(finite.min()), float(finite.max())
     if hi - lo < 1e-12:
         hi = lo + 1.0
+    width = _CHART_WIDTH
     grid = [[" "] * width for _ in range(_CHART_HEIGHT)]
     max_len = max(len(np.asarray(v)) for v in series.values())
     for s_idx, (name, values) in enumerate(series.items()):

@@ -60,7 +60,7 @@ class TestVerticalPartitioner:
 
     def test_train_test_views_align_with_labels(self):
         ds = VerticalPartitioner(["age", "port"], ["deck", "fare"]).split(
-            encoded_demo(), test_size=0.25, rng=3
+            encoded_demo(), rng=3
         )
         assert ds.task_train.shape[0] == ds.y_train.shape[0]
         assert ds.task_test.shape[0] == ds.y_test.shape[0]

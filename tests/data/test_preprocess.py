@@ -116,11 +116,11 @@ class TestStandardizer:
 
 class TestTrainTestSplit:
     def test_sizes(self):
-        train, test = train_test_split(100, test_size=0.25, rng=0)
+        train, test = train_test_split(100, rng=0)
         assert len(train) == 75 and len(test) == 25
 
     def test_disjoint_and_cover(self):
-        train, test = train_test_split(50, test_size=0.3, rng=1)
+        train, test = train_test_split(50, rng=1)
         combined = np.sort(np.concatenate([train, test]))
         np.testing.assert_array_equal(combined, np.arange(50))
 
@@ -132,10 +132,6 @@ class TestTrainTestSplit:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             train_test_split(2)
-
-    def test_degenerate_test_size_rejected(self):
-        with pytest.raises(ValueError):
-            train_test_split(10, test_size=1.0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -165,7 +165,7 @@ class TestAsciiChart:
 
     def test_nan_segments_blank(self):
         values = np.array([0.0, 1.0] + [np.nan] * 30)
-        out = ascii_chart({"s": values}, width=32)
+        out = ascii_chart({"s": values})
         # The right half of the chart should be blank for this series.
         rows = out.splitlines()[2:-2]
         right_halves = "".join(row[-10:] for row in rows)
