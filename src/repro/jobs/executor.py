@@ -309,10 +309,11 @@ class FleetExecutor:
         if pending:
             _CHUNK_EVENTS.inc(pending, kind=record.kind, event="queued")
         try:
-            if self._run_pending(job_id, pending):
+            current = self._run_pending(job_id, pending)
+            if current.done_chunks < current.n_chunks:
                 self.store.set_status(job_id, "interrupted")
                 return self.store.get(job_id)
-            return self._finish(job_id)
+            return self._finish(current)
         except Exception as exc:
             # A job must never be stranded in "running": chunk *and*
             # merge failures both surface through the store.
@@ -320,8 +321,8 @@ class FleetExecutor:
             self.store.set_status(job_id, "failed", error=repr(exc))
             raise
 
-    def _run_pending(self, job_id: str, initial: int) -> bool:
-        """Wait while agents drain the queue; True if stopped early."""
+    def _run_pending(self, job_id: str, initial: int) -> JobRecord:
+        """Wait while agents drain the queue; the job's record after."""
         if not self._stopped():
             with self._agent(job_id):
                 self._drain(job_id, initial)
@@ -330,7 +331,7 @@ class FleetExecutor:
             # A worker reported a chunk error: surface it as this run's.
             raise RuntimeError(current.error or
                                f"job {job_id} failed on a worker")
-        return current.done_chunks < current.n_chunks
+        return current
 
     def _agent(self, job_id: str) -> contextlib.AbstractContextManager:
         return contextlib.nullcontext()  # joined workers pull the chunks
@@ -356,15 +357,15 @@ class FleetExecutor:
     def _stopped(self) -> bool:
         return self.stop_event is not None and self.stop_event.is_set()
 
-    def _finish(self, job_id: str) -> JobRecord:
+    def _finish(self, record: JobRecord) -> JobRecord:
         """Merge all chunk results and persist the final report."""
         from dataclasses import asdict
 
-        record = self.store.get(job_id)
         spec = SimulationSpec.from_dict(record.spec)
-        _, _, report = merge_simulation_chunks(spec, self.store.chunk_results(job_id))
-        self.store.finish(job_id, asdict(report), report.digest())
-        return self.store.get(job_id)
+        results = self.store.chunk_results(record.job_id)
+        _, _, report = merge_simulation_chunks(spec, results)
+        self.store.finish(record.job_id, asdict(report), report.digest())
+        return self.store.get(record.job_id)
 
 
 class ShardedExecutor(FleetExecutor):

@@ -323,9 +323,13 @@ class JobStore:
         ]
 
     def chunk_results(self, job_id: str) -> dict[int, dict]:
-        """Decoded results of every finished chunk."""
-        self.get(job_id)  # raise KeyError for unknown jobs
+        """Decoded results of every finished chunk; ``KeyError`` if the
+        job is unknown."""
         with self._connect() as conn:
+            if conn.execute(
+                "SELECT 1 FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone() is None:
+                raise KeyError(f"unknown job {job_id!r}")
             rows = conn.execute(
                 "SELECT chunk_index, result FROM chunks "
                 "WHERE job_id = ? AND status = 'done'",

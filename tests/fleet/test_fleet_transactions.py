@@ -18,10 +18,11 @@ from repro import obs
 from repro.fleet import FleetManager
 from repro.fleet.manager import worker_id_for
 from repro.jobs import JobStore
-from repro.jobs.executor import submit_simulation
+from repro.jobs.executor import FleetExecutor, run_simulation_chunk, submit_simulation
 from repro.service import JobService, SimulationSpec
 from repro.service.api import ServiceContext, dispatch
 from repro.service.manager import SessionManager
+from repro.service.simulation import run_simulation
 
 SPEC = SimulationSpec(sessions=24, seed=3, batch_size=8)
 URL = "http://a:1"
@@ -157,3 +158,29 @@ class TestWorkerGauge:
         assert counts() == {"live": 2, "lost": 0, "left": 0}
         fleet.deregister(worker_id_for("http://b:1"))
         assert counts() == {"live": 1, "lost": 0, "left": 1}
+
+
+class TestExecutorTail:
+    def test_chunk_results_opens_one_connection(self, store, connections):
+        record = submit_simulation(store, SPEC, chunks=2)
+        before = len(connections)
+        assert store.chunk_results(record.job_id) == {}
+        with pytest.raises(KeyError, match="unknown job"):
+            store.chunk_results("j-missing")
+        assert len(connections) - before == 2
+
+    def test_finishing_a_drained_job_reads_its_record_once(self, store,
+                                                          connections):
+        """Seven connections: the opening read, ``running``, the drain's
+        read, the read after the drain (which ``_finish`` merges from),
+        the chunk results, the finish and the final record."""
+        record = submit_simulation(store, SPEC, chunks=2)
+        for index, (start, stop) in enumerate(record.chunks):
+            store.record_chunk(record.job_id, index,
+                               run_simulation_chunk(record.spec, start, stop))
+        executor = FleetExecutor(store)
+        before = len(connections)
+        final = executor.run(record.job_id)
+        assert len(connections) - before == 7
+        assert final.status == "done"
+        assert final.digest == run_simulation(SPEC)[2].digest()
