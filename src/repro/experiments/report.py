@@ -68,14 +68,13 @@ def ascii_chart(
     lo, hi = float(finite.min()), float(finite.max())
     if hi - lo < 1e-12:
         hi = lo + 1.0
-    width = _CHART_WIDTH
-    grid = [[" "] * width for _ in range(_CHART_HEIGHT)]
+    grid = [[" "] * _CHART_WIDTH for _ in range(_CHART_HEIGHT)]
     max_len = max(len(np.asarray(v)) for v in series.values())
     for s_idx, (name, values) in enumerate(series.items()):
         values = np.asarray(values, dtype=float)
         glyph = glyphs[s_idx % len(glyphs)]
-        for col in range(width):
-            src = int(round(col * (max_len - 1) / max(width - 1, 1)))
+        for col in range(_CHART_WIDTH):
+            src = int(round(col * (max_len - 1) / (_CHART_WIDTH - 1)))
             if src >= len(values) or not np.isfinite(values[src]):
                 continue
             frac = (values[src] - lo) / (hi - lo)
@@ -87,7 +86,7 @@ def ascii_chart(
     lines.append(f"  {hi:.4g}".rjust(10))
     for row in grid:
         lines.append("  |" + "".join(row))
-    lines.append(f"  {lo:.4g}".rjust(10) + "  " + "-" * (width - 8) + f"> {x_label}")
+    lines.append(f"  {lo:.4g}".rjust(10) + "  " + "-" * (_CHART_WIDTH - 8) + f"> {x_label}")
     legend = "   ".join(
         f"{glyphs[i % len(glyphs)]} {name}" for i, name in enumerate(series)
     )

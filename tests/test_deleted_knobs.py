@@ -34,11 +34,18 @@ DELETED_PARAMETERS = {
     "repro.experiments.aggregate:density": ("n_grid",),
     "repro.experiments.aggregate:nan_mean_ci": ("confidence", "min_alive"),
     "repro.experiments.aggregate:histogram": ("lo", "hi"),
-    "repro.experiments.report:ascii_chart": ("height",),
-    "repro.data.synthetic.base:RawDataset.prepare": ("standardize",),
+    "repro.experiments.report:ascii_chart": ("height", "width"),
+    "repro.data.synthetic.base:RawDataset.prepare": ("standardize", "test_size"),
+    "repro.data.partition:VerticalPartitioner.split": ("test_size",),
+    "repro.data.preprocess:train_test_split": ("test_size",),
     "repro.client.client:MarketplaceClient.iter_jobs": ("page_size",),
     "repro.utils.validation:check_in_range": ("inclusive",),
     "repro.experiments.figures:figure1_series": ("quote", "utility_rate", "n_grid"),
+    "repro.experiments.config:ExperimentScale": ("oracle_repeats",),
+    "repro.market.market:Market.from_spec": ("cache",),
+    "repro.experiments.runner:spec_for": ("cache",),
+    "repro.experiments.runner:get_market": ("jobs", "cache"),
+    "repro.client.client:MarketplaceClient.simulate": ("market_spec",),
 }
 
 #: ``module:class`` -> members no program path called.
@@ -51,11 +58,19 @@ DELETED_MEMBERS = {
     "repro.service.api:JobService": ("jobs",),
     "repro.data.preprocess:EncodedDataset": ("n_features",),
     "repro.oracle_factory.designs:SharedDesigns": ("task_design", "data_design"),
+    "repro.market.market:Market": ("for_dataset",),
+    "repro.service.specs:SimulationSpec": ("market_spec",),
 }
 
 #: module -> module-level names no program path read.
 DELETED_MODULE_NAMES = {
     "repro.vfl.runner": ("BASE_MODELS",),
+    "repro.market.market": ("_DEFAULT_CACHE",),
+    "repro.experiments.runner": ("_as_spec", "market_is_cached", "clear_market_cache"),
+    "repro.experiments": ("market_is_cached", "clear_market_cache", "DATASETS",
+                          "BASE_MODELS"),
+    "repro.experiments.config": ("DATASETS", "BASE_MODELS"),
+    "repro.cli": ("_oracle_cache",),
 }
 
 
